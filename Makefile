@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-telemetry bench-cache bench-backend bench-trend clean
+.PHONY: all build test race vet bench bench-cache bench-backend bench-trend clean
 
 all: build vet test
 
@@ -19,11 +19,6 @@ vet:
 # Full benchmark suite (paper figures + pipeline microbenchmarks).
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# Interpreter overhead with telemetry detached vs attached-but-idle;
-# the two ns/op figures should be within a couple percent.
-bench-telemetry:
-	$(GO) test -bench=BenchmarkInterpreterTelemetry -count=5 -run=^$$ .
 
 # Paired cached/uncached study benchmark (golden-run memoization);
 # see scripts/bench-cache.sh for knobs (INPUTS, COUNT, MIN_SPEEDUP...).

@@ -17,7 +17,6 @@ import (
 	"vulfi/internal/isa"
 	"vulfi/internal/lang"
 	"vulfi/internal/passes"
-	"vulfi/internal/telemetry"
 )
 
 // Each benchmark below regenerates the data behind one table or figure of
@@ -337,55 +336,23 @@ func BenchmarkInterpreter(b *testing.B) {
 	b.ReportMetric(dyn/float64(b.N), "dyn-instrs/op")
 }
 
-// BenchmarkInterpreterTelemetry pairs the stencil kernel with telemetry
-// detached vs attached-but-idle. Counters flush as deltas at top-level
-// call return, so the attached run's hot loop pays only a nil check —
-// compare ns/op between the two sub-benchmarks to see the idle cost.
-func BenchmarkInterpreterTelemetry(b *testing.B) {
-	bench := benchmarks.Stencil
-	res, err := codegen.CompileSource(bench.Source, isa.AVX, bench.Name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, m *interp.Metrics) {
-		var dyn float64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			x, err := exec.NewInstance(res, interp.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			x.It.SetMetrics(m)
-			spec, err := bench.Setup(x, rand.New(rand.NewSource(1)), benchmarks.ScaleDefault)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, tr := x.CallExport(bench.Entry, spec.Args...); tr != nil {
-				b.Fatal(tr)
-			}
-			dyn += float64(x.It.DynInstrs)
-		}
-		b.ReportMetric(dyn/float64(b.N), "dyn-instrs/op")
-	}
-	b.Run("disabled", func(b *testing.B) { run(b, nil) })
-	b.Run("enabled-idle", func(b *testing.B) {
-		run(b, interp.NewMetrics(telemetry.NewRegistry()))
-	})
-}
-
 // BenchmarkFacadeStudy exercises the public facade end to end (guards
 // the exported API against drift).
 func BenchmarkFacadeStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sr, err := vulfi.RunStudy(vulfi.Config{
-			Benchmark:   vulfi.BenchmarkByName("VectorCopy"),
-			ISA:         vulfi.AVX,
-			Category:    vulfi.Control,
-			Scale:       benchmarks.ScaleTest,
-			Experiments: 5,
-			Campaigns:   1,
-			Seed:        int64(i + 1),
-		})
+		study, err := vulfi.NewStudy(
+			vulfi.WithBenchmarkName("VectorCopy"),
+			vulfi.WithISA(vulfi.AVX),
+			vulfi.WithCategory(vulfi.Control),
+			vulfi.WithScale(benchmarks.ScaleTest),
+			vulfi.WithExperiments(5),
+			vulfi.WithCampaigns(1),
+			vulfi.WithSeed(int64(i+1)),
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sr, err := study.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

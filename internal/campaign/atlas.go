@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"vulfi/internal/core"
+	"vulfi/internal/interp"
 )
 
 // atlasProfileInputs caps how many pool inputs the activation-profiling
@@ -77,7 +78,7 @@ func (p *Prepared) profileVisits() ([]uint64, error) {
 	}
 	for j := 0; j < n; j++ {
 		plan := &core.Plan{Mode: core.CountOnly, Visits: visits}
-		x, err := p.newInstance(plan, 0)
+		x, err := p.newInstance(plan, interp.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +87,7 @@ func (p *Prepared) profileVisits() ([]uint64, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, tr := p.observe(x, spec); tr != nil {
+		if _, tr := p.observe(x, spec, plan); tr != nil {
 			return nil, tr
 		}
 		p.release(x)

@@ -224,8 +224,8 @@ func TestBackendExplainEquivalence(t *testing.T) {
 	}
 }
 
-// TestBackendProfileCountsEqual: with profiling on, the vm backend's
-// fused superinstructions report constituents through AccountFused, so
+// TestBackendProfileCountsEqual: with profiling on, the vm backend
+// replays its fused superinstructions one constituent at a time, so
 // the count side of the profile — opcode table, digram miner, sites,
 // phase dyn totals — must be identical to the tree-walker's. Only wall
 // time may differ.

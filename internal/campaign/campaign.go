@@ -22,6 +22,7 @@ import (
 	"vulfi/internal/detect"
 	"vulfi/internal/exec"
 	"vulfi/internal/interp"
+	"vulfi/internal/ir"
 	"vulfi/internal/isa"
 	"vulfi/internal/obs"
 	"vulfi/internal/passes"
@@ -141,7 +142,7 @@ type Config struct {
 	// attribution, per-site hot ranking, opcode-pair mining), the study
 	// aggregates them with a phase breakdown and an exp/s timeline, and
 	// the result carries a HotProfile. Disabled it costs one nil check
-	// per accounted instruction (the interp.Profiler pattern); enabled
+	// per accounted instruction (the shared interp.Observer seam); enabled
 	// it adds a timestamp per instruction, so profiled wall times are
 	// not comparable to unprofiled ones. Counts are deterministic for a
 	// configuration; wall-time fields are not. Golden-cache hits and
@@ -255,7 +256,6 @@ type Prepared struct {
 	obs *obs.Collector
 
 	reg *telemetry.Registry
-	im  *interp.Metrics
 	mx  cellMetrics
 
 	// golden memoizes golden runs per input seed (nil unless the cell
@@ -276,6 +276,8 @@ type cellMetrics struct {
 	golden, faulty, compare, wall      *telemetry.Histogram
 	sdc, benign, crash, hang, detected *telemetry.Counter
 	experiments                        *telemetry.Counter
+	// Interpreter counters, published once per run by observe.
+	instrs, vectorInstrs, siteVisits, traps *telemetry.Counter
 }
 
 func newCellMetrics(reg *telemetry.Registry) cellMetrics {
@@ -290,6 +292,11 @@ func newCellMetrics(reg *telemetry.Registry) cellMetrics {
 		hang:        reg.Counter("campaign.outcome.hang"),
 		detected:    reg.Counter("campaign.detected"),
 		experiments: reg.Counter("campaign.experiments"),
+
+		instrs:       reg.Counter("interp.instrs"),
+		vectorInstrs: reg.Counter("interp.vector_instrs"),
+		siteVisits:   reg.Counter("interp.site_visits"),
+		traps:        reg.Counter("interp.traps"),
 	}
 }
 
@@ -339,7 +346,7 @@ func Prepare(cfg Config) (*Prepared, error) {
 	}
 	p := &Prepared{
 		Cfg: cfg, Res: res, Inst: inst, Sites: inst.Sites,
-		reg: reg, im: interp.NewMetrics(reg), mx: newCellMetrics(reg),
+		reg: reg, mx: newCellMetrics(reg),
 	}
 	if cfg.Trace {
 		p.Profile = trace.NewProfile(reg)
@@ -367,24 +374,24 @@ func mustProgram(b *benchmarks.Benchmark) *langProgram {
 }
 
 // newInstance builds (or reuses) an interpreter instance with the ISA
-// intrinsics, the detector runtime and an injection plan attached.
-// Instances come from a per-cell pool: experiments return them with
-// release once every observable product has been copied out. The reset
-// path re-binds only the plan-dependent injection runtime; the
-// plan-independent ISA and detector externs survive the reset.
-func (p *Prepared) newInstance(plan *core.Plan, budget uint64) (*exec.Instance, error) {
+// intrinsics, the detector runtime and an injection plan attached, set
+// up for one run under opts (budget, observer, pulse). Instances come
+// from a per-cell pool: experiments return them with release once every
+// observable product has been copied out. The reset path re-binds only
+// the plan-dependent injection runtime; the plan-independent ISA and
+// detector externs survive the reset.
+func (p *Prepared) newInstance(plan *core.Plan, opts interp.Options) (*exec.Instance, error) {
 	if v := p.pool.Get(); v != nil {
 		x := v.(*exec.Instance)
-		if err := x.Reset(interp.Options{Budget: budget}); err == nil {
+		if err := x.Reset(opts); err == nil {
 			core.AttachRuntime(x.It, plan)
 			return x, nil
 		}
 	}
-	x, err := exec.NewInstance(p.Res, interp.Options{Budget: budget})
+	x, err := exec.NewInstance(p.Res, opts)
 	if err != nil {
 		return nil, err
 	}
-	x.It.SetMetrics(p.im)
 	if p.vmProg != nil {
 		// Engines survive Reset, so pooled instances keep their Machine;
 		// only fresh instances attach one (per-instance, over the shared
@@ -400,10 +407,53 @@ func (p *Prepared) newInstance(plan *core.Plan, budget uint64) (*exec.Instance, 
 // the instance afterwards: the next newInstance wipes its state.
 func (p *Prepared) release(x *exec.Instance) { p.pool.Put(x) }
 
+// runObserver builds one run's execution observer from the cell's Trace
+// and Profile settings, returning it with the trace ring and profile
+// probe behind it (each nil when off).
+func (p *Prepared) runObserver() (interp.Observer, *trace.Ring, *profile.Probe) {
+	var ring *trace.Ring
+	var probe *profile.Probe
+	if p.Cfg.Trace {
+		ring = trace.NewRing(p.Cfg.TraceCap)
+	}
+	if p.prof != nil {
+		probe = p.prof.Probe()
+	}
+	switch {
+	case ring != nil && probe != nil:
+		return tracedProbe{ring, probe}, ring, probe
+	case ring != nil:
+		return ring, ring, nil
+	case probe != nil:
+		return probe, nil, probe
+	}
+	return nil, nil, nil
+}
+
+// tracedProbe observes a run that is both traced and profiled: the
+// probe accounts, the ring records retirements.
+type tracedProbe struct {
+	ring  *trace.Ring
+	probe *profile.Probe
+}
+
+func (o tracedProbe) Account(in *ir.Instr) { o.probe.Account(in) }
+
+func (o tracedProbe) Retire(in *ir.Instr, dyn uint64, v interp.Value) {
+	o.ring.Retire(in, dyn, v)
+}
+
 // observe runs the entry function and extracts the comparable output:
-// the declared output regions plus the program output stream.
-func (p *Prepared) observe(x *exec.Instance, spec *benchmarks.RunSpec) ([]byte, *interp.Trap) {
-	if _, tr := x.CallExport(p.Cfg.Benchmark.Entry, spec.Args...); tr != nil {
+// the declared output regions plus the program output stream. Every
+// golden, faulty and atlas-visit run executes through here, so it also
+// publishes the run's interpreter counters to the cell registry.
+func (p *Prepared) observe(x *exec.Instance, spec *benchmarks.RunSpec, plan *core.Plan) ([]byte, *interp.Trap) {
+	_, tr := x.CallExport(p.Cfg.Benchmark.Entry, spec.Args...)
+	p.mx.instrs.Add(x.It.DynInstrs)
+	p.mx.vectorInstrs.Add(x.It.DynVector)
+	p.mx.siteVisits.Add(plan.DynSites)
+	if tr != nil {
+		p.mx.traps.Inc()
 		return nil, tr
 	}
 	var buf bytes.Buffer
@@ -459,21 +509,12 @@ type goldenRun struct {
 // execGolden performs one golden counting run for the given input seed.
 func (p *Prepared) execGolden(inputSeed int64, wc *workerCtx) (*goldenRun, error) {
 	goldenPlan := &core.Plan{Mode: core.CountOnly}
-	xg, err := p.newInstance(goldenPlan, 0)
+	o, gRing, probe := p.runObserver()
+	xg, err := p.newInstance(goldenPlan, interp.Options{Observer: o, Pulse: wc.pulse()})
 	if err != nil {
 		return nil, err
 	}
-	if wc != nil && wc.beat != nil {
-		xg.It.SetHeartbeat(wc.beat)
-	}
-	var gRing *trace.Ring
-	if p.Cfg.Trace {
-		gRing = trace.NewRing(p.Cfg.TraceCap)
-		xg.It.SetRecorder(gRing)
-	}
-	if p.prof != nil {
-		probe := p.prof.Probe()
-		xg.It.SetProfiler(probe)
+	if probe != nil {
 		defer p.prof.Add("golden", probe)
 	}
 	var grng *rand.Rand
@@ -487,7 +528,7 @@ func (p *Prepared) execGolden(inputSeed int64, wc *workerCtx) (*goldenRun, error
 	if err != nil {
 		return nil, err
 	}
-	out, tr := p.observe(xg, spec)
+	out, tr := p.observe(xg, spec, goldenPlan)
 	if tr != nil {
 		return nil, fmt.Errorf("golden run trapped (%s, input %s): %w",
 			p.Cfg, spec.Label, tr)
@@ -615,22 +656,10 @@ func (p *Prepared) runExperiment(ctx context.Context, seed, inputSeed int64, wc 
 	// Faulty run: same input (same setup seed), bounded by a hang budget.
 	faultyStart := time.Now()
 	budget := g.DynInstrs*3 + 100_000
-	xf, err := p.newInstance(faultPlan, budget)
+	o, fRing, fProbe := p.runObserver()
+	xf, err := p.newInstance(faultPlan, interp.Options{Budget: budget, Observer: o, Pulse: wc.pulse()})
 	if err != nil {
 		return nil, err
-	}
-	if wc != nil && wc.beat != nil {
-		xf.It.SetHeartbeat(wc.beat)
-	}
-	var fRing *trace.Ring
-	if p.Cfg.Trace {
-		fRing = trace.NewRing(p.Cfg.TraceCap)
-		xf.It.SetRecorder(fRing)
-	}
-	var fProbe *profile.Probe
-	if p.prof != nil {
-		fProbe = p.prof.Probe()
-		xf.It.SetProfiler(fProbe)
 	}
 	// Same input as the golden half: replay its recorded stream rather
 	// than seeding a second identical source (the seeding, not the
@@ -645,7 +674,7 @@ func (p *Prepared) runExperiment(ctx context.Context, seed, inputSeed int64, wc 
 	if err != nil {
 		return nil, err
 	}
-	faultyOut, ftr := p.observe(xf, spec2)
+	faultyOut, ftr := p.observe(xf, spec2, faultPlan)
 	res.FaultyWall = time.Since(faultyStart)
 	p.mx.faulty.Observe(res.FaultyWall)
 	if fProbe != nil {

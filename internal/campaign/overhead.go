@@ -90,7 +90,7 @@ func MeasureOverhead(b *benchmarks.Benchmark, target *isa.ISA,
 		// otherwise dominate small kernels).
 		for i := -1; i < runs; i++ {
 			plan := &core.Plan{Mode: core.CountOnly}
-			x, err := p.newInstance(plan, 0)
+			x, err := p.newInstance(plan, interp.Options{})
 			if err != nil {
 				return 0, 0, err
 			}

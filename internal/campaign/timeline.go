@@ -24,6 +24,15 @@ type workerCtx struct {
 // tracing reports whether this worker records spans. Safe on nil.
 func (wc *workerCtx) tracing() bool { return wc != nil && wc.lane != nil }
 
+// pulse returns the worker's heartbeat for interp.Options.Pulse (nil
+// when none). Safe on nil.
+func (wc *workerCtx) pulse() func(uint64) {
+	if wc == nil {
+		return nil
+	}
+	return wc.beat
+}
+
 // expSpan records the enclosing experiment span once the experiment
 // has fully finished. Every attribute derives from the deterministic
 // schedule (index, seed) or the deterministic result (outcome, site),

@@ -93,12 +93,7 @@ func (p *Plan) handle(val interp.Value, active, siteID int64) interp.Value {
 // bound to the given plan. Call once per execution with a fresh plan.
 func AttachRuntime(it *interp.Interp, plan *Plan) {
 	impl := func(it *interp.Interp, args []interp.Value) (interp.Value, *interp.Trap) {
-		active := args[1].Int()
-		if active == 0 {
-			return args[0], nil // masked-off lane: not a dynamic fault site
-		}
-		it.CountSiteVisit() // live (unmasked) dynamic fault-site visit
-		return plan.handle(args[0], active, args[2].Int()), nil
+		return plan.handle(args[0], args[1].Int(), args[2].Int()), nil
 	}
 	for _, f := range it.Mod.Funcs {
 		if f.IsDecl && strings.HasPrefix(f.Nam, "injectFault") {

@@ -100,11 +100,13 @@ func TestTrapProvenance(t *testing.T) {
 	}
 }
 
-// collectRecorder is a test Recorder that keeps every retirement.
+// collectRecorder is a test Observer that keeps every retirement.
 type collectRecorder struct {
 	instrs []*ir.Instr
 	dyns   []uint64
 }
+
+func (c *collectRecorder) Account(*ir.Instr) {}
 
 func (c *collectRecorder) Retire(in *ir.Instr, dyn uint64, v Value) {
 	c.instrs = append(c.instrs, in)
@@ -126,7 +128,7 @@ func TestRecorderObservesRetirements(t *testing.T) {
 		t.Fatal(tr)
 	}
 	rec := &collectRecorder{}
-	it.SetRecorder(rec)
+	it.SetObserver(rec)
 	if _, tr := it.Run("sum", PtrValue(ir.Ptr(ir.I32), addr), IntValue(ir.I32, 8)); tr != nil {
 		t.Fatalf("run: %v", tr)
 	}
@@ -154,12 +156,12 @@ func TestRecorderObservesRetirements(t *testing.T) {
 	}
 
 	// Detaching stops recording.
-	it.SetRecorder(nil)
+	it.SetObserver(nil)
 	n := len(rec.instrs)
 	if _, tr := it.Run("sum", PtrValue(ir.Ptr(ir.I32), addr), IntValue(ir.I32, 8)); tr != nil {
 		t.Fatalf("rerun: %v", tr)
 	}
 	if len(rec.instrs) != n {
-		t.Fatal("recorder still attached after SetRecorder(nil)")
+		t.Fatal("recorder still attached after SetObserver(nil)")
 	}
 }

@@ -7,21 +7,21 @@ import "vulfi/internal/ir"
 // function after the interpreter has performed the shared call protocol
 // — extern dispatch, depth accounting, argument-count checking — and
 // may execute the body against the interpreter's own observable state
-// (DynInstrs/DynVector, memory, output, detections, tracer, recorder,
-// profiler, metrics). Returning ok == false declines the function and
-// the interpreter tree-walks it instead, so an engine may compile only
-// the subset of functions it supports.
+// (DynInstrs/DynVector, memory, output, detections, the observer).
+// Returning ok == false declines the function and the interpreter
+// tree-walks it instead, so an engine may compile only the subset of
+// functions it supports.
 //
 // The contract is strict equivalence: an engine must reproduce the
 // tree-walker's observable behavior exactly — identical DynInstrs
 // accounting (including phis and terminators), identical budget-check
 // schedule, identical trap kinds/messages/provenance, and identical
-// Recorder/Profiler/Tracer event streams. The differential tests in
-// internal/vm and internal/campaign pin this contract.
+// Observer event streams. The differential tests in internal/vm and
+// internal/campaign pin this contract.
 //
-// Like registered externs and attached metrics, the engine survives
-// Reset: campaign instance pools reset-and-reuse interpreters without
-// re-attaching their backend.
+// Like registered externs, the engine survives Reset: campaign instance
+// pools reset-and-reuse interpreters without re-attaching their
+// backend.
 type Engine interface {
 	CallCompiled(it *Interp, f *ir.Func, args []Value) (Value, *Trap, bool)
 }
@@ -32,23 +32,12 @@ func (it *Interp) SetEngine(e Engine) { it.engine = e }
 // Engine returns the attached execution engine, or nil.
 func (it *Interp) Engine() Engine { return it.engine }
 
-// FusedProfiler is optionally implemented by profilers that can account
-// a fused superinstruction group in one call: one timestamp for the
-// whole group instead of one per constituent, with counts and pair
-// digrams identical to sequential Account calls. Backends that execute
-// fused superinstructions use it so wall-time attribution stays fair
-// (the group's execution time is split across its constituents) while
-// profile totals still structurally equal DynInstrs.
-type FusedProfiler interface {
-	Profiler
-	AccountFused(ins []*ir.Instr)
-}
-
 // The methods below export exactly the hooks an Engine needs to
 // replicate the tree-walker's observable contract without duplicating
-// its semantics: budget checks, trap provenance, the hook sinks and the
-// scalar/vector operation kernels. Engines must use these rather than
-// re-implement them, so the two backends cannot drift.
+// its semantics: budget checks, trap provenance, extern resolution and
+// the scalar/vector operation kernels (the observer is read through
+// Observer). Engines must use these rather than re-implement them, so
+// the two backends cannot drift.
 
 // CheckBudget reports a TrapBudget when the executed-instruction count
 // has exceeded the configured budget, with the tree-walker's exact
@@ -60,20 +49,6 @@ func (it *Interp) CheckBudget() *Trap { return it.checkBudget() }
 // LocateTrap stamps tr with the provenance of in (innermost frame
 // wins), exactly as the tree-walker does before unwinding a trap.
 func (it *Interp) LocateTrap(tr *Trap, in *ir.Instr) *Trap { return it.locate(tr, in) }
-
-// Recorder returns the attached execution recorder, or nil.
-func (it *Interp) Recorder() Recorder { return it.rec }
-
-// Profiler returns the attached execution profiler, or nil.
-func (it *Interp) Profiler() Profiler { return it.prof }
-
-// HasTracer reports whether a debug tracer is attached.
-func (it *Interp) HasTracer() bool { return it.tracer != nil }
-
-// TraceInstr emits one tracer event for a retired non-terminator
-// instruction, in the tree-walker's exact format. No-op without a
-// tracer.
-func (it *Interp) TraceInstr(in *ir.Instr, result Value) { it.trace(in, result) }
 
 // ResolveExtern resolves a declaration to the implementation Call would
 // dispatch to (registered extern, then generic intrinsic). Engines that

@@ -23,6 +23,17 @@ type Options struct {
 	MemLimit uint64
 	// MaxDepth bounds call nesting. 0 = 512.
 	MaxDepth int
+	// Observer, when non-nil, sees every accounted and retired
+	// instruction of the run (see Observer).
+	Observer Observer
+	// Pulse, when non-nil, receives the current DynInstrs on every budget
+	// check — after each phi block and every 1024th accounted instruction
+	// — a liveness signal for watchdogs that stays off the per-instruction
+	// path. Both backends share the schedule (the bytecode VM routes its
+	// budget checks through CheckBudget). It runs on the executing
+	// goroutine and must be cheap and non-blocking (an atomic store is the
+	// intended shape).
+	Pulse func(dynInstrs uint64)
 }
 
 // Interp executes functions of one module instance.
@@ -59,18 +70,12 @@ type Interp struct {
 	maxDepth    int
 	depth       int
 	globals     map[*ir.Global]uint64
-	tracer      *Tracer
-	rec         Recorder
-	prof        Profiler
-	// hb, when attached, receives the current DynInstrs on every budget
-	// check (after each phi block and every 1024th accounted
-	// instruction) — a liveness pulse for watchdogs, costing one nil
-	// check per budget check when detached. Cleared by Reset like the
-	// recorder and profiler (see SetHeartbeat).
-	hb func(uint64)
+	// obs and pulse are the run's Options.Observer and Options.Pulse.
+	obs   Observer
+	pulse func(uint64)
 	// engine, when attached, executes compiled function bodies against
 	// this interpreter's state; nil tree-walks everything. Like externs
-	// and metrics it survives Reset (see SetEngine).
+	// it survives Reset (see SetEngine).
 	engine Engine
 
 	// frames and ops recycle call frames and operand buffers across
@@ -78,14 +83,6 @@ type Interp struct {
 	// allocates neither on the execution hot path.
 	frames []*frame
 	ops    [][]Value
-
-	// metrics, when attached, receives batched execution counters; nil
-	// keeps the hot path to a single pointer test (see SetMetrics).
-	metrics       *Metrics
-	flushedInstrs uint64
-	flushedVector uint64
-	siteVisits    uint64
-	flushedVisits uint64
 }
 
 // New creates an interpreter for mod, allocating storage for its globals.
@@ -104,12 +101,14 @@ func New(mod *ir.Module, opts Options) (*Interp, error) {
 }
 
 // Reset returns the interpreter to its post-New state under new options,
-// keeping registered externs, attached metrics and the recycling pools
-// but dropping all execution state: output, counters, detections,
-// recorder/tracer, call depth and the entire memory image. Globals are
-// reallocated in module order on the recycled memory, so they land at
-// exactly the addresses a fresh interpreter would use — a deterministic
-// program behaves identically on a reset and on a fresh instance.
+// keeping registered externs, the attached engine and the recycling
+// pools but dropping all execution state: output, counters, detections,
+// call depth and the entire memory image. The observer and pulse become
+// opts.Observer and opts.Pulse, so one Options value configures a whole
+// run. Globals are reallocated in module order on the recycled memory,
+// so they land at exactly the addresses a fresh interpreter would use —
+// a deterministic program behaves identically on a reset and on a fresh
+// instance.
 // Campaign hot paths reset-and-reuse instances instead of rebuilding
 // every frame, buffer and segment per experiment.
 func (it *Interp) Reset(opts Options) *Trap {
@@ -127,12 +126,8 @@ func (it *Interp) Reset(opts Options) *Trap {
 	it.budget = opts.Budget
 	it.maxDepth = opts.MaxDepth
 	it.depth = 0
-	it.tracer = nil
-	it.rec = nil
-	it.prof = nil
-	it.hb = nil
-	it.flushedInstrs, it.flushedVector = 0, 0
-	it.siteVisits, it.flushedVisits = 0, 0
+	it.obs = opts.Observer
+	it.pulse = opts.Pulse
 	clear(it.globals)
 	for _, g := range it.Mod.Globals {
 		addr, tr := it.Mem.Alloc(uint64(g.Elem.ByteSize() * g.Count))
@@ -202,7 +197,7 @@ func (it *Interp) Run(name string, args ...Value) (Value, *Trap) {
 }
 
 // Call executes f with args.
-func (it *Interp) Call(f *ir.Func, args []Value) (ret Value, tr *Trap) {
+func (it *Interp) Call(f *ir.Func, args []Value) (Value, *Trap) {
 	if f.IsDecl {
 		fn, ok := it.resolveExtern(f)
 		if !ok {
@@ -219,14 +214,6 @@ func (it *Interp) Call(f *ir.Func, args []Value) (ret Value, tr *Trap) {
 		it.depth--
 		if fr != nil {
 			it.putFrame(fr)
-		}
-		// Top-level return: publish batched counters and record a trap
-		// outcome, so attached telemetry costs nothing per instruction.
-		if it.depth == 0 && it.metrics != nil {
-			it.FlushMetrics()
-			if tr != nil && it.metrics.Traps != nil {
-				it.metrics.Traps.Inc()
-			}
 		}
 	}()
 
@@ -259,8 +246,8 @@ func (it *Interp) Call(f *ir.Func, args []Value) (ret Value, tr *Trap) {
 			for i, phi := range phis {
 				fr.vals[phi] = tmp[i]
 				it.account(phi)
-				if it.rec != nil {
-					it.rec.Retire(phi, it.DynInstrs, tmp[i])
+				if it.obs != nil {
+					it.obs.Retire(phi, it.DynInstrs, tmp[i])
 				}
 			}
 			it.putOps(tmp)
@@ -307,11 +294,8 @@ func (it *Interp) Call(f *ir.Func, args []Value) (ret Value, tr *Trap) {
 				if !in.Ty.IsVoid() {
 					fr.vals[in] = v
 				}
-				if it.tracer != nil {
-					it.trace(in, v)
-				}
-				if it.rec != nil {
-					it.rec.Retire(in, it.DynInstrs, v)
+				if it.obs != nil {
+					it.obs.Retire(in, it.DynInstrs, v)
 				}
 			}
 		}
@@ -405,14 +389,14 @@ func (it *Interp) account(in *ir.Instr) {
 	if in.IsVectorInstr() {
 		it.DynVector++
 	}
-	if it.prof != nil {
-		it.prof.Account(in)
+	if it.obs != nil {
+		it.obs.Account(in)
 	}
 }
 
 func (it *Interp) checkBudget() *Trap {
-	if it.hb != nil {
-		it.hb(it.DynInstrs)
+	if it.pulse != nil {
+		it.pulse(it.DynInstrs)
 	}
 	if it.DynInstrs > it.budget {
 		return trapf(TrapBudget, "executed %d instructions", it.DynInstrs)

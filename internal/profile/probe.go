@@ -6,23 +6,22 @@
 // timeline. It is deterministic where it can be — every count is a pure
 // function of the study configuration — and honest where it cannot:
 // wall-time fields measure this machine, this run.
-//
-// The package implements interp.Profiler structurally rather than
-// importing interp (profile needs trace for the site-key spelling, and
-// trace already sits on top of interp).
 package profile
 
 import (
 	"time"
 
+	"vulfi/internal/interp"
 	"vulfi/internal/ir"
 )
+
+// A Probe is an interp.Observer.
+var _ interp.Observer = (*Probe)(nil)
 
 // Probe is the per-run accumulator a single interpreter instance feeds
 // through its Account hook. It is deliberately unsynchronized — one
 // probe per running interpreter, merged into the study-wide Collector
-// after the run — mirroring how interp.Metrics batches counters locally
-// and flushes at call boundaries.
+// after the run.
 //
 // Attribution is delta-based: Account fires before an instruction
 // executes, so the time between consecutive Account calls — execution
@@ -44,12 +43,8 @@ type Probe struct {
 	siteNS    map[*ir.Instr]uint64
 
 	lastIn *ir.Instr
-	// lastGroup is non-empty when the last hook call was AccountFused:
-	// the open interval then belongs to the whole fused group, not just
-	// its final constituent.
-	lastGroup []*ir.Instr
-	lastT     time.Time
-	total     uint64
+	lastT  time.Time
+	total  uint64
 }
 
 // NewProbe returns an empty probe. Prefer Collector.Probe, which
@@ -61,80 +56,40 @@ func NewProbe() *Probe {
 	}
 }
 
-// Account implements the interp.Profiler hook: it receives exactly the
+// Account implements interp.Observer: it receives exactly the
 // instruction stream behind the interpreter's DynInstrs counter (phis,
 // terminators and void instructions included), so Total structurally
 // equals the run's DynInstrs.
 func (p *Probe) Account(in *ir.Instr) {
 	now := time.Now()
 	p.closeInterval(now, in)
-	p.tally(in)
-	p.lastIn, p.lastGroup, p.lastT = in, nil, now
-}
-
-// AccountFused implements the interp.FusedProfiler hook: a compiled
-// backend executing a fused superinstruction reports its constituent
-// instructions in a single call. Counts, vector tallies, per-site
-// counts and the opcode digram table advance exactly as a sequence of
-// Account calls would — Total still structurally equals the run's
-// DynInstrs, and the pair miner keeps observing the very digram the
-// fusion was selected from. The interval that ends at the *next* hook
-// call is split evenly across the group's constituents (remainder to
-// the last, conserving total nanoseconds), since the fused form
-// executes them as one indivisible step.
-func (p *Probe) AccountFused(ins []*ir.Instr) {
-	if len(ins) == 0 {
-		return
-	}
-	now := time.Now()
-	p.closeInterval(now, ins[0])
-	prev := ins[0]
-	p.tally(prev)
-	for _, in := range ins[1:] {
-		p.pairs[int(prev.Op)*int(ir.NumOps)+int(in.Op)]++
-		p.tally(in)
-		prev = in
-	}
-	p.lastIn, p.lastGroup, p.lastT = prev, ins, now
-}
-
-// closeInterval attributes the open interval ending at now — the
-// previous instruction's execution plus dispatch overhead — and, when
-// next is known, advances the digram table. A fused group splits the
-// interval across its constituents.
-func (p *Probe) closeInterval(now time.Time, next *ir.Instr) {
-	prev := p.lastIn
-	if prev == nil {
-		return
-	}
-	d := uint64(now.Sub(p.lastT))
-	if n := uint64(len(p.lastGroup)); n > 1 {
-		share := d / n
-		for i, g := range p.lastGroup {
-			dg := share
-			if uint64(i) == n-1 {
-				dg = d - share*(n-1)
-			}
-			p.timeNS[g.Op] += dg
-			p.siteNS[g] += dg
-		}
-	} else {
-		p.timeNS[prev.Op] += d
-		p.siteNS[prev] += d
-	}
-	if next != nil {
-		p.pairs[int(prev.Op)*int(ir.NumOps)+int(next.Op)]++
-	}
-}
-
-// tally advances the pure-count tables for one accounted instruction.
-func (p *Probe) tally(in *ir.Instr) {
 	p.count[in.Op]++
 	if in.IsVectorInstr() {
 		p.vector[in.Op]++
 	}
 	p.siteCount[in]++
 	p.total++
+	p.lastIn, p.lastT = in, now
+}
+
+// Retire implements interp.Observer; a probe attributes on Account
+// alone.
+func (p *Probe) Retire(*ir.Instr, uint64, interp.Value) {}
+
+// closeInterval attributes the open interval ending at now — the
+// previous instruction's execution plus dispatch overhead — and, when
+// next is known, advances the digram table.
+func (p *Probe) closeInterval(now time.Time, next *ir.Instr) {
+	prev := p.lastIn
+	if prev == nil {
+		return
+	}
+	d := uint64(now.Sub(p.lastT))
+	p.timeNS[prev.Op] += d
+	p.siteNS[prev] += d
+	if next != nil {
+		p.pairs[int(prev.Op)*int(ir.NumOps)+int(next.Op)]++
+	}
 }
 
 // Finish attributes the final open interval (the last accounted
@@ -142,7 +97,7 @@ func (p *Probe) tally(in *ir.Instr) {
 func (p *Probe) Finish() {
 	if p.lastIn != nil {
 		p.closeInterval(time.Now(), nil)
-		p.lastIn, p.lastGroup = nil, nil
+		p.lastIn = nil
 	}
 }
 
@@ -157,6 +112,6 @@ func (p *Probe) reset() {
 	p.pairs = [ir.NumOps * ir.NumOps]uint64{}
 	clear(p.siteCount)
 	clear(p.siteNS)
-	p.lastIn, p.lastGroup = nil, nil
+	p.lastIn = nil
 	p.total = 0
 }

@@ -55,11 +55,10 @@ func run(t *testing.T, probe *Probe, n int64) *interp.Interp {
 	t.Helper()
 	m := ir.NewModule("t")
 	buildSum(m)
-	it, err := interp.New(m, interp.Options{})
+	it, err := interp.New(m, interp.Options{Observer: probe})
 	if err != nil {
 		t.Fatal(err)
 	}
-	it.SetProfiler(probe)
 	addr, tr := it.Mem.Alloc(uint64(n) * 4)
 	if tr != nil {
 		t.Fatal(tr)
@@ -85,121 +84,6 @@ func TestProbeTotalEqualsDynInstrs(t *testing.T) {
 	}
 	if probe.Total() == 0 {
 		t.Fatal("probe counted nothing")
-	}
-}
-
-// TestAccountFusedMatchesSequential: the vm backend's fused
-// superinstructions report their constituents through AccountFused, and
-// every pure-count table — opcode counts, vector tallies, per-site
-// counts, the digram miner, Total — must land exactly where a sequence
-// of plain Account calls would have put it. Wall time must be conserved
-// (total ns equals the per-site sum) with every constituent of a fused
-// group receiving a share.
-func TestAccountFusedMatchesSequential(t *testing.T) {
-	m := ir.NewModule("t")
-	f := buildSum(m)
-	var ins []*ir.Instr
-	for _, blk := range f.Blocks {
-		ins = append(ins, blk.Instrs...)
-	}
-
-	seq, fus := NewProbe(), NewProbe()
-	for _, in := range ins {
-		seq.Account(in)
-	}
-	seq.Finish()
-
-	// Group the same adjacent patterns the vm backend fuses (gep+load,
-	// cmp+br); account everything else singly.
-	for i := 0; i < len(ins); {
-		fusible := i+1 < len(ins) &&
-			((ins[i].Op == ir.OpGEP && ins[i+1].Op == ir.OpLoad) ||
-				(ins[i].Op == ir.OpICmp && ins[i+1].Op == ir.OpCondBr))
-		if fusible {
-			fus.AccountFused(ins[i : i+2])
-			i += 2
-		} else {
-			fus.Account(ins[i])
-			i++
-		}
-	}
-	fus.Finish()
-
-	if seq.total != fus.total {
-		t.Fatalf("total: sequential %d, fused %d", seq.total, fus.total)
-	}
-	if seq.count != fus.count {
-		t.Fatalf("opcode counts diverge:\nseq   %v\nfused %v", seq.count, fus.count)
-	}
-	if seq.vector != fus.vector {
-		t.Fatalf("vector counts diverge")
-	}
-	if seq.pairs != fus.pairs {
-		for p := range seq.pairs {
-			if seq.pairs[p] != fus.pairs[p] {
-				t.Errorf("pair (%v,%v): sequential %d, fused %d",
-					ir.Op(p/int(ir.NumOps)), ir.Op(p%int(ir.NumOps)),
-					seq.pairs[p], fus.pairs[p])
-			}
-		}
-		t.Fatal("digram table diverges")
-	}
-	if len(seq.siteCount) != len(fus.siteCount) {
-		t.Fatalf("site count table size: sequential %d, fused %d",
-			len(seq.siteCount), len(fus.siteCount))
-	}
-	for in, n := range seq.siteCount {
-		if fus.siteCount[in] != n {
-			t.Fatalf("site %%%s count: sequential %d, fused %d", in.Nam, n, fus.siteCount[in])
-		}
-	}
-
-	var totalNS, siteNS uint64
-	for _, d := range fus.timeNS {
-		totalNS += d
-	}
-	for _, d := range fus.siteNS {
-		siteNS += d
-	}
-	if totalNS != siteNS {
-		t.Fatalf("fused wall time not conserved: opcode total %dns, site total %dns",
-			totalNS, siteNS)
-	}
-}
-
-// TestAccountFusedSplitsInterval: the interval following a fused group
-// is split across its constituents — the gep inside a fused gep+load
-// still shows up in the time profile instead of donating all its wall
-// time to the load.
-func TestAccountFusedSplitsInterval(t *testing.T) {
-	m := ir.NewModule("t")
-	f := buildSum(m)
-	var gep, load *ir.Instr
-	for _, blk := range f.Blocks {
-		for _, in := range blk.Instrs {
-			switch in.Op {
-			case ir.OpGEP:
-				gep = in
-			case ir.OpLoad:
-				load = in
-			}
-		}
-	}
-	if gep == nil || load == nil {
-		t.Fatal("test function lost its gep/load pair")
-	}
-
-	p := NewProbe()
-	p.AccountFused([]*ir.Instr{gep, load})
-	time.Sleep(2 * time.Millisecond) // the fused step "executes"
-	p.Finish()
-
-	if p.siteNS[gep] == 0 || p.siteNS[load] == 0 {
-		t.Fatalf("interval not split: gep %dns, load %dns",
-			p.siteNS[gep], p.siteNS[load])
-	}
-	if got, want := p.siteNS[gep]+p.siteNS[load], p.timeNS[ir.OpGEP]+p.timeNS[ir.OpLoad]; got != want {
-		t.Fatalf("split loses time: sites %dns, opcodes %dns", got, want)
 	}
 }
 

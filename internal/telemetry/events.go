@@ -14,12 +14,10 @@ import (
 //
 //	jq 'select(.type=="experiment") | .fields.outcome' out.jsonl
 //
-// The type doubles as the shared event schema between the campaign
-// layer (study/campaign/experiment spans) and the interpreter's Tracer
-// (per-instruction trace events), so one sink can absorb both.
+// The campaign layer emits its study/campaign/experiment spans through
+// this one schema.
 type Event struct {
-	// Type names the event class: "study", "campaign", "experiment",
-	// "trace", "section", ...
+	// Type names the event class: "study", "campaign", "experiment".
 	Type string `json:"type"`
 	// Name identifies the subject (e.g. a study cell "Blackscholes/AVX/control").
 	Name string `json:"name,omitempty"`

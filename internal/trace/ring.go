@@ -12,8 +12,8 @@ import (
 	"vulfi/internal/ir"
 )
 
-// A Ring is an interp.Recorder.
-var _ interp.Recorder = (*Ring)(nil)
+// A Ring is an interp.Observer.
+var _ interp.Observer = (*Ring)(nil)
 
 // DefaultCap bounds auto-sized rings, in entries. At ~3 words plus the
 // lane payload per entry this caps a ring in the low tens of MB while
@@ -42,7 +42,7 @@ func (e Entry) Ref() InstrRef {
 }
 
 // Ring is a bounded execution-trace recorder implementing
-// interp.Recorder. It grows to at most its capacity and then evicts the
+// interp.Observer. It grows to at most its capacity and then evicts the
 // oldest entries (counted by Dropped), bounding memory for arbitrarily
 // long runs while keeping the most recent window for crash forensics.
 // A Ring belongs to one interpreter instance and is not safe for
@@ -63,7 +63,10 @@ func NewRing(capacity int) *Ring {
 	return &Ring{cap: capacity}
 }
 
-// Retire implements interp.Recorder: it appends the retired instruction,
+// Account implements interp.Observer; a ring records retirements only.
+func (r *Ring) Account(*ir.Instr) {}
+
+// Retire implements interp.Observer: it appends the retired instruction,
 // copying the value's lane payload (the interpreter may reuse it).
 func (r *Ring) Retire(in *ir.Instr, dyn uint64, v interp.Value) {
 	var bits []uint64

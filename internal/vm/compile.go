@@ -71,7 +71,7 @@ type vinstr struct {
 	irop ir.Op
 	pred ir.Pred
 
-	dst     int32 // result register; -1 when void. vGEPStore: the gep's register.
+	dst     int32 // result register; -1 when void
 	a, b, c int32 // operand refs
 
 	ty   *ir.Type
@@ -85,11 +85,9 @@ type vinstr struct {
 	in  *ir.Instr // original instruction: accounting, traps, trace, retire
 	vec bool      // precomputed in.IsVectorInstr()
 
-	// Fused second constituent and the two-element accounting group
-	// handed to interp.FusedProfiler implementations.
-	in2   *ir.Instr
-	vec2  bool
-	group []*ir.Instr
+	// Fused second constituent.
+	in2  *ir.Instr
+	vec2 bool
 
 	// Branch targets (bytecode pcs) and their edge move bundles.
 	t0, t1 int32
@@ -436,11 +434,9 @@ func (c *compiler) fuseGEP(v *vinstr, gep, mem *ir.Instr, op vop) bool {
 	v.elem = uint64(gep.Ty.Elem.ByteSize())
 	v.idxSh = idxShift(gep.Operand(1))
 	v.in2, v.vec2 = mem, mem.IsVectorInstr()
-	v.group = []*ir.Instr{gep, mem}
 	if op == vGEPLoad {
 		v.ty = mem.Ty
 		v.nw = int32(mem.Ty.Lanes())
-		v.c = c.regOf[gep] // materialized only when a recorder/tracer watches
 		v.dst = c.regOf[mem]
 	} else {
 		val, ok := c.ref(mem.Operand(0))
@@ -449,7 +445,6 @@ func (c *compiler) fuseGEP(v *vinstr, gep, mem *ir.Instr, op vop) bool {
 		}
 		v.ty = gep.Ty
 		v.c = val
-		v.dst = c.regOf[gep]
 	}
 	return true
 }
@@ -480,7 +475,6 @@ func (c *compiler) fuseCmpBr(b *ir.Block, v *vinstr, cmp, br *ir.Instr) bool {
 	v.op = vCmpBr
 	v.a, v.b = a, bb
 	v.in2, v.vec2 = br, br.IsVectorInstr()
-	v.group = []*ir.Instr{cmp, br}
 	v.m0, v.m1 = m0, m1
 	c.fixups = append(c.fixups,
 		fixup{pc: len(c.code.code), blk: br.Succs[0]},

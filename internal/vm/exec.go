@@ -7,17 +7,35 @@ import (
 	"vulfi/internal/ir"
 )
 
-// getOperand resolves an operand ref against the frame: registers for
-// non-negative refs, the constant pool for negative ones.
 // sx sign-extends an index payload by its precomputed shift (see
 // vinstr.idxSh); identical to ir.SignExtend at the operand's width.
 func sx(bits uint64, sh uint8) int64 { return int64(bits<<sh) >> sh }
 
+// getOperand resolves an operand ref against the frame: registers for
+// non-negative refs, the constant pool for negative ones.
 func getOperand(regs, consts []interp.Value, ref int32) interp.Value {
 	if ref >= 0 {
 		return regs[ref]
 	}
 	return consts[^ref]
+}
+
+// slowStep is the out-of-line half of accounting one non-phi
+// instruction: the observer's Account and, on a 1024 boundary, the
+// tree-walker's budget check located at in. Keeping it out of line lets
+// the per-instruction step inline into every opcode case.
+//
+//go:noinline
+func slowStep(it *interp.Interp, obs interp.Observer, in *ir.Instr) *interp.Trap {
+	if obs != nil {
+		obs.Account(in)
+	}
+	if it.DynInstrs&1023 == 0 {
+		if tr := it.CheckBudget(); tr != nil {
+			return it.LocateTrap(tr, in)
+		}
+	}
+	return nil
 }
 
 // CallCompiled implements interp.Engine: it executes f's bytecode body
@@ -26,22 +44,21 @@ func getOperand(regs, consts []interp.Value, ref int32) interp.Value {
 //
 // The loop replays the tree-walker's exact observable schedule. Every
 // instruction — phis and terminators included — bumps DynInstrs (and
-// DynVector when vectoring) before it executes; non-phi instructions
-// check the budget when DynInstrs crosses a 1024 boundary; phi blocks
-// check it once, unconditionally, located at the first phi. Traps are
-// stamped with provenance through LocateTrap at the same instruction
-// the tree-walker would stamp.
+// DynVector when vectoring) and is accounted to the observer before it
+// executes; non-phi instructions check the budget when DynInstrs crosses
+// a 1024 boundary; phi blocks check it once, unconditionally, located at
+// the first phi. Traps are stamped with provenance through LocateTrap at
+// the same instruction the tree-walker would stamp.
 //
 // Values are immutable once published (the interp package's producers
 // all build fresh results; bit flips clone before flipping), so the
-// frame never clones constants or operands. When no recorder or tracer
-// watches the value stream, result lane storage comes from the
-// machine's frame arena — marked at entry, released at exit — and every
-// operation routes through the interp package's Into kernels, which
-// write all lanes of the recycled storage. The return value is cloned
-// out of the arena before release; everything else the frame produced
-// is dead at exit (memory stores copy bytes, externs consume arguments
-// eagerly).
+// frame never clones constants or operands. Result lane storage comes
+// from the machine's frame arena — marked at entry, released at exit —
+// and every operation routes through the interp package's Into kernels,
+// which write all lanes of the recycled storage. The return value is
+// cloned out of the arena before release; everything else the frame
+// produced is dead at exit (memory stores copy bytes, externs consume
+// arguments eagerly, observers must not retain retired values).
 func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Value) (interp.Value, *interp.Trap, bool) {
 	code := m.prog.fns[f]
 	if code == nil {
@@ -58,37 +75,15 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 	}
 
 	consts := code.consts
-	rec := it.Recorder()
-	prof := it.Profiler()
-	hasTracer := it.HasTracer()
-	fprof, _ := prof.(interp.FusedProfiler)
-	// fastFused: fused superinstructions may account in bulk only when
-	// nobody observes the per-instruction schedule (no recorder, no
-	// tracer) and the profiler — if any — understands fused groups.
-	fastFused := rec == nil && !hasTracer && (prof == nil || fprof != nil)
-	// useArena: the recorder and tracer are the only sinks that may
-	// retain result values beyond the frame; without them, results live
-	// at most until the frame returns and the arena recycles their
-	// storage wholesale.
-	useArena := rec == nil && !hasTracer
-	// watched: at least one per-instruction retirement sink is attached;
-	// hoisted so the hot loop skips the finish call entirely otherwise.
-	watched := rec != nil || hasTracer
+	obs := it.Observer()
 	ar := &m.arena
-	if useArena {
-		mk := ar.mark()
-		defer ar.release(mk)
-	}
-	// alloc returns result storage for one value: recycled arena words
-	// in arena mode (the Into kernels overwrite every lane), a fresh
-	// zeroed heap value otherwise.
+	mk := ar.mark()
+	defer ar.release(mk)
+	// alloc returns recycled arena storage for one result value (the Into
+	// kernels overwrite every lane).
 	alloc := func(ty *ir.Type, nw int32) interp.Value {
-		if useArena {
-			return interp.Value{Ty: ty, Bits: ar.alloc(int(nw))}
-		}
-		return interp.Zero(ty)
+		return interp.Value{Ty: ty, Bits: ar.alloc(int(nw))}
 	}
-
 	// step accounts one non-phi instruction and runs the tree-walker's
 	// boundary budget check, returning a located trap when over budget.
 	step := func(in *ir.Instr, vec bool) *interp.Trap {
@@ -96,24 +91,34 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 		if vec {
 			it.DynVector++
 		}
-		if prof != nil {
-			prof.Account(in)
-		}
-		if it.DynInstrs&1023 == 0 {
-			if tr := it.CheckBudget(); tr != nil {
-				return it.LocateTrap(tr, in)
-			}
+		if obs != nil || it.DynInstrs&1023 == 0 {
+			return slowStep(it, obs, in)
 		}
 		return nil
 	}
-	// finish emits the retirement events of a non-terminator instruction.
-	finish := func(in *ir.Instr, val interp.Value) {
-		if hasTracer {
-			it.TraceInstr(in, val)
+	// retire emits the retirement event of a non-terminator instruction.
+	retire := func(in *ir.Instr, val interp.Value) {
+		if obs != nil {
+			obs.Retire(in, it.DynInstrs, val)
 		}
-		if rec != nil {
-			rec.Retire(in, it.DynInstrs, val)
+	}
+	// fuse accounts both constituents of a fused superinstruction in bulk
+	// and reports true when that is unobservable: no observer watches the
+	// per-instruction schedule, and the pair sits away from a budget
+	// boundary (neither increment may skip a boundary check). Otherwise
+	// the caller replays the constituents one step at a time.
+	fuse := func(v *vinstr) bool {
+		if obs != nil || it.DynInstrs&1023 >= 1022 {
+			return false
 		}
+		it.DynInstrs += 2
+		if v.vec {
+			it.DynVector++
+		}
+		if v.vec2 {
+			it.DynVector++
+		}
+		return true
 	}
 	// runMoves executes a sequenced edge bundle (the eliminated phis'
 	// parallel copy for the taken edge).
@@ -142,11 +147,9 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 				if p.vec {
 					it.DynVector++
 				}
-				if prof != nil {
-					prof.Account(p.in)
-				}
-				if rec != nil {
-					rec.Retire(p.in, it.DynInstrs, regs[p.reg])
+				if obs != nil {
+					obs.Account(p.in)
+					obs.Retire(p.in, it.DynInstrs, regs[p.reg])
 				}
 			}
 			if tr := it.CheckBudget(); tr != nil {
@@ -155,17 +158,8 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			pc++
 
 		case vIntBin:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			r := alloc(v.ty, v.nw)
 			if tr := interp.IntBinInto(r, v.irop,
@@ -173,110 +167,55 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 				return interp.Value{}, it.LocateTrap(tr, v.in), true
 			}
 			regs[v.dst] = r
-			if watched {
-				finish(v.in, r)
-			}
+			retire(v.in, r)
 			pc++
 
 		case vFloatBin:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			r := alloc(v.ty, v.nw)
 			interp.FloatBinInto(r, v.irop,
 				getOperand(regs, consts, v.a), getOperand(regs, consts, v.b))
 			regs[v.dst] = r
-			if watched {
-				finish(v.in, r)
-			}
+			retire(v.in, r)
 			pc++
 
 		case vCmp:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			r := alloc(v.ty, v.nw)
 			interp.CompareInto(r, v.irop, v.pred,
 				getOperand(regs, consts, v.a), getOperand(regs, consts, v.b))
 			regs[v.dst] = r
-			if watched {
-				finish(v.in, r)
-			}
+			retire(v.in, r)
 			pc++
 
 		case vSelect:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			r := alloc(v.ty, v.nw)
 			interp.SelectInto(r, getOperand(regs, consts, v.a),
 				getOperand(regs, consts, v.b), getOperand(regs, consts, v.c))
 			regs[v.dst] = r
-			if watched {
-				finish(v.in, r)
-			}
+			retire(v.in, r)
 			pc++
 
 		case vCast:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			r := alloc(v.ty, v.nw)
 			interp.CastInto(r, v.irop, getOperand(regs, consts, v.a), v.ty)
 			regs[v.dst] = r
-			if watched {
-				finish(v.in, r)
-			}
+			retire(v.in, r)
 			pc++
 
 		case vAlloca:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			addr, tr := it.Mem.Alloc(v.elem)
 			if tr != nil {
@@ -285,92 +224,48 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			r := alloc(v.ty, 1)
 			r.Bits[0] = addr
 			regs[v.dst] = r
-			if watched {
-				finish(v.in, r)
-			}
+			retire(v.in, r)
 			pc++
 
 		case vLoad:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			r := alloc(v.ty, v.nw)
 			if tr := it.Mem.LoadInto(r, getOperand(regs, consts, v.a).Uint()); tr != nil {
 				return interp.Value{}, it.LocateTrap(tr, v.in), true
 			}
 			regs[v.dst] = r
-			if watched {
-				finish(v.in, r)
-			}
+			retire(v.in, r)
 			pc++
 
 		case vStore:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			tr := it.Mem.Store(getOperand(regs, consts, v.a),
 				getOperand(regs, consts, v.b).Uint())
 			if tr != nil {
 				return interp.Value{}, it.LocateTrap(tr, v.in), true
 			}
-			if watched {
-				finish(v.in, interp.Value{})
-			}
+			retire(v.in, interp.Value{})
 			pc++
 
 		case vGEP:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			addr := getOperand(regs, consts, v.a).Uint() +
 				uint64(sx(getOperand(regs, consts, v.b).Bits[0], v.idxSh))*v.elem
 			r := alloc(v.ty, 1)
 			r.Bits[0] = addr
 			regs[v.dst] = r
-			if watched {
-				finish(v.in, r)
-			}
+			retire(v.in, r)
 			pc++
 
 		case vExtract:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			vec := getOperand(regs, consts, v.a)
 			idx := int(sx(getOperand(regs, consts, v.b).Bits[0], v.idxSh))
@@ -382,23 +277,12 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			r := alloc(v.ty, 1)
 			r.Bits[0] = vec.Bits[idx]
 			regs[v.dst] = r
-			if watched {
-				finish(v.in, r)
-			}
+			retire(v.in, r)
 			pc++
 
 		case vInsert:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			vec := getOperand(regs, consts, v.a)
 			elem := getOperand(regs, consts, v.b)
@@ -412,23 +296,12 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			copy(r.Bits, vec.Bits)
 			r.Bits[idx] = elem.Bits[0]
 			regs[v.dst] = r
-			if watched {
-				finish(v.in, r)
-			}
+			retire(v.in, r)
 			pc++
 
 		case vShuffle:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			a := getOperand(regs, consts, v.a)
 			b := getOperand(regs, consts, v.b)
@@ -445,23 +318,12 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 				}
 			}
 			regs[v.dst] = r
-			if watched {
-				finish(v.in, r)
-			}
+			retire(v.in, r)
 			pc++
 
 		case vCall:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			argv := m.getArgs(len(v.args))
 			for i, ref := range v.args {
@@ -491,39 +353,19 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			if v.dst >= 0 {
 				regs[v.dst] = r
 			}
-			if watched {
-				finish(v.in, r)
-			}
+			retire(v.in, r)
 			pc++
 
 		case vBr:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			runMoves(v.m0)
 			pc = v.t0
 
 		case vCondBr:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			if getOperand(regs, consts, v.a).Bool() {
 				runMoves(v.m0)
@@ -534,20 +376,11 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			}
 
 		case vRet:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			r := getOperand(regs, consts, v.a)
-			if useArena && v.a >= 0 {
+			if v.a >= 0 {
 				// The only value that outlives the frame: clone it off the
 				// arena before the deferred release recycles its storage.
 				r = r.Clone()
@@ -555,190 +388,76 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			return r, nil, true
 
 		case vRetVoid:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			return interp.Value{}, nil, true
 
 		case vUnreachable:
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
+			if tr := step(v.in, v.vec); tr != nil {
+				return interp.Value{}, tr, true
 			}
 			tr := &interp.Trap{Kind: interp.TrapHalt,
 				Msg: fmt.Sprintf("reached unreachable in @%s", f.Nam)}
 			return interp.Value{}, it.LocateTrap(tr, v.in), true
 
 		case vGEPLoad:
-			// Fused lane-address + load. The fast path accounts both
-			// constituents in bulk; it is legal only away from a budget
-			// boundary (neither increment may skip a boundary check) and
-			// when no recorder/tracer watches the per-instruction stream.
-			if fastFused && it.DynInstrs&1023 < 1022 {
-				it.DynInstrs += 2
-				if v.vec {
-					it.DynVector++
-				}
-				if v.vec2 {
-					it.DynVector++
-				}
-				if fprof != nil {
-					fprof.AccountFused(v.group)
-				}
-				addr := getOperand(regs, consts, v.a).Uint() +
-					uint64(sx(getOperand(regs, consts, v.b).Bits[0], v.idxSh))*v.elem
-				r := alloc(v.ty, v.nw)
-				if tr := it.Mem.LoadInto(r, addr); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in2), true
-				}
-				regs[v.dst] = r
-				pc++
-				break
-			}
-			// Full-fidelity path: replay both constituents exactly.
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
-			}
+			// Fused lane-address + load. The address computation cannot
+			// trap, so it runs ahead of the constituents' accounting.
 			addr := getOperand(regs, consts, v.a).Uint() +
 				uint64(sx(getOperand(regs, consts, v.b).Bits[0], v.idxSh))*v.elem
-			if watched {
-				pv := interp.PtrValue(v.in.Ty, addr)
-				regs[v.c] = pv
-				finish(v.in, pv)
-			}
-			if tr := step(v.in2, v.vec2); tr != nil {
-				return interp.Value{}, tr, true
+			if !fuse(v) {
+				if tr := step(v.in, v.vec); tr != nil {
+					return interp.Value{}, tr, true
+				}
+				if obs != nil {
+					obs.Retire(v.in, it.DynInstrs, interp.PtrValue(v.in.Ty, addr))
+				}
+				if tr := step(v.in2, v.vec2); tr != nil {
+					return interp.Value{}, tr, true
+				}
 			}
 			r := alloc(v.ty, v.nw)
 			if tr := it.Mem.LoadInto(r, addr); tr != nil {
 				return interp.Value{}, it.LocateTrap(tr, v.in2), true
 			}
 			regs[v.dst] = r
-			if watched {
-				finish(v.in2, r)
-			}
+			retire(v.in2, r)
 			pc++
 
 		case vGEPStore:
-			if fastFused && it.DynInstrs&1023 < 1022 {
-				it.DynInstrs += 2
-				if v.vec {
-					it.DynVector++
-				}
-				if v.vec2 {
-					it.DynVector++
-				}
-				if fprof != nil {
-					fprof.AccountFused(v.group)
-				}
-				addr := getOperand(regs, consts, v.a).Uint() +
-					uint64(sx(getOperand(regs, consts, v.b).Bits[0], v.idxSh))*v.elem
-				if tr := it.Mem.Store(getOperand(regs, consts, v.c), addr); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in2), true
-				}
-				pc++
-				break
-			}
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
-			}
 			addr := getOperand(regs, consts, v.a).Uint() +
 				uint64(sx(getOperand(regs, consts, v.b).Bits[0], v.idxSh))*v.elem
-			if watched {
-				pv := interp.PtrValue(v.ty, addr)
-				regs[v.dst] = pv
-				finish(v.in, pv)
-			}
-			if tr := step(v.in2, v.vec2); tr != nil {
-				return interp.Value{}, tr, true
+			if !fuse(v) {
+				if tr := step(v.in, v.vec); tr != nil {
+					return interp.Value{}, tr, true
+				}
+				if obs != nil {
+					obs.Retire(v.in, it.DynInstrs, interp.PtrValue(v.ty, addr))
+				}
+				if tr := step(v.in2, v.vec2); tr != nil {
+					return interp.Value{}, tr, true
+				}
 			}
 			if tr := it.Mem.Store(getOperand(regs, consts, v.c), addr); tr != nil {
 				return interp.Value{}, it.LocateTrap(tr, v.in2), true
 			}
-			if watched {
-				finish(v.in2, interp.Value{})
-			}
+			retire(v.in2, interp.Value{})
 			pc++
 
 		case vCmpBr:
-			// Fused scalar mask-test + branch.
-			if fastFused && it.DynInstrs&1023 < 1022 {
-				it.DynInstrs += 2
-				if v.vec {
-					it.DynVector++
-				}
-				if v.vec2 {
-					it.DynVector++
-				}
-				if fprof != nil {
-					fprof.AccountFused(v.group)
-				}
-				cond := alloc(v.ty, 1)
-				interp.CompareInto(cond, v.irop, v.pred,
-					getOperand(regs, consts, v.a), getOperand(regs, consts, v.b))
-				if cond.Bool() {
-					runMoves(v.m0)
-					pc = v.t0
-				} else {
-					runMoves(v.m1)
-					pc = v.t1
-				}
-				break
-			}
-			it.DynInstrs++
-			if v.vec {
-				it.DynVector++
-			}
-			if prof != nil {
-				prof.Account(v.in)
-			}
-			if it.DynInstrs&1023 == 0 {
-				if tr := it.CheckBudget(); tr != nil {
-					return interp.Value{}, it.LocateTrap(tr, v.in), true
-				}
-			}
-			cond := interp.CompareOp(v.irop, v.pred,
+			// Fused scalar mask-test + branch; the compare cannot trap.
+			cond := alloc(v.ty, 1)
+			interp.CompareInto(cond, v.irop, v.pred,
 				getOperand(regs, consts, v.a), getOperand(regs, consts, v.b))
-			if watched {
-				finish(v.in, cond)
-			}
-			if tr := step(v.in2, v.vec2); tr != nil {
-				return interp.Value{}, tr, true
+			if !fuse(v) {
+				if tr := step(v.in, v.vec); tr != nil {
+					return interp.Value{}, tr, true
+				}
+				retire(v.in, cond)
+				if tr := step(v.in2, v.vec2); tr != nil {
+					return interp.Value{}, tr, true
+				}
 			}
 			if cond.Bool() {
 				runMoves(v.m0)

@@ -11,8 +11,8 @@
 // the full tree-walker contract is preserved exactly: identical
 // outcomes, identical DynInstrs/DynVector accounting (phis and
 // terminators included), the identical budget-check schedule, identical
-// trap kinds/messages/provenance, and identical Recorder, Profiler and
-// Tracer event streams. Injection semantics are inherited for free: the
+// trap kinds/messages/provenance, and an identical interp.Observer event
+// stream. Injection semantics are inherited for free: the
 // instrumentation chain calls the injectFault* externs through the
 // shared call protocol, so LaneSiteID attribution, dynamic site
 // counting and bit flips behave byte-identically. A function the
@@ -129,9 +129,9 @@ const arenaChunk = 8192
 // result values. A frame marks the arena on entry and releases to that
 // mark on exit: every value the frame produced is dead by then (the
 // return value is cloned out first, memory stores copy bytes, and the
-// recorder/tracer — the only sinks that retain values — disable arena
-// mode entirely), so the storage is recycled instead of feeding the
-// garbage collector one allocation per executed instruction.
+// interp.Observer contract forbids retaining a retired value), so the
+// storage is recycled instead of feeding the garbage collector one
+// allocation per executed instruction.
 type bitsArena struct {
 	cur []uint64
 	off int

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # profile-overhead.sh — assert the profiler's disabled cost is nil.
 #
-# The execution profiler hangs off the interpreter's account() path
-# behind a single nil check, so with Config.Profile unset a study must
-# run exactly as fast as before the profiler existed. This script
+# The execution profiler attaches through the interpreter's one observer
+# seam (interp.Options.Observer), tested once per instruction behind a
+# single nil check, so with Config.Profile unset a study must run
+# exactly as fast as before the profiler existed. This script
 # re-measures BenchmarkStudyThroughput (profiling disabled — the
 # benchmark never sets Profile) and fails if the best ns/study over the
 # repetitions regresses more than TOLERANCE_PCT against the committed
@@ -11,16 +12,17 @@
 # spikes only ever slow a repetition down, while a real hot-path
 # regression shifts the whole distribution, minimum included.
 #
-# The span-tracing subsystem (internal/obs) hangs off the same seams
-# behind Config.Timeline/Config.Heartbeat, which the benchmark never
-# sets either — so this gate doubles as the obs-disabled cost gate: the
-# timeline-smoke CI job runs it at TOLERANCE_PCT=1.
+# The trace ring shares that Observer seam, and the campaign heartbeat
+# rides interp.Options.Pulse on the budget-check schedule; the benchmark
+# sets neither Config.Trace, Config.Profile, Config.Timeline nor
+# Config.Heartbeat — so this gate doubles as the observability-disabled
+# cost gate: the overhead-gate CI job runs it at TOLERANCE_PCT=1.
 #
 #   scripts/profile-overhead.sh [outdir]
 #
 # Environment:
 #   BASELINE_FILE  committed baseline JSON            (default BENCH_6.json)
-#   COUNT          benchmark repetitions              (default 7)
+#   COUNT          benchmark repetitions              (default 9)
 #   BENCHTIME      -benchtime per repetition          (default 1s)
 #   TOLERANCE_PCT  max allowed regression in percent  (default 2)
 #

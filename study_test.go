@@ -1,44 +1,6 @@
 package vulfi
 
-import (
-	"context"
-	"testing"
-)
-
-// TestNewStudyMatchesClassicAPI: a study built from functional options
-// must run the exact same schedule as the deprecated Config-struct
-// entry point.
-func TestNewStudyMatchesClassicAPI(t *testing.T) {
-	study, err := NewStudy(
-		WithBenchmarkName("VectorCopy"),
-		WithISA(AVX),
-		WithCategory(PureData),
-		WithScale(ScaleTest),
-		WithExperiments(10),
-		WithCampaigns(2),
-		WithSeed(7),
-		WithInputs(2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := study.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := study.Config()
-	want, err := RunStudyContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gt, wt := got.Totals, want.Totals
-	gt.WallTotal, gt.WallMin, gt.WallMax = 0, 0, 0
-	wt.WallTotal, wt.WallMin, wt.WallMax = 0, 0, 0
-	if gt != wt {
-		t.Fatalf("options API diverged from classic API:\noptions: %+v\nclassic: %+v", gt, wt)
-	}
-}
+import "testing"
 
 // TestNewStudyValidation: option and validation failures surface at
 // construction, before any compilation.

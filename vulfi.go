@@ -30,8 +30,6 @@
 package vulfi
 
 import (
-	"context"
-
 	"vulfi/internal/benchmarks"
 	"vulfi/internal/campaign"
 	"vulfi/internal/codegen"
@@ -193,30 +191,6 @@ const (
 	SDC    = campaign.OutcomeSDC
 	Crash  = campaign.OutcomeCrash
 )
-
-// RunStudy prepares a study cell and runs its campaigns in parallel.
-//
-// Deprecated: build studies with NewStudy and the With* options, which
-// validate the configuration before any compilation. RunStudy remains a
-// thin shim over the same engine.
-func RunStudy(cfg Config) (*StudyResult, error) {
-	return campaign.RunStudy(context.Background(), cfg)
-}
-
-// RunStudyContext is RunStudy under a context: cancelling ctx stops the
-// study cooperatively between experiments.
-//
-// Deprecated: use NewStudy(...) followed by Study.Run(ctx).
-func RunStudyContext(ctx context.Context, cfg Config) (*StudyResult, error) {
-	return campaign.RunStudy(ctx, cfg)
-}
-
-// PrepareStudy compiles+instruments a cell for manual experiment control.
-//
-// Deprecated: use NewStudy(...) followed by Study.Prepare.
-func PrepareStudy(cfg Config) (*campaign.Prepared, error) {
-	return campaign.Prepare(cfg)
-}
 
 // Benchmarks returns the paper's Table I benchmarks.
 func Benchmarks() []*Benchmark { return benchmarks.Study() }

@@ -1,6 +1,7 @@
 package vulfi_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -82,16 +83,20 @@ func TestFacadeBenchmarkRegistry(t *testing.T) {
 }
 
 func TestFacadeStudy(t *testing.T) {
-	sr, err := vulfi.RunStudy(vulfi.Config{
-		Benchmark:   vulfi.BenchmarkByName("DotProduct"),
-		ISA:         vulfi.SSE,
-		Category:    vulfi.PureData,
-		Scale:       benchmarks.ScaleTest,
-		Experiments: 8,
-		Campaigns:   2,
-		Seed:        5,
-		Detectors:   true,
-	})
+	study, err := vulfi.NewStudy(
+		vulfi.WithBenchmarkName("DotProduct"),
+		vulfi.WithISA(vulfi.SSE),
+		vulfi.WithCategory(vulfi.PureData),
+		vulfi.WithScale(benchmarks.ScaleTest),
+		vulfi.WithExperiments(8),
+		vulfi.WithCampaigns(2),
+		vulfi.WithSeed(5),
+		vulfi.WithDetectors(),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := study.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
