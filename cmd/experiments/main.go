@@ -84,13 +84,13 @@ func main() {
 	if *tel.Progress {
 		opts.Progress = os.Stderr
 	}
-	ew, telStop, err := tel.Start(os.Stderr)
+	events, telStop, err := tel.Start(os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	defer telStop()
-	opts.Events = ew
+	opts.Events = events
 
 	if !(*table1 || *fig10 || *fig11 || *fig12 || *ablations || *ext || *all) {
 		flag.Usage()

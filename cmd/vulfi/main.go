@@ -127,6 +127,9 @@ func main() {
 		case *atlasOut != "" || *histOut != "":
 			fail(cliutil.MutuallyExclusive("atlas/-history", "remote",
 				"these run locally; a vulfid daemon records its own history (GET /v1/history)"))
+		case *tel.Events != "" || *tel.HTTP != "":
+			fail(cliutil.MutuallyExclusive("events/-http", "remote",
+				"the study runs on the daemon: -timeline FILE writes its spans to FILE.jsonl in the -events format (fleet-merged for sharded jobs), and the daemon serves its own /metrics"))
 		}
 	}
 	if *shards > 0 {
@@ -203,13 +206,15 @@ func main() {
 		return
 	}
 
-	ew, telStop, err := tel.Start(os.Stderr)
+	events, telStop, err := tel.Start(os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	defer telStop()
-	cfg.Events = ew
+	if events != nil {
+		cfg.Timeline = true
+	}
 	if *tel.Progress {
 		pr := telemetry.NewProgress(os.Stderr, cfg.String(), *camps**exps)
 		cfg.OnExperiment = func(r *campaign.ExperimentResult) {
@@ -226,6 +231,12 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+	if events != nil {
+		if err := sr.Timeline.WriteJSONL(events); err != nil {
+			fmt.Fprintf(os.Stderr, "events: %v\n", err)
+			os.Exit(1)
+		}
 	}
 
 	if *atlasOut != "" {

@@ -41,8 +41,9 @@ import (
 // serves the fleet-wide merge on the usual /timeline and /profile
 // sub-resources — and added the fleet metrics view GET /v1/fleet plus
 // the coordinator's "fleet" SSE event for worker loss and shard
-// reassignment).
-const APIVersion = "1.7"
+// reassignment; 1.8 dropped the bucketed "timeline" from "hot_profile",
+// whose phase walls and exp/s now read off the study's spans).
+const APIVersion = "1.8"
 
 // Job lifecycle states. A job moves queued → running → {done, failed,
 // cancelled}; cancellation can also hit a queued job directly. A
@@ -162,7 +163,7 @@ type Spec struct {
 
 	// Profile enables the execution profiler: the finished study's JSON
 	// carries a "hot_profile" object (hot opcodes, opcode pairs, hot
-	// sites, phase breakdown, exp/s timeline), also served standalone at
+	// sites, phase breakdown and exp/s), also served standalone at
 	// GET /v1/jobs/{id}/profile. Profiling timestamps every interpreted
 	// instruction, so profiled wall times are not comparable to
 	// unprofiled runs. On a sharded job the coordinator harvests each

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -140,11 +141,13 @@ type Config struct {
 	// Profile enables the execution profiler: every interpreter run
 	// feeds a per-run probe (per-opcode counts and wall-time
 	// attribution, per-site hot ranking, opcode-pair mining), the study
-	// aggregates them with a phase breakdown and an exp/s timeline, and
-	// the result carries a HotProfile. Disabled it costs one nil check
-	// per accounted instruction (the shared interp.Observer seam); enabled
-	// it adds a timestamp per instruction, so profiled wall times are
-	// not comparable to unprofiled ones. Counts are deterministic for a
+	// aggregates them, and the result carries a HotProfile whose phase
+	// walls and exp/s are read off the study's spans (a profiled cell
+	// always records spans; StudyResult.Timeline is still set only with
+	// Timeline). Disabled it costs one nil check per accounted
+	// instruction (the shared interp.Observer seam); enabled it adds a
+	// timestamp per instruction, so profiled wall times are not
+	// comparable to unprofiled ones. Counts are deterministic for a
 	// configuration; wall-time fields are not. Golden-cache hits and
 	// checkpoint-replayed experiments never re-execute and are therefore
 	// absent from the profile.
@@ -169,9 +172,6 @@ type Config struct {
 	// registry; concurrent studies that must not interleave should each
 	// pass their own registry.
 	Metrics *telemetry.Registry
-	// Events, when non-nil, receives structured study/campaign/experiment
-	// spans as JSONL. A nil writer disables event emission.
-	Events *telemetry.EventWriter
 	// OnExperiment, when non-nil, is invoked after every completed
 	// experiment (live progress hook). It is called from worker
 	// goroutines and must be safe for concurrent use.
@@ -250,9 +250,11 @@ type Prepared struct {
 	// prof is the execution-profile collector (nil unless Cfg.Profile).
 	prof *profile.Collector
 
-	// obs is the span collector (nil unless Cfg.Timeline): one
-	// unsynchronized lane per worker plus a mutex-guarded control lane,
-	// merged into a Timeline at study end.
+	// obs is the span collector (nil unless Cfg.Timeline or
+	// Cfg.Profile): one unsynchronized lane per worker plus a
+	// mutex-guarded control lane, merged into a Timeline at study end.
+	// Its spans are the cell's only clock besides the phase histograms,
+	// which observe the same measurements.
 	obs *obs.Collector
 
 	reg *telemetry.Registry
@@ -308,17 +310,44 @@ func (c Config) registry() *telemetry.Registry {
 	return telemetry.Default()
 }
 
+// workerCount resolves Workers (0 = GOMAXPROCS).
+func (c Config) workerCount() int {
+	if c.Workers > 0 {
+		return c.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
 // Prepare compiles the benchmark for the configured ISA, synthesizes
 // detectors when requested, and instruments the selected site category.
-// The compile+instrument wall time lands in the study registry's
-// "campaign.prepare" histogram.
+// The compile+instrument wall time is measured once: it lands in the
+// study registry's "campaign.prepare" histogram (failed preparations
+// included) and, on a traced or profiled cell, as the compile span.
 func Prepare(cfg Config) (*Prepared, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	reg := cfg.registry()
-	prepStart := time.Now()
-	defer reg.Histogram("campaign.prepare").Since(prepStart)
+	start := time.Now()
+	p, err := compileCell(cfg, reg)
+	wall := time.Since(start)
+	reg.Histogram("campaign.prepare").Observe(wall)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Profile {
+		p.prof = profile.NewCollector()
+	}
+	if cfg.Timeline || cfg.Profile {
+		p.obs = NewSpanCollector(cfg, cfg.workerCount(), start)
+		p.obs.Ctl("compile", p.spanID("compile", 0), p.obs.Root(), start, wall, nil)
+	}
+	return p, nil
+}
+
+// compileCell is Prepare's timed part: compile, detector synthesis,
+// instrumentation and the per-cell execution state.
+func compileCell(cfg Config, reg *telemetry.Registry) (*Prepared, error) {
 	res, err := codegen.Compile(mustProgram(cfg.Benchmark), cfg.ISA,
 		cfg.Benchmark.Name)
 	if err != nil {
@@ -355,15 +384,6 @@ func Prepare(cfg Config) (*Prepared, error) {
 	}
 	if cfg.Backend == "vm" {
 		p.vmProg = vm.Compile(res.Module)
-	}
-	if cfg.Profile {
-		p.prof = profile.NewCollector()
-		p.prof.Phase("compile", time.Since(prepStart))
-	}
-	if cfg.Timeline {
-		p.obs = newTimelineCollector(cfg, prepStart)
-		p.obs.Ctl("compile", p.spanID("compile", 0), p.obs.Root(),
-			prepStart, time.Since(prepStart), nil)
 	}
 	return p, nil
 }
@@ -602,9 +622,11 @@ func (p *Prepared) runExperimentOn(ctx context.Context, i int, wc *workerCtx) (*
 // strategy): a golden counting run that records the output and the
 // dynamic fault-site count N (memoized per input seed when the cell has
 // an input pool), then a faulty run with one bit flipped at a uniformly
-// chosen dynamic site. Per-phase wall times (golden, faulty, compare)
-// and outcome counters land in the study registry. The fault schedule
-// depends only on seed; the program input only on inputSeed.
+// chosen dynamic site. Each phase (golden, faulty, compare, and the
+// whole experiment) is measured once: the study registry's histogram
+// observes the measurement and the worker's lane records it as the
+// phase's span. Outcome counters land in the registry too. The fault
+// schedule depends only on seed; the program input only on inputSeed.
 //
 // Cancellation is checked only on entry: a started experiment runs to
 // completion, so a cancelled study never records a half-finished pair.
@@ -617,15 +639,13 @@ func (p *Prepared) runExperiment(ctx context.Context, seed, inputSeed int64, wc 
 	if err != nil {
 		return nil, err
 	}
-	p.mx.golden.Since(start)
-	if p.prof != nil {
-		p.prof.Phase("golden", time.Since(start))
-	}
+	goldenWall := time.Since(start)
+	p.mx.golden.Observe(goldenWall)
 	var expID string
 	if wc.tracing() {
 		expID = p.spanID("experiment", seed)
 		wc.lane.Record("golden", p.spanID("golden", seed), expID,
-			start, time.Since(start), map[string]string{
+			start, goldenWall, map[string]string{
 				"dyn_instrs": strconv.FormatUint(g.DynInstrs, 10),
 			})
 	}
@@ -679,7 +699,6 @@ func (p *Prepared) runExperiment(ctx context.Context, seed, inputSeed int64, wc 
 	p.mx.faulty.Observe(res.FaultyWall)
 	if fProbe != nil {
 		p.prof.Add("faulty", fProbe)
-		p.prof.Phase("faulty", res.FaultyWall)
 	}
 	if wc.tracing() {
 		wc.lane.Record("faulty", p.spanID("faulty", seed), expID,
@@ -705,13 +724,11 @@ func (p *Prepared) runExperiment(ctx context.Context, seed, inputSeed int64, wc 
 		res.Explanation = p.explain(g.ring, fRing, res, xf, ftr)
 		p.Profile.Add(res.Explanation)
 	}
-	p.mx.compare.Since(compareStart)
-	if p.prof != nil {
-		p.prof.Phase("compare", time.Since(compareStart))
-	}
+	compareWall := time.Since(compareStart)
+	p.mx.compare.Observe(compareWall)
 	if wc.tracing() {
 		wc.lane.Record("compare", p.spanID("compare", seed), expID,
-			compareStart, time.Since(compareStart), nil)
+			compareStart, compareWall, nil)
 	}
 	p.release(xf)
 	res.Wall = time.Since(start)
@@ -738,8 +755,5 @@ func (p *Prepared) finishExperiment(r *ExperimentResult) {
 	}
 	if r.Detected {
 		p.mx.detected.Inc()
-	}
-	if p.prof != nil {
-		p.prof.MarkExperiment()
 	}
 }

@@ -36,7 +36,6 @@ func stripProfileTimes(p *profile.Profile) {
 	for i := range p.Stacks {
 		p.Stacks[i].TimeNS = 0
 	}
-	p.Timeline = nil
 }
 
 // TestStudyProfileTotals: the study's profile must account for exactly

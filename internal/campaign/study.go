@@ -3,14 +3,12 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"vulfi/internal/obs"
 	"vulfi/internal/profile"
 	"vulfi/internal/stats"
-	"vulfi/internal/telemetry"
 	"vulfi/internal/trace"
 )
 
@@ -154,8 +152,8 @@ type StudyResult struct {
 	Sites []SiteTally
 
 	// HotProfile is the study's execution profile (nil unless
-	// Cfg.Profile was set): hot opcodes, opcode pairs, hot sites, phase
-	// breakdown, exp/s timeline.
+	// Cfg.Profile was set): hot opcodes, opcode pairs, hot sites, and the
+	// phase breakdown and exp/s read off the study's spans.
 	HotProfile *profile.Profile
 
 	// Timeline is the study's merged span timeline (nil unless
@@ -204,10 +202,9 @@ func RunStudy(ctx context.Context, cfg Config) (*StudyResult, error) {
 }
 
 // RunStudy runs the configured number of campaigns on a prepared cell.
-// When the cell carries an event sink it emits one span per experiment,
-// per campaign, and for the whole study; OnExperiment fires after every
-// completed experiment for live progress and OnResult checkpoints each
-// freshly executed (index, seed, result) triple.
+// OnExperiment fires after every completed experiment for live progress
+// and OnResult checkpoints each freshly executed (index, seed, result)
+// triple.
 //
 // Cancellation is cooperative between experiments: in-flight experiments
 // finish (and are reported through OnResult/OnExperiment), no further
@@ -218,9 +215,6 @@ func RunStudy(ctx context.Context, cfg Config) (*StudyResult, error) {
 func (p *Prepared) RunStudy(ctx context.Context) (*StudyResult, error) {
 	cfg := p.Cfg
 	start := time.Now()
-	if p.prof != nil {
-		p.prof.StartTimeline(start)
-	}
 	total := cfg.Campaigns * cfg.Experiments
 	results := make([]*ExperimentResult, total)
 	errs := make([]error, total)
@@ -230,10 +224,7 @@ func (p *Prepared) RunStudy(ctx context.Context) (*StudyResult, error) {
 		}
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := cfg.workerCount()
 	inflight := p.reg.Gauge("campaign.workers")
 	inflight.Add(int64(workers))
 	defer inflight.Add(-int64(workers))
@@ -261,9 +252,6 @@ func (p *Prepared) RunStudy(ctx context.Context) (*StudyResult, error) {
 				if err != nil {
 					abortOnce.Do(func() { close(abort) })
 					continue
-				}
-				if cfg.Events != nil {
-					cfg.Events.Emit(experimentSpan(cfg, i, seed, r))
 				}
 				if cfg.OnResult != nil {
 					cfg.OnResult(i, seed, r)
@@ -328,9 +316,6 @@ dispatch:
 		sr.Campaigns = append(sr.Campaigns, cr)
 		sr.Totals.merge(cr)
 		sr.SDCRates = append(sr.SDCRates, cr.SDCRate())
-		if cfg.Events != nil {
-			cfg.Events.Emit(campaignSpan(cfg, c, cr))
-		}
 	}
 	sr.MeanSDC = stats.Mean(sr.SDCRates)
 	sr.MarginOfError = stats.MarginOfError95(sr.SDCRates)
@@ -350,99 +335,17 @@ dispatch:
 		}
 		sr.Sites = tallies
 	}
-	if p.prof != nil {
-		sr.HotProfile = p.prof.Snapshot()
-	}
 	sr.Wall = time.Since(start)
 	if p.obs != nil {
 		p.obs.Ctl(studyRootName(cfg), p.obs.Root(), p.obs.Parent(), start, sr.Wall,
-			studyAttrs(cfg, total))
-		sr.Timeline = p.obs.Finish(sr.Wall)
-	}
-	if cfg.Events != nil {
-		cfg.Events.Emit(studySpan(sr))
-	}
-	return sr, nil
-}
-
-// experimentSpan serializes one completed experiment as a telemetry
-// event, carrying the seed so any single experiment can be replayed.
-func experimentSpan(cfg Config, index int, seed int64, r *ExperimentResult) telemetry.Event {
-	fields := map[string]any{
-		"index":             index,
-		"seed":              seed,
-		"outcome":           r.Outcome.String(),
-		"detected":          r.Detected,
-		"hang":              r.Hang,
-		"dyn_sites":         r.DynSites,
-		"golden_dyn_instrs": r.GoldenDynInstrs,
-		"input":             r.InputLabel,
-		"faulty_wall_ns":    int64(r.FaultyWall),
-	}
-	if r.DynSites > 0 {
-		fields["injection"] = r.Record.String()
-	}
-	if r.Trap != nil {
-		fields["trap"] = r.Trap.Error()
-		if at := r.Trap.At(); at != "" {
-			fields["trap_site"] = at
+			StudyAttrs(sr))
+		tl := p.obs.Finish(sr.Wall)
+		if p.prof != nil {
+			sr.HotProfile = p.prof.Snapshot(tl)
+		}
+		if cfg.Timeline {
+			sr.Timeline = tl
 		}
 	}
-	if e := r.Explanation; e != nil {
-		fields["slice_class"] = e.SliceClass()
-		fields["depth"] = e.Depth
-	}
-	return telemetry.Event{
-		Type: "experiment", Name: cfg.String(),
-		DurNS: int64(r.Wall), Fields: fields,
-	}
-}
-
-// campaignSpan summarizes one campaign (the paper's unit of statistical
-// sampling) as a telemetry event.
-func campaignSpan(cfg Config, index int, cr CampaignResult) telemetry.Event {
-	return telemetry.Event{
-		Type: "campaign", Name: cfg.String(), DurNS: int64(cr.WallTotal),
-		Fields: map[string]any{
-			"index":        index,
-			"experiments":  cr.Experiments,
-			"sdc":          cr.SDC,
-			"benign":       cr.Benign,
-			"crash":        cr.Crash,
-			"hang":         cr.Hang,
-			"detected":     cr.Detected,
-			"sdc_rate":     cr.SDCRate(),
-			"wall_min_ns":  int64(cr.WallMin),
-			"wall_mean_ns": int64(cr.WallMean()),
-			"wall_max_ns":  int64(cr.WallMax),
-		},
-	}
-}
-
-// studySpan serializes the qualified study summary, including enough of
-// the configuration (seed, scale, detector flags) to rerun the cell.
-func studySpan(sr *StudyResult) telemetry.Event {
-	cfg := sr.Cfg
-	return telemetry.Event{
-		Type: "study", Name: cfg.String(), DurNS: int64(sr.Wall),
-		Fields: map[string]any{
-			"benchmark":     cfg.Benchmark.Name,
-			"isa":           cfg.ISA.Name,
-			"category":      cfg.Category.String(),
-			"campaigns":     cfg.Campaigns,
-			"experiments":   cfg.Experiments,
-			"seed":          cfg.Seed,
-			"detectors":     cfg.Detectors,
-			"static_sites":  sr.StaticSites,
-			"lane_sites":    sr.LaneSites,
-			"sdc":           sr.Totals.SDC,
-			"benign":        sr.Totals.Benign,
-			"crash":         sr.Totals.Crash,
-			"mean_sdc_rate": sr.MeanSDC,
-			// finiteOr: a single-campaign margin is +Inf, which JSON
-			// cannot carry.
-			"margin_of_error": finiteOr(sr.MarginOfError, -1),
-			"near_normal":     sr.NearNormal,
-		},
-	}
+	return sr, nil
 }

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -10,7 +9,7 @@ import (
 )
 
 // workerCtx carries one study worker's observability identity through
-// an experiment: its span lane (nil when Cfg.Timeline is off), its
+// an experiment: its span lane (nil unless Timeline or Profile is on), its
 // heartbeat pulse (nil when Cfg.Heartbeat is unset) and the index of
 // the experiment currently executing. One workerCtx belongs to exactly
 // one worker goroutine, so none of its fields need synchronization.
@@ -35,9 +34,10 @@ func (wc *workerCtx) pulse() func(uint64) {
 
 // expSpan records the enclosing experiment span once the experiment
 // has fully finished. Every attribute derives from the deterministic
-// schedule (index, seed) or the deterministic result (outcome, site),
-// never from timing or scheduling, so the canonical span tree is
-// identical across runs and worker counts.
+// schedule (index, seed) or the deterministic result (outcome, site,
+// trap, explanation), never from timing or scheduling, so the canonical
+// span tree is identical across runs and worker counts. Optional
+// attributes appear only when set.
 func (wc *workerCtx) expSpan(p *Prepared, id string, seed int64, start time.Time, r *ExperimentResult) {
 	if !wc.tracing() {
 		return
@@ -51,6 +51,20 @@ func (wc *workerCtx) expSpan(p *Prepared, id string, seed int64, start time.Time
 	}
 	if r.DynSites > 0 {
 		attrs["site"] = r.Record.String()
+		attrs["dyn_sites"] = strconv.FormatUint(r.DynSites, 10)
+	}
+	if r.Hang {
+		attrs["hang"] = "true"
+	}
+	if r.Trap != nil {
+		attrs["trap"] = r.Trap.Error()
+		if at := r.Trap.At(); at != "" {
+			attrs["trap_site"] = at
+		}
+	}
+	if e := r.Explanation; e != nil {
+		attrs["slice_class"] = e.SliceClass()
+		attrs["depth"] = strconv.Itoa(e.Depth)
 	}
 	wc.lane.Record("experiment", id, p.obs.Root(), start, r.Wall, attrs)
 }
@@ -91,15 +105,14 @@ func (c Config) traceIdentity() (traceID, parent string) {
 	return obs.DeriveTraceID(fmt.Sprintf("%s seed=%d", c.String(), c.Seed)), ""
 }
 
-// newTimelineCollector builds the study's span collector: one lane per
-// worker (the same worker count RunStudy will use) plus the control
-// lane, all anchored to the prepare epoch so the compile span sits at
-// offset zero.
-func newTimelineCollector(cfg Config, epoch time.Time) *obs.Collector {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// NewSpanCollector builds the span collector of the study cfg
+// describes: the study's trace identity and root span ID, the given
+// number of worker lanes plus the control lane, all anchored to epoch.
+// Prepare passes the worker count RunStudy will use and the prepare
+// epoch, so the compile span sits at offset zero; a vulfid coordinator
+// passes no worker lanes and records its dispatch spans under the same
+// root a single-node run of the study derives.
+func NewSpanCollector(cfg Config, workers int, epoch time.Time) *obs.Collector {
 	tid, parent := cfg.traceIdentity()
 	root := obs.DeriveSpanID(tid, studyRootName(cfg), cfg.Seed)
 	return obs.NewCollector(tid, root, parent, workers, epoch)
@@ -117,20 +130,33 @@ func studyRootName(cfg Config) string {
 	return "study"
 }
 
-// studyAttrs are the root span's attributes. Deliberately excludes the
+// StudyAttrs renders a study root span's attributes: the cell's
+// identity and the qualified summary of sr. Deliberately excludes the
 // worker count (so canonical trees compare across parallelism) and any
-// timing.
-func studyAttrs(cfg Config, total int) map[string]string {
+// timing. A single-campaign margin of error is +Inf, which renders as
+// -1 like the study JSON's.
+func StudyAttrs(sr *StudyResult) map[string]string {
+	cfg := sr.Cfg
 	backend := cfg.Backend
 	if backend == "" {
 		backend = "tree"
 	}
 	return map[string]string{
-		"benchmark":   cfg.Benchmark.Name,
-		"isa":         cfg.ISA.Name,
-		"category":    cfg.Category.String(),
-		"backend":     backend,
-		"seed":        strconv.FormatInt(cfg.Seed, 10),
-		"experiments": strconv.Itoa(total),
+		"benchmark":       cfg.Benchmark.Name,
+		"isa":             cfg.ISA.Name,
+		"category":        cfg.Category.String(),
+		"backend":         backend,
+		"seed":            strconv.FormatInt(cfg.Seed, 10),
+		"experiments":     strconv.Itoa(cfg.Campaigns * cfg.Experiments),
+		"campaigns":       strconv.Itoa(cfg.Campaigns),
+		"detectors":       strconv.FormatBool(cfg.Detectors),
+		"static_sites":    strconv.Itoa(sr.StaticSites),
+		"lane_sites":      strconv.Itoa(sr.LaneSites),
+		"sdc":             strconv.Itoa(sr.Totals.SDC),
+		"benign":          strconv.Itoa(sr.Totals.Benign),
+		"crash":           strconv.Itoa(sr.Totals.Crash),
+		"mean_sdc_rate":   strconv.FormatFloat(sr.MeanSDC, 'g', -1, 64),
+		"margin_of_error": strconv.FormatFloat(finiteOr(sr.MarginOfError, -1), 'g', -1, 64),
+		"near_normal":     strconv.FormatBool(sr.NearNormal),
 	}
 }

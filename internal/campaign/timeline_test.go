@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"vulfi/internal/benchmarks"
 	"vulfi/internal/obs"
 	"vulfi/internal/passes"
+	"vulfi/internal/telemetry"
 )
 
 // tlCfg is a small timeline-traced study cell with an input pool (so
@@ -307,5 +310,149 @@ func TestStudyHeartbeat(t *testing.T) {
 				t.Fatalf("no heartbeats observed on backend %s", backend)
 			}
 		})
+	}
+}
+
+// TestPhasesMeasuredOnce: every phase boundary takes one measurement
+// that the registry histogram, the span and the profile all read, so
+// the three agree to the nanosecond — histogram count and sum equal the
+// span count and summed duration, and each profile phase wall equals
+// its spans' sum.
+func TestPhasesMeasuredOnce(t *testing.T) {
+	cfg := tlCfg()
+	cfg.Profile = true
+	cfg.Metrics = telemetry.NewRegistry()
+	sr, err := RunStudy(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]uint64{}
+	sum := map[string]int64{}
+	for _, s := range sr.Timeline.Spans {
+		count[s.Name]++
+		sum[s.Name] += s.DurNS
+	}
+	if count["faulty"] == 0 {
+		t.Fatal("no faulty spans: the cell injected nothing")
+	}
+	hist := func(name string) telemetry.HistogramSnapshot {
+		return cfg.Metrics.Histogram("campaign." + name).Snapshot()
+	}
+	for _, name := range []string{"golden", "faulty", "compare", "experiment"} {
+		h := hist(name)
+		if h.Count != count[name] || int64(h.Sum) != sum[name] {
+			t.Errorf("campaign.%s observed %d totalling %d ns; spans %d totalling %d ns",
+				name, h.Count, int64(h.Sum), count[name], sum[name])
+		}
+	}
+	if h := hist("prepare"); h.Count != 1 || count["compile"] != 1 || int64(h.Sum) != sum["compile"] {
+		t.Errorf("campaign.prepare observed %d totalling %d ns; compile spans %d totalling %d ns",
+			h.Count, int64(h.Sum), count["compile"], sum["compile"])
+	}
+	p := sr.HotProfile
+	if len(p.Phases) != 4 {
+		t.Fatalf("profile phases %+v, want compile, golden, faulty, compare", p.Phases)
+	}
+	for _, ph := range p.Phases {
+		if ph.WallNS != sum[ph.Phase] {
+			t.Errorf("profile %s wall %d ns, spans total %d ns", ph.Phase, ph.WallNS, sum[ph.Phase])
+		}
+	}
+	if p.Experiments != int(count["experiment"]) {
+		t.Errorf("profile counts %d experiments, timeline %d", p.Experiments, count["experiment"])
+	}
+}
+
+// TestSpanEventsContract: the spans carry what the -events stream
+// promises. Each experiment span's attributes are exactly those its
+// ExperimentResult implies (optional ones only when set), and the study
+// root carries the qualified summary of the StudyResult.
+func TestSpanEventsContract(t *testing.T) {
+	cfg := smallCfg(benchmarks.VectorCopy, passes.Address)
+	cfg.Trace = true
+	cfg.Timeline = true
+	var mu sync.Mutex
+	results := map[int]*ExperimentResult{}
+	cfg.OnResult = func(i int, _ int64, r *ExperimentResult) {
+		mu.Lock()
+		results[i] = r
+		mu.Unlock()
+	}
+	sr, err := RunStudy(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Totals.Crash == 0 {
+		t.Fatal("the cell never crashed, so the trap attributes went unchecked")
+	}
+	var root *obs.Span
+	exps, traps, explained := 0, 0, 0
+	for i := range sr.Timeline.Spans {
+		s := &sr.Timeline.Spans[i]
+		if s.ID == sr.Timeline.Root {
+			root = s
+		}
+		if s.Name != "experiment" {
+			continue
+		}
+		exps++
+		idx, _ := strconv.Atoi(s.Attrs["index"])
+		r := results[idx]
+		if r == nil {
+			t.Fatalf("experiment span %v has no OnResult result", s.Attrs)
+		}
+		want := map[string]string{
+			"index":    strconv.Itoa(idx),
+			"seed":     strconv.FormatInt(cfg.ExperimentSeed(idx), 10),
+			"outcome":  r.Outcome.String(),
+			"detected": strconv.FormatBool(r.Detected),
+			"input":    r.InputLabel,
+		}
+		if r.DynSites > 0 {
+			want["site"] = r.Record.String()
+			want["dyn_sites"] = strconv.FormatUint(r.DynSites, 10)
+		}
+		if r.Hang {
+			want["hang"] = "true"
+		}
+		if r.Trap != nil {
+			traps++
+			want["trap"] = r.Trap.Error()
+			if at := r.Trap.At(); at != "" {
+				want["trap_site"] = at
+			}
+		}
+		if e := r.Explanation; e != nil {
+			explained++
+			want["slice_class"] = e.SliceClass()
+			want["depth"] = strconv.Itoa(e.Depth)
+		}
+		if !reflect.DeepEqual(s.Attrs, want) {
+			t.Errorf("experiment %d attrs\n got %v\nwant %v", idx, s.Attrs, want)
+		}
+	}
+	if total := cfg.Campaigns * cfg.Experiments; exps != total || traps == 0 || explained != total {
+		t.Fatalf("%d experiment spans (%d trapped, %d explained), want %d, some trapped, all explained",
+			exps, traps, explained, total)
+	}
+	if root == nil {
+		t.Fatal("timeline has no root span")
+	}
+	summary := map[string]string{
+		"campaigns":       strconv.Itoa(cfg.Campaigns),
+		"detectors":       "true",
+		"static_sites":    strconv.Itoa(sr.StaticSites),
+		"lane_sites":      strconv.Itoa(sr.LaneSites),
+		"sdc":             strconv.Itoa(sr.Totals.SDC),
+		"benign":          strconv.Itoa(sr.Totals.Benign),
+		"crash":           strconv.Itoa(sr.Totals.Crash),
+		"mean_sdc_rate":   strconv.FormatFloat(sr.MeanSDC, 'g', -1, 64),
+		"margin_of_error": strconv.FormatFloat(sr.MarginOfError, 'g', -1, 64),
+		"near_normal":     strconv.FormatBool(sr.NearNormal),
+	}
+	for k, v := range summary {
+		if root.Attrs[k] != v {
+			t.Errorf("root attr %s = %q, want %q", k, root.Attrs[k], v)
+		}
 	}
 }

@@ -137,40 +137,39 @@ type Telemetry struct {
 func TelemetryFlags(fs *flag.FlagSet) *Telemetry {
 	return &Telemetry{
 		Progress: fs.Bool("progress", false, "render live progress on stderr"),
-		Events:   fs.String("events", "", "write structured JSONL spans to this file"),
+		Events:   fs.String("events", "", "trace every study and append its span timeline to this file as each study finishes (JSONL in the -timeline FILE.jsonl format, one header line per study)"),
 		HTTP:     fs.String("http", "", "serve /metrics, /debug/vars and pprof on this address (e.g. :6060)"),
 	}
 }
 
-// Start opens the -events sink and the -http telemetry server. It
-// returns the event writer (nil unless -events was given) and a cleanup
-// function — defer it — that flushes and closes the sink, reporting
+// Start opens the -events file and the -http telemetry server. It
+// returns the events file as a writer (nil unless -events was given)
+// and a cleanup function — defer it — that closes the file, reporting
 // close errors to stderr.
-func (t *Telemetry) Start(stderr io.Writer) (*telemetry.EventWriter, func(), error) {
-	var ew *telemetry.EventWriter
+func (t *Telemetry) Start(stderr io.Writer) (io.Writer, func(), error) {
+	var f *os.File
 	if *t.Events != "" {
-		f, err := os.Create(*t.Events)
-		if err != nil {
+		var err error
+		if f, err = os.Create(*t.Events); err != nil {
 			return nil, func() {}, err
 		}
-		ew = telemetry.NewEventWriter(f)
 	}
 	if *t.HTTP != "" {
 		_, url, err := telemetry.Serve(*t.HTTP, telemetry.Default())
 		if err != nil {
-			if ew != nil {
-				ew.Close()
+			if f != nil {
+				f.Close()
 			}
 			return nil, func() {}, err
 		}
 		fmt.Fprintf(stderr, "telemetry on %s/metrics (also /debug/vars, /debug/pprof)\n", url)
 	}
-	cleanup := func() {
-		if ew != nil {
-			if err := ew.Close(); err != nil {
-				fmt.Fprintf(stderr, "events: %v\n", err)
-			}
-		}
+	if f == nil {
+		return nil, func() {}, nil
 	}
-	return ew, cleanup, nil
+	return f, func() {
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(stderr, "events: %v\n", err)
+		}
+	}, nil
 }

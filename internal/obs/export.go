@@ -6,10 +6,17 @@ import (
 	"io"
 )
 
+// JSONLVersion versions the JSONL span contract. Version 1 was the
+// `type`/`fields` event lines of API 1.7 and earlier; version 2 is this
+// header-plus-spans stream, written both by -timeline's FILE.jsonl and,
+// one timeline per study, by -events.
+const JSONLVersion = 2
+
 // jsonlHeader is the first line of a JSONL export: the timeline's
 // identity and shape, without the span array.
 type jsonlHeader struct {
 	Kind    string   `json:"kind"`
+	Version int      `json:"version"`
 	TraceID string   `json:"trace_id"`
 	Root    string   `json:"root"`
 	Parent  string   `json:"parent,omitempty"`
@@ -21,14 +28,15 @@ type jsonlHeader struct {
 }
 
 // WriteJSONL streams the timeline as JSON Lines: one header record
-// (kind "timeline"), then one record per span in timeline order. Every
-// record is a single line, so the stream survives line-oriented tools
-// (grep, jq -c, tail -f).
+// (kind "timeline", version JSONLVersion, the span count), then one
+// record per span in timeline order. Every record is a single line, so
+// the stream survives line-oriented tools (grep, jq -c, tail -f), and
+// timelines appended to one stream stay separable by their headers.
 func (t *Timeline) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	h := jsonlHeader{
-		Kind: "timeline", TraceID: t.TraceID, Root: t.Root,
+		Kind: "timeline", Version: JSONLVersion, TraceID: t.TraceID, Root: t.Root,
 		Parent: t.Parent, StartNS: t.Start.UnixNano(),
 		WallNS: t.WallNS, Workers: t.Workers, Lanes: t.Lanes,
 		Spans: len(t.Spans),

@@ -175,6 +175,9 @@ func TestWriteJSONL(t *testing.T) {
 	if lines[0]["kind"] != "timeline" || lines[0]["trace_id"] != tl.TraceID {
 		t.Fatalf("bad header: %v", lines[0])
 	}
+	if v, _ := lines[0]["version"].(float64); v != JSONLVersion {
+		t.Fatalf("header version %v, want %d", lines[0]["version"], JSONLVersion)
+	}
 	if int(lines[0]["spans"].(float64)) != len(tl.Spans) {
 		t.Fatalf("header span count %v != %d", lines[0]["spans"], len(tl.Spans))
 	}

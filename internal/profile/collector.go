@@ -2,7 +2,6 @@ package profile
 
 import (
 	"sync"
-	"time"
 
 	"vulfi/internal/ir"
 	"vulfi/internal/trace"
@@ -28,17 +27,16 @@ type siteAgg struct {
 	ns    uint64
 }
 
-// phaseAgg accumulates one campaign phase.
+// phaseAgg accumulates one campaign phase's interpreter runs.
 type phaseAgg struct {
-	wall  time.Duration
 	dyn   uint64
 	sites map[string]*siteAgg
 }
 
 // Collector is the study-wide profile aggregator. Probes merge into it
-// under a mutex (Add), campaign phases report wall time (Phase), and
-// experiment completions mark the throughput timeline (MarkExperiment).
-// All methods are safe for concurrent use from campaign workers.
+// under a mutex (Add); it keeps no clock of its own — Snapshot reads
+// phase walls and throughput off the study's spans. All methods are
+// safe for concurrent use from campaign workers.
 type Collector struct {
 	mu     sync.Mutex
 	count  [ir.NumOps]uint64
@@ -53,9 +51,6 @@ type Collector struct {
 	// formatting happens once per static site per interpreter instance,
 	// not once per merge.
 	names map[*ir.Instr]siteID
-
-	t0    time.Time
-	marks []time.Duration
 
 	free []*Probe
 }
@@ -118,14 +113,6 @@ func (c *Collector) Add(phase string, p *Probe) {
 	c.free = append(c.free, p)
 }
 
-// Phase accumulates wall time against a campaign phase (compile time,
-// the golden/faulty/compare intervals the cell already histograms).
-func (c *Collector) Phase(name string, d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.phase(name).wall += d
-}
-
 func (c *Collector) phase(name string) *phaseAgg {
 	pa := c.phases[name]
 	if pa == nil {
@@ -133,26 +120,6 @@ func (c *Collector) phase(name string) *phaseAgg {
 		c.phases[name] = pa
 	}
 	return pa
-}
-
-// StartTimeline anchors the throughput timeline; the first call wins.
-func (c *Collector) StartTimeline(t time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.t0.IsZero() {
-		c.t0 = t
-	}
-}
-
-// MarkExperiment records one completed experiment on the timeline.
-func (c *Collector) MarkExperiment() {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.t0.IsZero() {
-		c.t0 = now
-	}
-	c.marks = append(c.marks, now.Sub(c.t0))
 }
 
 // resolve derives an instruction's static identity, sharing the

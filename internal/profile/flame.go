@@ -24,7 +24,7 @@ type flameView struct {
 // style: no external assets, archivable as a single artifact). The
 // icicle is phase → function → block → instruction, cell width
 // proportional to dynamic instruction count, with the per-opcode table
-// and phase/timeline summaries alongside.
+// and phase/throughput summaries alongside.
 func (p *Profile) WriteFlameHTML(w io.Writer, title string) error {
 	b, err := json.Marshal(p)
 	if err != nil {

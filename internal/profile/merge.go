@@ -15,10 +15,10 @@ import (
 // shards' DynInstrs, which is the invariant fleet merges are tested
 // against. Two classes of field are only approximate by nature:
 //
-//   - wall-time fields (WallNS, TimeNS, TimePct, ExpPerSec, Timeline):
-//     shards run concurrently, so WallNS is the slowest shard's wall,
-//     ExpPerSec is recomputed against it, and the throughput timeline is
-//     re-bucketed from the shards' already-bucketed cells;
+//   - wall-time fields (WallNS, TimeNS, TimePct, ExpPerSec, phase
+//     WallNS): shards run concurrently, so WallNS is the slowest shard's
+//     wall and ExpPerSec is recomputed against it, while the phase walls
+//     sum;
 //   - Pairs: each shard caps its digram table before export, so the
 //     merged ranking sums capped inputs (exact for digrams hot on every
 //     shard, which is what the superinstruction list cares about).
@@ -125,11 +125,7 @@ func Merge(parts ...*Profile) *Profile {
 
 	// Stacks in canonical order: phase presentation order, then site key —
 	// the same order a single-node Snapshot emits.
-	byPhase := map[string]*PhaseRow{}
-	for n, ph := range phases {
-		byPhase[n] = ph
-	}
-	for _, name := range mergedPhaseNames(byPhase) {
+	for _, name := range phaseNames(phases) {
 		m.Phases = append(m.Phases, *phases[name])
 		var keys []string
 		for _, k := range stackKeys {
@@ -172,81 +168,5 @@ func Merge(parts ...*Profile) *Profile {
 		m.Sites = m.Sites[:maxSites]
 	}
 
-	m.Timeline = mergeTimelines(in, m.WallNS)
 	return m
-}
-
-// mergedPhaseNames orders phase rows canonically (PhaseOrder first, then
-// extras alphabetically) — phaseNames for already-exported rows.
-func mergedPhaseNames(phases map[string]*PhaseRow) []string {
-	var names []string
-	seen := map[string]bool{}
-	for _, n := range PhaseOrder {
-		if _, ok := phases[n]; ok {
-			names = append(names, n)
-			seen[n] = true
-		}
-	}
-	var extra []string
-	for n := range phases {
-		if !seen[n] {
-			extra = append(extra, n)
-		}
-	}
-	sort.Strings(extra)
-	return append(names, extra...)
-}
-
-// mergeTimelines re-buckets the shards' throughput cells over the merged
-// wall span. Each input cell's experiments land in the output cell its
-// midpoint falls into — approximate (the shards already bucketed), but
-// the total experiment count is preserved exactly.
-func mergeTimelines(parts []*Profile, wallNS int64) []TimelineCell {
-	if wallNS <= 0 {
-		return nil
-	}
-	var total int
-	for _, p := range parts {
-		for _, c := range p.Timeline {
-			total += c.Experiments
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	cells := timelineCells
-	if total < cells {
-		cells = total
-	}
-	width := wallNS / int64(cells)
-	if width <= 0 {
-		width = 1
-	}
-	out := make([]TimelineCell, cells)
-	for i := range out {
-		out[i].OffsetNS = width * int64(i)
-	}
-	for _, p := range parts {
-		for ci, c := range p.Timeline {
-			// Cell width of the source profile: distance to the next cell,
-			// or to the profile's wall for the last one.
-			end := p.WallNS
-			if ci+1 < len(p.Timeline) {
-				end = p.Timeline[ci+1].OffsetNS
-			}
-			mid := c.OffsetNS + (end-c.OffsetNS)/2
-			i := int(mid / width)
-			if i < 0 {
-				i = 0
-			}
-			if i >= cells {
-				i = cells - 1
-			}
-			out[i].Experiments += c.Experiments
-		}
-	}
-	for i := range out {
-		out[i].ExpPerSec = float64(out[i].Experiments) / (time.Duration(width).Seconds())
-	}
-	return out
 }

@@ -2,8 +2,9 @@
 // dynamic counts and wall-time attribution, per-static-site hot
 // rankings keyed by the shared trace.SiteKey spelling, opcode-pair
 // frequency mining (the superinstruction candidate list for a compiled
-// backend), and a campaign phase breakdown with an experiments/second
-// timeline. It is deterministic where it can be — every count is a pure
+// backend), and a campaign phase breakdown with the study's
+// experiments/second, both read off the study's obs spans. It is
+// deterministic where it can be — every count is a pure
 // function of the study configuration — and honest where it cannot:
 // wall-time fields measure this machine, this run.
 package profile

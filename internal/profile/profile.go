@@ -1,19 +1,20 @@
 package profile
 
 import (
+	"slices"
 	"sort"
 	"time"
 
 	"vulfi/internal/ir"
+	"vulfi/internal/obs"
 )
 
 // Caps keep the exported profile a readable decision document rather
 // than a dump: full detail stays available through Stacks (every site,
 // every phase), which the folded output serializes.
 const (
-	maxPairs      = 20
-	maxSites      = 30
-	timelineCells = 30
+	maxPairs = 20
+	maxSites = 30
 )
 
 // Profile is the JSON-exported execution profile of one study. Every
@@ -28,9 +29,9 @@ type Profile struct {
 	Experiments int    `json:"experiments"`
 	TotalDyn    uint64 `json:"total_dyn"`
 	TotalVector uint64 `json:"total_vector"`
-	WallNS      int64  `json:"wall_ns"`
-	// ExpPerSec is the study-level throughput: Experiments over the
-	// timeline's wall span.
+	// WallNS is the study wall (the timeline's root span).
+	WallNS int64 `json:"wall_ns"`
+	// ExpPerSec is the study-level throughput: Experiments over WallNS.
 	ExpPerSec float64 `json:"exp_per_sec"`
 
 	// Ops ranks opcodes by dynamic count — the compiled backend's
@@ -44,9 +45,6 @@ type Profile struct {
 	Sites []SiteRow `json:"sites,omitempty"`
 	// Phases is the campaign phase breakdown (wall + instructions).
 	Phases []PhaseRow `json:"phases,omitempty"`
-	// Timeline buckets experiment completions into equal wall-time
-	// cells — the exp/s trajectory across the study.
-	Timeline []TimelineCell `json:"timeline,omitempty"`
 	// Stacks carries every phase/site row — the folded-stack source the
 	// flame graph and WriteFolded consume.
 	Stacks []StackRow `json:"stacks,omitempty"`
@@ -78,18 +76,12 @@ type SiteRow struct {
 
 // PhaseRow is one campaign phase's share of the study.
 type PhaseRow struct {
-	Phase  string `json:"phase"`
-	WallNS int64  `json:"wall_ns"`
+	Phase string `json:"phase"`
+	// WallNS sums the durations of the study's spans of this name.
+	WallNS int64 `json:"wall_ns"`
 	// Dyn is the instructions retired inside this phase's interpreter
 	// runs (zero for phases that execute no guest code, like compare).
 	Dyn uint64 `json:"dyn,omitempty"`
-}
-
-// TimelineCell is one wall-time bucket of experiment completions.
-type TimelineCell struct {
-	OffsetNS    int64   `json:"offset_ns"`
-	Experiments int     `json:"experiments"`
-	ExpPerSec   float64 `json:"exp_per_sec"`
 }
 
 // StackRow is one phase/site folded-stack frame chain with its sample
@@ -119,22 +111,35 @@ func pct(part, whole uint64) float64 {
 	return 100 * float64(part) / float64(whole)
 }
 
-// Snapshot freezes the collector into its exported profile. The
-// collector remains usable; later snapshots see later state.
-func (c *Collector) Snapshot() *Profile {
+// Snapshot freezes the collector into its exported profile, reading
+// the wall-time fields off the study's timeline tl: each phase's WallNS
+// sums the durations of tl's spans of that name, Experiments counts its
+// experiment spans, WallNS is the study wall, and ExpPerSec divides the
+// two. A nil tl leaves them zero. The collector remains usable; later
+// snapshots see later state.
+func (c *Collector) Snapshot(tl *obs.Timeline) *Profile {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	p := &Profile{Runs: c.runs, Experiments: len(c.marks)}
-	var wall time.Duration
-	if !c.t0.IsZero() {
-		if n := len(c.marks); n > 0 {
-			wall = c.marks[n-1]
-		}
+	p := &Profile{Runs: c.runs}
+	// A phase gets a row when it was profiled or timed (compile and
+	// compare run no guest code, so only their spans name them).
+	walls := map[string]int64{}
+	for name := range c.phases {
+		walls[name] = 0
 	}
-	p.WallNS = int64(wall)
-	if wall > 0 {
-		p.ExpPerSec = float64(len(c.marks)) / wall.Seconds()
+	if tl != nil {
+		for _, s := range tl.Spans {
+			if s.Name == "experiment" {
+				p.Experiments++
+			} else if slices.Contains(PhaseOrder, s.Name) {
+				walls[s.Name] += s.DurNS
+			}
+		}
+		p.WallNS = tl.WallNS
+		if p.WallNS > 0 {
+			p.ExpPerSec = float64(p.Experiments) / time.Duration(p.WallNS).Seconds()
+		}
 	}
 
 	var totalNS uint64
@@ -192,10 +197,13 @@ func (c *Collector) Snapshot() *Profile {
 	// Sites: fold phases together for the overall hot ranking; Stacks
 	// keeps the per-phase split.
 	merged := map[string]*SiteRow{}
-	for _, name := range phaseNames(c.phases) {
+	for _, name := range phaseNames(walls) {
 		pa := c.phases[name]
+		if pa == nil {
+			pa = &phaseAgg{}
+		}
 		p.Phases = append(p.Phases, PhaseRow{
-			Phase: name, WallNS: int64(pa.wall), Dyn: pa.dyn,
+			Phase: name, WallNS: walls[name], Dyn: pa.dyn,
 		})
 		for _, key := range siteKeys(pa.sites) {
 			s := pa.sites[key]
@@ -225,14 +233,12 @@ func (c *Collector) Snapshot() *Profile {
 	if len(p.Sites) > maxSites {
 		p.Sites = p.Sites[:maxSites]
 	}
-
-	p.Timeline = timeline(c.marks, wall)
 	return p
 }
 
-// phaseNames orders recorded phases canonically, with any phase outside
-// PhaseOrder appended alphabetically.
-func phaseNames(phases map[string]*phaseAgg) []string {
+// phaseNames orders the keys of a phase-keyed map canonically, with any
+// phase outside PhaseOrder appended alphabetically.
+func phaseNames[V any](phases map[string]V) []string {
 	var names []string
 	seen := map[string]bool{}
 	for _, n := range PhaseOrder {
@@ -258,35 +264,4 @@ func siteKeys(sites map[string]*siteAgg) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// timeline buckets completion marks into up to timelineCells equal
-// wall-time cells.
-func timeline(marks []time.Duration, wall time.Duration) []TimelineCell {
-	if len(marks) == 0 || wall <= 0 {
-		return nil
-	}
-	cells := timelineCells
-	if len(marks) < cells {
-		cells = len(marks)
-	}
-	width := wall / time.Duration(cells)
-	if width <= 0 {
-		width = 1
-	}
-	out := make([]TimelineCell, cells)
-	for i := range out {
-		out[i].OffsetNS = int64(width) * int64(i)
-	}
-	for _, m := range marks {
-		i := int(m / width)
-		if i >= cells {
-			i = cells - 1
-		}
-		out[i].Experiments++
-	}
-	for i := range out {
-		out[i].ExpPerSec = float64(out[i].Experiments) / width.Seconds()
-	}
-	return out
 }

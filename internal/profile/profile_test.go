@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"vulfi/internal/interp"
 	"vulfi/internal/ir"
+	"vulfi/internal/obs"
 )
 
 // buildSum constructs the canonical scalar loop-sum test function:
@@ -97,7 +99,7 @@ func TestCollectorSnapshot(t *testing.T) {
 	want := it.DynInstrs
 	c.Add("golden", probe)
 
-	p := c.Snapshot()
+	p := c.Snapshot(nil)
 	if p.TotalDyn != want {
 		t.Fatalf("TotalDyn = %d, want %d", p.TotalDyn, want)
 	}
@@ -133,7 +135,7 @@ func TestCollectorSnapshot(t *testing.T) {
 	p2 := cc.Probe()
 	run(t, p2, 10)
 	cc.Add("golden", p2)
-	for _, pr := range cc.Snapshot().Pairs {
+	for _, pr := range cc.Snapshot(nil).Pairs {
 		pairSum += pr.Count
 	}
 	if len(p.Pairs) < maxPairs && pairSum != want-1 {
@@ -162,7 +164,7 @@ func TestCollectorDeterministicAcrossMergeOrder(t *testing.T) {
 			}(n)
 		}
 		wg.Wait()
-		return c.Snapshot()
+		return c.Snapshot(nil)
 	}
 	a := snapshot([]int64{3, 7, 11, 2})
 	b := snapshot([]int64{11, 2, 3, 7})
@@ -197,7 +199,7 @@ func TestWriteFolded(t *testing.T) {
 	probe := c.Probe()
 	run(t, probe, 10)
 	c.Add("golden", probe)
-	p := c.Snapshot()
+	p := c.Snapshot(nil)
 
 	var buf bytes.Buffer
 	if err := WriteFolded(&buf, p); err != nil {
@@ -250,7 +252,7 @@ func TestWriteFlameHTML(t *testing.T) {
 	probe := c.Probe()
 	run(t, probe, 10)
 	c.Add("golden", probe)
-	p := c.Snapshot()
+	p := c.Snapshot(nil)
 
 	var buf bytes.Buffer
 	if err := p.WriteFlameHTML(&buf, "sum/TEST/unit"); err != nil {
@@ -269,30 +271,48 @@ func TestWriteFlameHTML(t *testing.T) {
 	}
 }
 
-// TestTimeline: marks bucket into cells that conserve the experiment
-// count, and the phase wall breakdown accumulates.
+// TestTimeline: the profile reads its wall-time fields off the study's
+// spans — phase walls sum the spans of each phase name, Experiments
+// counts experiment spans, throughput divides by the timeline wall —
+// and without a timeline they stay zero.
 func TestTimeline(t *testing.T) {
 	c := NewCollector()
-	c.StartTimeline(time.Now())
+	probe := c.Probe()
+	run(t, probe, 10)
+	c.Add("golden", probe)
+	tl := &obs.Timeline{WallNS: int64(time.Second), Spans: []obs.Span{
+		{Name: "study", DurNS: int64(time.Second)},
+		{Name: "compile", DurNS: 300},
+		{Name: "cache-fill", DurNS: 7},
+	}}
 	for i := 0; i < 50; i++ {
-		c.MarkExperiment()
+		tl.Spans = append(tl.Spans,
+			obs.Span{Name: "experiment", DurNS: 100},
+			obs.Span{Name: "golden", DurNS: 40},
+			obs.Span{Name: "compare", DurNS: 2})
 	}
-	c.Phase("compare", 1000)
-	c.Phase("compare", 500)
-	p := c.Snapshot()
+	p := c.Snapshot(tl)
 	if p.Experiments != 50 {
 		t.Fatalf("Experiments = %d, want 50", p.Experiments)
 	}
-	var n int
-	for _, cell := range p.Timeline {
-		n += cell.Experiments
+	if p.WallNS != tl.WallNS || p.ExpPerSec != 50 {
+		t.Fatalf("WallNS = %d, ExpPerSec = %v; want %d, 50", p.WallNS, p.ExpPerSec, tl.WallNS)
 	}
-	if len(p.Timeline) > 0 && n != 50 {
-		t.Fatalf("timeline cells sum to %d, want 50", n)
+	want := []PhaseRow{
+		{Phase: "compile", WallNS: 300},
+		{Phase: "golden", WallNS: 50 * 40, Dyn: p.TotalDyn},
+		{Phase: "compare", WallNS: 50 * 2},
 	}
-	for _, ph := range p.Phases {
-		if ph.Phase == "compare" && ph.WallNS != 1500 {
-			t.Fatalf("compare wall = %d, want 1500", ph.WallNS)
-		}
+	if !reflect.DeepEqual(p.Phases, want) {
+		t.Fatalf("phases = %+v, want %+v", p.Phases, want)
+	}
+
+	p = c.Snapshot(nil)
+	if p.Experiments != 0 || p.WallNS != 0 || p.ExpPerSec != 0 {
+		t.Fatalf("nil timeline: Experiments %d, WallNS %d, ExpPerSec %v; want zeros",
+			p.Experiments, p.WallNS, p.ExpPerSec)
+	}
+	if len(p.Phases) != 1 || p.Phases[0].Phase != "golden" || p.Phases[0].WallNS != 0 {
+		t.Fatalf("nil timeline phases = %+v, want one untimed golden row", p.Phases)
 	}
 }

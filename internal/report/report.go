@@ -48,9 +48,10 @@ type Options struct {
 	// Metrics receives study telemetry (phase histograms, outcome
 	// counters). Nil records to the process-wide default registry.
 	Metrics *telemetry.Registry
-	// Events, when non-nil, receives structured study/campaign/experiment
-	// spans as JSONL.
-	Events *telemetry.EventWriter
+	// Events, when non-nil, traces every study cell and receives each
+	// finished study's span timeline as obs JSONL (one header line, then
+	// one line per span), appended study by study.
+	Events io.Writer
 	// Progress, when non-nil, renders a live per-cell progress line
 	// (counts, exp/s, ETA) to the writer — typically os.Stderr.
 	Progress io.Writer
@@ -68,10 +69,13 @@ func (o Options) ctx() context.Context {
 }
 
 // runStudy threads the options' telemetry sinks into one study cell and
-// runs it, rendering live progress when configured.
+// runs it, rendering live progress and appending the study's span
+// timeline to Events when configured.
 func (o Options) runStudy(cfg campaign.Config) (*campaign.StudyResult, error) {
 	cfg.Metrics = o.Metrics
-	cfg.Events = o.Events
+	if o.Events != nil {
+		cfg.Timeline = true
+	}
 	cfg.Inputs = o.Inputs
 	cfg.Backend = o.Backend
 	if o.Progress != nil {
@@ -82,7 +86,14 @@ func (o Options) runStudy(cfg campaign.Config) (*campaign.StudyResult, error) {
 		}
 		defer pr.Finish()
 	}
-	return campaign.RunStudy(o.ctx(), cfg)
+	sr, err := campaign.RunStudy(o.ctx(), cfg)
+	if err != nil || o.Events == nil {
+		return sr, err
+	}
+	if err := sr.Timeline.WriteJSONL(o.Events); err != nil {
+		return nil, fmt.Errorf("events: %w", err)
+	}
+	return sr, nil
 }
 
 // Defaults returns a laptop-scale configuration; Full returns the

@@ -1,12 +1,16 @@
 package report
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
 	"vulfi/internal/benchmarks"
 	"vulfi/internal/isa"
+	"vulfi/internal/obs"
 )
 
 func tinyOptions() Options {
@@ -88,5 +92,51 @@ func TestAblations(t *testing.T) {
 		if !strings.Contains(out, frag) {
 			t.Errorf("Ablations output missing %q:\n%s", frag, out)
 		}
+	}
+}
+
+// TestEventsAppendStudyTimelines: with Events set, every study cell is
+// traced and its timeline lands in the stream as obs JSONL — one
+// versioned header per study, followed by exactly the span lines the
+// header announces. Ablations runs two study cells (per-lane and
+// whole-register sites); its other parts prepare cells directly and
+// write nothing.
+func TestEventsAppendStudyTimelines(t *testing.T) {
+	var events bytes.Buffer
+	o := tinyOptions()
+	o.Events = &events
+	if err := Ablations(io.Discard, o); err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(&events)
+	headers := 0
+	for sc.Scan() {
+		var h struct {
+			Kind    string `json:"kind"`
+			Version int    `json:"version"`
+			Spans   int    `json:"spans"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
+			t.Fatalf("header line %q: %v", sc.Text(), err)
+		}
+		if h.Kind != "timeline" || h.Version != 2 || h.Spans == 0 {
+			t.Fatalf("study %d header %q, want a version-2 timeline header with spans", headers+1, sc.Text())
+		}
+		headers++
+		for i := 0; i < h.Spans; i++ {
+			if !sc.Scan() {
+				t.Fatalf("study %d: stream ends after %d of %d spans", headers, i, h.Spans)
+			}
+			var s obs.Span
+			if err := json.Unmarshal(sc.Bytes(), &s); err != nil || s.ID == "" {
+				t.Fatalf("study %d span line %q: %v", headers, sc.Text(), err)
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if headers != 2 {
+		t.Fatalf("events hold %d study timelines, want 2", headers)
 	}
 }

@@ -120,19 +120,19 @@ func (s *Server) harvestEvery() time.Duration {
 
 // coordObs records the coordinator's own side of a timeline-enabled
 // sharded job — the dispatch/harvest/merge spans that become lane 0
-// ("coordinator") of the fleet timeline. Its trace identity is exactly
-// the one a single-node run of the spec would derive (or the one the
-// submitting client sent via traceparent), and each shard's dispatched
-// spec carries a traceparent naming that shard's coordinator span, so
-// the worker's study root nests under it — MergeRemote's causality
-// seam, one level deeper. nil when the job is untraced; all methods are
-// nil-safe.
+// ("coordinator") of the fleet timeline. Its span collector is the one
+// campaign.NewSpanCollector builds for the spec's study, so its trace
+// identity and root are exactly those a single-node run of the spec
+// would derive (or adopt from the submitting client's traceparent), and
+// each shard's dispatched spec carries a traceparent naming that
+// shard's coordinator span, so the worker's study root nests under it —
+// MergeRemote's causality seam, one level deeper. nil when the job is
+// untraced; all methods are nil-safe.
 type coordObs struct {
-	col   *obs.Collector
-	tid   string
-	seed  int64
-	epoch time.Time
-	attrs map[string]string
+	col    *obs.Collector
+	seed   int64
+	epoch  time.Time
+	shards int
 }
 
 func newCoordObs(job *Job, epoch time.Time) *coordObs {
@@ -143,32 +143,11 @@ func newCoordObs(job *Job, epoch time.Time) *coordObs {
 	if err != nil {
 		return nil // Submit already validated; unreachable in practice
 	}
-	var tid, parent string
-	if job.Spec.TraceParent != "" {
-		tid, parent, _ = obs.ParseTraceparent(job.Spec.TraceParent)
-	}
-	if tid == "" {
-		tid = obs.DeriveTraceID(fmt.Sprintf("%s seed=%d", cfg.String(), cfg.Seed))
-	}
-	root := obs.DeriveSpanID(tid, "study", cfg.Seed)
-	backend := cfg.Backend
-	if backend == "" {
-		backend = "tree"
-	}
 	return &coordObs{
-		col:   obs.NewCollector(tid, root, parent, 0, epoch),
-		tid:   tid,
-		seed:  cfg.Seed,
-		epoch: epoch,
-		attrs: map[string]string{
-			"benchmark":   cfg.Benchmark.Name,
-			"isa":         cfg.ISA.Name,
-			"category":    cfg.Category.String(),
-			"backend":     backend,
-			"seed":        strconv.FormatInt(cfg.Seed, 10),
-			"experiments": strconv.Itoa(job.Spec.ScheduleTotal()),
-			"shards":      strconv.Itoa(job.Spec.Shards),
-		},
+		col:    campaign.NewSpanCollector(cfg, 0, epoch),
+		seed:   cfg.Seed,
+		epoch:  epoch,
+		shards: job.Spec.Shards,
 	}
 }
 
@@ -176,7 +155,7 @@ func newCoordObs(job *Job, epoch time.Time) *coordObs {
 // shard range; reassigned attempts of the same range share it, exactly
 // like a golden cache refill repeats its span identity.
 func (co *coordObs) shardSpanID(r shardRange) string {
-	return obs.DeriveSpanID(co.tid, fmt.Sprintf("shard[%d,%d)", r.lo, r.hi), co.seed)
+	return obs.DeriveSpanID(co.col.TraceID(), fmt.Sprintf("shard[%d,%d)", r.lo, r.hi), co.seed)
 }
 
 // traceparent renders the traceparent the dispatched shard spec carries
@@ -185,7 +164,7 @@ func (co *coordObs) traceparent(r shardRange) string {
 	if co == nil {
 		return ""
 	}
-	return obs.FormatTraceparent(co.tid, co.shardSpanID(r))
+	return obs.FormatTraceparent(co.col.TraceID(), co.shardSpanID(r))
 }
 
 // shardSpan records one shard attempt's dispatch-to-completion window
@@ -207,14 +186,17 @@ func (co *coordObs) span(name string, start time.Time, dur time.Duration) {
 	if co == nil {
 		return
 	}
-	co.col.Ctl(name, obs.DeriveSpanID(co.tid, name, co.seed), co.col.Root(),
+	co.col.Ctl(name, obs.DeriveSpanID(co.col.TraceID(), name, co.seed), co.col.Root(),
 		start, dur, nil)
 }
 
-// finish closes the coordinator's root study span and returns its
-// timeline, ready for obs.MergeShards.
-func (co *coordObs) finish(wall time.Duration) *obs.Timeline {
-	co.col.Ctl("study", co.col.Root(), co.col.Parent(), co.epoch, wall, co.attrs)
+// finish closes the coordinator's root study span — carrying the merged
+// study's summary, like a single-node root, plus the shard count — and
+// returns its timeline, ready for obs.MergeShards.
+func (co *coordObs) finish(wall time.Duration, sr *campaign.StudyResult) *obs.Timeline {
+	attrs := campaign.StudyAttrs(sr)
+	attrs["shards"] = strconv.Itoa(co.shards)
+	co.col.Ctl("study", co.col.Root(), co.col.Parent(), co.epoch, wall, attrs)
 	return co.col.Finish(wall)
 }
 
@@ -640,7 +622,7 @@ func (s *Server) mergeShards(ctx context.Context, job *Job, co *coordObs) (*camp
 				shards = append(shards, obs.ShardTimeline{Worker: o.Worker, Timeline: o.Timeline})
 			}
 		}
-		sr.Timeline = obs.MergeShards(co.finish(time.Since(co.epoch)), shards)
+		sr.Timeline = obs.MergeShards(co.finish(time.Since(co.epoch), sr), shards)
 	}
 	return sr, nil
 }

@@ -223,6 +223,28 @@ func TestFleetObservatoryEndToEnd(t *testing.T) {
 		t.Errorf("fleet trace ID %s, want the deterministic single-node identity %s",
 			gotTL.TraceID, refTL.TraceID)
 	}
+	if gotTL.Root != refTL.Root {
+		t.Errorf("fleet root span %s, want the single-node root %s", gotTL.Root, refTL.Root)
+	}
+	// The fleet root carries the merged study's summary exactly like the
+	// single-node root, plus the shard count.
+	rootAttrs := func(tl *obs.Timeline) map[string]string {
+		for _, s := range tl.Spans {
+			if s.ID == tl.Root {
+				return s.Attrs
+			}
+		}
+		t.Fatalf("timeline has no root span %s", tl.Root)
+		return nil
+	}
+	gotRoot, refRoot := rootAttrs(gotTL), rootAttrs(refTL)
+	if gotRoot["shards"] != "3" {
+		t.Errorf("fleet root shards attr %q, want 3", gotRoot["shards"])
+	}
+	delete(gotRoot, "shards")
+	if !reflect.DeepEqual(gotRoot, refRoot) {
+		t.Errorf("fleet root attrs %v, want the single-node root's %v", gotRoot, refRoot)
+	}
 
 	// The HTTP surface serves both artifacts: profile as JSON, timeline
 	// as Perfetto trace-event JSON with the fleet lanes as thread names.

@@ -7,7 +7,8 @@
 #   vulfid    start the daemon, submit a study, SIGTERM it mid-run, restart
 #             over the same journal, and assert the job resumes from its
 #             checkpoints and matches an uninterrupted run field for field
-#             (DESIGN.md §9).
+#             (DESIGN.md §9); `vulfi -remote` with -events or -http exits 2
+#             naming -timeline and the daemon's /metrics.
 #   trace     one deterministic `-explain` per ISA; the JSON explanations
 #             must parse (DESIGN.md §10).
 #   profile   one small profiled study via `vulfi -profile`: the text
@@ -15,9 +16,10 @@
 #             folded stacks are well-formed (4 frames per line, phase
 #             root, numeric values), and the flame-graph HTML is
 #             self-contained (DESIGN.md §13).
-#   timeline  one small traced study via `vulfi -timeline`; python3
+#   timeline  one small traced study via `vulfi -timeline -events`; python3
 #             validates the Perfetto trace span by span against the study
-#             wall and the JSONL sidecar line by line (DESIGN.md §15).
+#             wall and the JSONL sidecar line by line (DESIGN.md §15), and
+#             the -events file is byte-identical to the sidecar.
 #             Env: EXPERIMENTS (default 10), CAMPAIGNS (2), WORKERS (2).
 #   shard     a coordinator and two worker vulfids run a sharded study
 #             through `vulfi -remote -shards`; one worker is SIGKILLed
@@ -98,8 +100,21 @@ start_fleet() {
 }
 
 scenario_vulfid() {
-  local addr=127.0.0.1:$PORT jdir=$WORK/journal pid
+  local addr=127.0.0.1:$PORT jdir=$WORK/journal pid rc msg flag
   mkdir -p "$jdir"
+
+  # The local telemetry sinks cannot follow a study onto the daemon:
+  # combined with -remote they fail fast instead of being dropped.
+  for flag in -events -http; do
+    rc=0
+    msg=$("$WORK/vulfi" -remote "$addr" "$flag" "$OUT/unused" 2>&1 >/dev/null) || rc=$?
+    [ "$rc" = 2 ] || die "vulfi -remote $flag exited $rc, want 2"
+    grep -q -- '-events/-http cannot be combined with -remote' <<<"$msg" &&
+      grep -q -- '-timeline FILE' <<<"$msg" && grep -q '/metrics' <<<"$msg" ||
+      die "vulfi -remote $flag: unexpected message: $msg"
+  done
+  echo "vulfi -remote rejects -events and -http"
+
   start_daemon "$addr" "$jdir"
   pid=$DAEMON
 
@@ -216,8 +231,8 @@ scenario_timeline() {
   echo "== traced study (${campaigns}x${experiments} experiments, $workers workers) =="
   "$WORK/vulfi" -benchmark VectorCopy -isa AVX -category pure-data \
     -experiments "$experiments" -campaigns "$campaigns" -seed 1 \
-    -workers "$workers" -timeline "$OUT/trace.json" -json \
-    > "$OUT/study.json"
+    -workers "$workers" -timeline "$OUT/trace.json" \
+    -events "$OUT/events.jsonl" -json > "$OUT/study.json"
 
   echo "== validating $OUT/trace.json =="
   python3 - "$OUT/trace.json" "$((experiments * campaigns))" "$workers" <<'EOF'
@@ -278,6 +293,10 @@ print(f"OK: {len(spans)} spans, {total} experiments, "
       f"study {root['dur']/1e3:.1f}ms within wall {wall_us/1e3:.1f}ms, "
       f"experiment occupancy {100*exp_sum/(workers*wall_us):.0f}% of {workers} lanes")
 EOF
+
+  # -events and -timeline export one span stream.
+  cmp "$OUT/events.jsonl" "$OUT/trace.json.jsonl" ||
+    die "-events file differs from the -timeline JSONL sidecar"
 
   echo "PASS: timeline smoke (artifacts in $OUT/)"
 }

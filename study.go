@@ -210,10 +210,10 @@ func WithBackend(name string) StudyOption {
 }
 
 // WithProfile enables the execution profiler: the study result carries
-// a hot-path profile (hot opcodes, opcode pairs, hot sites, phase
-// breakdown, exp/s timeline). Profiling timestamps every interpreted
-// instruction, so profiled wall times are not comparable to unprofiled
-// runs.
+// a hot-path profile (hot opcodes, opcode pairs, hot sites, and the
+// phase breakdown and exp/s read off the study's spans). Profiling
+// timestamps every interpreted instruction, so profiled wall times are
+// not comparable to unprofiled runs.
 func WithProfile() StudyOption {
 	return func(c *campaign.Config) error { c.Profile = true; return nil }
 }
