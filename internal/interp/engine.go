@@ -81,9 +81,10 @@ func CastOp(op ir.Op, v Value, to *ir.Type) Value { return castVal(op, v, to) }
 
 // The Into variants compute the same kernels into a caller-provided
 // result value whose Bits already hold one word per lane. Every lane is
-// written on the success path, so the storage may be recycled (e.g. a
-// frame arena) without stale data leaking between instructions. They
-// share the exact lane loops with the allocating forms above.
+// written on the success path, so the storage may be reused (e.g. a
+// register's own words in a reused frame, rewritten each time its
+// instruction executes) without stale data leaking between executions.
+// They share the exact lane loops with the allocating forms above.
 
 // IntBinInto applies an integer binary opcode lane-wise into out.
 func IntBinInto(out Value, op ir.Op, a, b Value) *Trap { return intBinInto(out, op, a, b) }

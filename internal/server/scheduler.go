@@ -127,12 +127,14 @@ func (s *Server) runJob(job *Job) {
 	switch {
 	case err == nil:
 		s.mx.completed.Inc()
-		job.finish(StateDone, "", marshalStudy(sr))
 		// Shard jobs running on a worker are fragments of someone else's
 		// study; only whole studies belong in the history trend store.
+		// The entry lands before the job turns done, so a client that
+		// sees the final status finds it in /v1/history.
 		if job.Spec.ShardEnd == 0 {
 			s.recordHistory(job, sr)
 		}
+		job.finish(StateDone, "", marshalStudy(sr))
 	case errors.Is(err, context.Canceled) && job.cancelRequested():
 		s.mx.cancelled.Inc()
 		job.finish(StateCancelled, "", nil)

@@ -44,12 +44,12 @@ const (
 	vCmpBr    // scalar cmp + condbr : branch on compare without a visit
 )
 
-// A move copies one value into a register: the phi-elimination parallel
-// copy, sequenced at compile time (lost-copy and swap safe — cycles are
-// broken through the function's scratch register). src is an operand
-// ref; values are immutable once published (every producer builds a
-// fresh result, bit flips clone first), so constant sources are shared
-// rather than cloned.
+// A move copies one value's lane words into a phi's register: the
+// phi-elimination parallel copy, sequenced at compile time (lost-copy
+// and swap safe — cycles are broken by parking one value in the
+// function's scratch register). src is an operand ref. Copying rather
+// than sharing keeps a phi's words unchanged until its edge is taken
+// again, whatever re-executes its source.
 type move struct {
 	dst int32
 	src int32
@@ -74,8 +74,6 @@ type vinstr struct {
 	dst     int32 // result register; -1 when void
 	a, b, c int32 // operand refs
 
-	ty   *ir.Type
-	nw   int32  // result lane words (len(Bits) of the result value)
 	elem uint64 // gep element byte size; alloca total bytes
 	// idxSh sign-extends the statically-typed index operand (gep index,
 	// extract/insert lane) without re-deriving its scalar width per
@@ -103,28 +101,41 @@ type vinstr struct {
 
 // fnCode is one compiled function body.
 type fnCode struct {
-	fn      *ir.Func
-	nregs   int
+	fn *ir.Func
+	ix int // dense index of this body in its Program (Machine.free)
+
+	// regs lays out one frame: parameters own no words (they alias the
+	// caller's values and are only read), every other register owns
+	// Lanes(ty) words. nwords is their sum, maxArgs the widest call's
+	// argument count.
+	regs    []regSlot
+	nwords  int
+	maxArgs int
+
 	consts  []interp.Value
 	globals []globalSlot
 	code    []vinstr
 }
 
-// globalSlot materializes one module global's address into a register
-// at frame entry. Global addresses are per-interpreter state (they are
+// regSlot is one register's frame storage.
+type regSlot struct {
+	ty    *ir.Type
+	lanes int
+}
+
+// globalSlot writes one module global's address into its register at
+// frame entry. Global addresses are per-interpreter state (they are
 // reallocated on Reset), so they cannot live in the constant pool of a
 // program shared across instances.
 type globalSlot struct {
 	reg int32
 	g   *ir.Global
-	ty  *ir.Type
 }
 
 // compiler carries the per-function lowering state.
 type compiler struct {
 	f       *ir.Func
 	code    fnCode
-	nreg    int32
 	regOf   map[*ir.Instr]int32
 	scratch int32
 	constIx map[*ir.Const]int32
@@ -163,26 +174,29 @@ func compileFunc(f *ir.Func, fused map[string]int, declIx map[*ir.Func]int32) (*
 	}
 
 	// Register layout: parameters first (slot == Param.Index), then one
-	// slot per value-producing instruction, then the move scratch, then
-	// any globals the body references.
-	c.nreg = int32(len(f.Params))
+	// slot per value-producing instruction, then the move scratch sized
+	// to the widest phi, then any globals the body references.
+	c.code.regs = make([]regSlot, len(f.Params))
+	var widest *ir.Type
 	for _, b := range f.Blocks {
 		sawNonPhi := false
 		for _, in := range b.Instrs {
-			if in.Op == ir.OpPhi && (sawNonPhi || b == f.Entry()) {
-				return nil, false
-			}
-			if in.Op != ir.OpPhi {
+			if in.Op == ir.OpPhi {
+				if sawNonPhi || b == f.Entry() {
+					return nil, false
+				}
+				if widest == nil || in.Ty.Lanes() > widest.Lanes() {
+					widest = in.Ty
+				}
+			} else {
 				sawNonPhi = true
 			}
 			if !in.Ty.IsVoid() {
-				c.regOf[in] = c.nreg
-				c.nreg++
+				c.regOf[in] = c.newReg(in.Ty)
 			}
 		}
 	}
-	c.scratch = c.nreg
-	c.nreg++
+	c.scratch = c.newReg(widest)
 
 	for _, b := range f.Blocks {
 		c.starts[b] = int32(len(c.code.code))
@@ -201,8 +215,19 @@ func compileFunc(f *ir.Func, fused map[string]int, declIx map[*ir.Func]int32) (*
 			c.code.code[fx.pc].t0 = target
 		}
 	}
-	c.code.nregs = int(c.nreg)
 	return &c.code, true
+}
+
+// newReg appends a register owning Lanes(ty) words (none for a nil ty:
+// a scratch register in a function without phis).
+func (c *compiler) newReg(ty *ir.Type) int32 {
+	n := 0
+	if ty != nil {
+		n = ty.Lanes()
+	}
+	c.code.regs = append(c.code.regs, regSlot{ty: ty, lanes: n})
+	c.code.nwords += n
+	return int32(len(c.code.regs) - 1)
 }
 
 // ref resolves an operand to its slot: register for params and
@@ -226,11 +251,9 @@ func (c *compiler) ref(v ir.Value) (int32, bool) {
 	case *ir.Global:
 		r, ok := c.globIx[x]
 		if !ok {
-			r = c.nreg
-			c.nreg++
+			r = c.newReg(x.Type())
 			c.globIx[x] = r
-			c.code.globals = append(c.code.globals,
-				globalSlot{reg: r, g: x, ty: x.Type()})
+			c.code.globals = append(c.code.globals, globalSlot{reg: r, g: x})
 		}
 		return r, true
 	}
@@ -288,12 +311,11 @@ func (c *compiler) lowerBlock(b *ir.Block) bool {
 // next was consumed.
 func (c *compiler) lowerInstr(b *ir.Block, in, next *ir.Instr) (bool, bool) {
 	v := vinstr{
-		irop: in.Op, pred: in.Pred, ty: in.Ty,
+		irop: in.Op, pred: in.Pred,
 		in: in, vec: in.IsVectorInstr(), dst: -1,
 	}
 	if r, ok := c.regOf[in]; ok {
 		v.dst = r
-		v.nw = int32(in.Ty.Lanes())
 	}
 
 	// Digram fusion: adjacent single-use producer/consumer pairs from
@@ -404,6 +426,7 @@ func (c *compiler) lowerPlain(v *vinstr, in *ir.Instr) bool {
 			v.c = ix
 		}
 		n := in.NumOperands()
+		c.code.maxArgs = max(c.code.maxArgs, n)
 		v.args = make([]int32, n)
 		for i := 0; i < n; i++ {
 			r, ok := c.ref(in.Operand(i))
@@ -435,15 +458,12 @@ func (c *compiler) fuseGEP(v *vinstr, gep, mem *ir.Instr, op vop) bool {
 	v.idxSh = idxShift(gep.Operand(1))
 	v.in2, v.vec2 = mem, mem.IsVectorInstr()
 	if op == vGEPLoad {
-		v.ty = mem.Ty
-		v.nw = int32(mem.Ty.Lanes())
 		v.dst = c.regOf[mem]
 	} else {
 		val, ok := c.ref(mem.Operand(0))
 		if !ok {
 			return false
 		}
-		v.ty = gep.Ty
 		v.c = val
 	}
 	return true
@@ -485,7 +505,7 @@ func (c *compiler) fuseCmpBr(b *ir.Block, v *vinstr, cmp, br *ir.Instr) bool {
 // lowerTerminator lowers the block's terminator with its edge bundles.
 func (c *compiler) lowerTerminator(b *ir.Block, in *ir.Instr) bool {
 	v := vinstr{
-		irop: in.Op, ty: in.Ty, in: in, vec: in.IsVectorInstr(), dst: -1,
+		irop: in.Op, in: in, vec: in.IsVectorInstr(), dst: -1,
 	}
 	switch in.Op {
 	case ir.OpBr:

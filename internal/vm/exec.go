@@ -50,40 +50,44 @@ func slowStep(it *interp.Interp, obs interp.Observer, in *ir.Instr) *interp.Trap
 // the first phi. Traps are stamped with provenance through LocateTrap at
 // the same instruction the tree-walker would stamp.
 //
-// Values are immutable once published (the interp package's producers
-// all build fresh results; bit flips clone before flipping), so the
-// frame never clones constants or operands. Result lane storage comes
-// from the machine's frame arena — marked at entry, released at exit —
-// and every operation routes through the interp package's Into kernels,
-// which write all lanes of the recycled storage. The return value is
-// cloned out of the arena before release; everything else the frame
-// produced is dead at exit (memory stores copy bytes, externs consume
-// arguments eagerly, observers must not retain retired values).
+// The body runs in a frame popped from the machine's free stack for f
+// and pushed back on return. Each result is written in place into its
+// register's own words (see the package doc for the invariant) through
+// the interp package's Into kernels and Memory.LoadInto, which write
+// every lane. Parameters and constants are only read. The return value
+// is the one value that outlives the frame: it is cloned unless the
+// caller is this machine's own vCall, which copies it out at once.
 func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Value) (interp.Value, *interp.Trap, bool) {
+	borrow := m.borrow
+	m.borrow = false
 	code := m.prog.fns[f]
 	if code == nil {
 		return interp.Value{}, nil, false
 	}
+	var fr *frame
+	if free := m.free[code.ix]; len(free) > 0 {
+		fr, m.free[code.ix] = free[len(free)-1], free[:len(free)-1]
+	} else {
+		fr = newFrame(code)
+	}
+	r, tr, ok := m.run(it, code, fr, args, borrow)
+	m.free[code.ix] = append(m.free[code.ix], fr)
+	return r, tr, ok
+}
 
-	regs := m.getRegs(code.nregs)
-	defer m.putRegs(regs)
+// run executes code's body in fr; borrow lets vRet return the frame's
+// own words (see Machine.borrow).
+func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.Value, borrow bool) (interp.Value, *interp.Trap, bool) {
+	regs := fr.regs
 	copy(regs, args)
 	for _, gs := range code.globals {
 		// Global addresses are per-instance (Reset reallocates), so they
-		// materialize at frame entry rather than living in the const pool.
-		regs[gs.reg] = interp.PtrValue(gs.ty, it.GlobalAddr(gs.g))
+		// are written at frame entry rather than living in the const pool.
+		regs[gs.reg].Bits[0] = it.GlobalAddr(gs.g)
 	}
 
 	consts := code.consts
 	obs := it.Observer()
-	ar := &m.arena
-	mk := ar.mark()
-	defer ar.release(mk)
-	// alloc returns recycled arena storage for one result value (the Into
-	// kernels overwrite every lane).
-	alloc := func(ty *ir.Type, nw int32) interp.Value {
-		return interp.Value{Ty: ty, Bits: ar.alloc(int(nw))}
-	}
 	// step accounts one non-phi instruction and runs the tree-walker's
 	// boundary budget check, returning a located trap when over budget.
 	step := func(in *ir.Instr, vec bool) *interp.Trap {
@@ -121,14 +125,12 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 		return true
 	}
 	// runMoves executes a sequenced edge bundle (the eliminated phis'
-	// parallel copy for the taken edge).
+	// parallel copy for the taken edge). The scratch register owns words
+	// for the widest phi, so parking a value there and copying it back
+	// out both move exactly the value's lanes.
 	runMoves := func(moves []move) {
 		for _, mv := range moves {
-			if mv.src >= 0 {
-				regs[mv.dst] = regs[mv.src]
-			} else {
-				regs[mv.dst] = consts[^mv.src]
-			}
+			copy(regs[mv.dst].Bits, getOperand(regs, consts, mv.src).Bits)
 		}
 	}
 
@@ -161,12 +163,11 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			if tr := step(v.in, v.vec); tr != nil {
 				return interp.Value{}, tr, true
 			}
-			r := alloc(v.ty, v.nw)
+			r := regs[v.dst]
 			if tr := interp.IntBinInto(r, v.irop,
 				getOperand(regs, consts, v.a), getOperand(regs, consts, v.b)); tr != nil {
 				return interp.Value{}, it.LocateTrap(tr, v.in), true
 			}
-			regs[v.dst] = r
 			retire(v.in, r)
 			pc++
 
@@ -174,10 +175,9 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			if tr := step(v.in, v.vec); tr != nil {
 				return interp.Value{}, tr, true
 			}
-			r := alloc(v.ty, v.nw)
+			r := regs[v.dst]
 			interp.FloatBinInto(r, v.irop,
 				getOperand(regs, consts, v.a), getOperand(regs, consts, v.b))
-			regs[v.dst] = r
 			retire(v.in, r)
 			pc++
 
@@ -185,10 +185,9 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			if tr := step(v.in, v.vec); tr != nil {
 				return interp.Value{}, tr, true
 			}
-			r := alloc(v.ty, v.nw)
+			r := regs[v.dst]
 			interp.CompareInto(r, v.irop, v.pred,
 				getOperand(regs, consts, v.a), getOperand(regs, consts, v.b))
-			regs[v.dst] = r
 			retire(v.in, r)
 			pc++
 
@@ -196,10 +195,9 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			if tr := step(v.in, v.vec); tr != nil {
 				return interp.Value{}, tr, true
 			}
-			r := alloc(v.ty, v.nw)
+			r := regs[v.dst]
 			interp.SelectInto(r, getOperand(regs, consts, v.a),
 				getOperand(regs, consts, v.b), getOperand(regs, consts, v.c))
-			regs[v.dst] = r
 			retire(v.in, r)
 			pc++
 
@@ -207,9 +205,8 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			if tr := step(v.in, v.vec); tr != nil {
 				return interp.Value{}, tr, true
 			}
-			r := alloc(v.ty, v.nw)
-			interp.CastInto(r, v.irop, getOperand(regs, consts, v.a), v.ty)
-			regs[v.dst] = r
+			r := regs[v.dst]
+			interp.CastInto(r, v.irop, getOperand(regs, consts, v.a), r.Ty)
 			retire(v.in, r)
 			pc++
 
@@ -221,9 +218,8 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			if tr != nil {
 				return interp.Value{}, it.LocateTrap(tr, v.in), true
 			}
-			r := alloc(v.ty, 1)
+			r := regs[v.dst]
 			r.Bits[0] = addr
-			regs[v.dst] = r
 			retire(v.in, r)
 			pc++
 
@@ -231,11 +227,10 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			if tr := step(v.in, v.vec); tr != nil {
 				return interp.Value{}, tr, true
 			}
-			r := alloc(v.ty, v.nw)
+			r := regs[v.dst]
 			if tr := it.Mem.LoadInto(r, getOperand(regs, consts, v.a).Uint()); tr != nil {
 				return interp.Value{}, it.LocateTrap(tr, v.in), true
 			}
-			regs[v.dst] = r
 			retire(v.in, r)
 			pc++
 
@@ -257,9 +252,8 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			}
 			addr := getOperand(regs, consts, v.a).Uint() +
 				uint64(sx(getOperand(regs, consts, v.b).Bits[0], v.idxSh))*v.elem
-			r := alloc(v.ty, 1)
+			r := regs[v.dst]
 			r.Bits[0] = addr
-			regs[v.dst] = r
 			retire(v.in, r)
 			pc++
 
@@ -274,9 +268,8 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					Msg: fmt.Sprintf("extractelement lane %d of %d", idx, len(vec.Bits))}
 				return interp.Value{}, it.LocateTrap(tr, v.in), true
 			}
-			r := alloc(v.ty, 1)
+			r := regs[v.dst]
 			r.Bits[0] = vec.Bits[idx]
-			regs[v.dst] = r
 			retire(v.in, r)
 			pc++
 
@@ -292,10 +285,9 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					Msg: fmt.Sprintf("insertelement lane %d of %d", idx, len(vec.Bits))}
 				return interp.Value{}, it.LocateTrap(tr, v.in), true
 			}
-			r := alloc(v.ty, v.nw)
+			r := regs[v.dst]
 			copy(r.Bits, vec.Bits)
 			r.Bits[idx] = elem.Bits[0]
-			regs[v.dst] = r
 			retire(v.in, r)
 			pc++
 
@@ -306,7 +298,7 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			a := getOperand(regs, consts, v.a)
 			b := getOperand(regs, consts, v.b)
 			n := a.Lanes()
-			r := alloc(v.ty, v.nw)
+			r := regs[v.dst]
 			for i, mi := range v.mask {
 				switch {
 				case mi < 0:
@@ -317,7 +309,6 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					r.Bits[i] = b.Bits[mi-n]
 				}
 			}
-			regs[v.dst] = r
 			retire(v.in, r)
 			pc++
 
@@ -325,11 +316,12 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			if tr := step(v.in, v.vec); tr != nil {
 				return interp.Value{}, tr, true
 			}
-			argv := m.getArgs(len(v.args))
+			// The frame's argv is reused without clearing: externs consume
+			// their arguments at once and callees copy the vector on entry.
+			// Arguments are shared, not cloned: no callee writes them
+			// (injection clones before flipping).
+			argv := fr.argv[:len(v.args)]
 			for i, ref := range v.args {
-				// Shared, not cloned: callees never mutate argument
-				// payloads (injection clones before flipping, externs map
-				// lanes into fresh results).
 				argv[i] = getOperand(regs, consts, ref)
 			}
 			var r interp.Value
@@ -344,14 +336,23 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					r, tr = it.Call(v.callee, argv)
 				}
 			} else {
+				m.borrow = true
 				r, tr = it.Call(v.callee, argv)
+				m.borrow = false
 			}
-			m.putArgs(argv)
 			if tr != nil {
 				return interp.Value{}, it.LocateTrap(tr, v.in), true
 			}
 			if v.dst >= 0 {
-				regs[v.dst] = r
+				// Copy, never share: injectFault* returns its argument on
+				// every site but the target, and a compiled callee lends its
+				// frame's words, so sharing would alias another register.
+				if d := regs[v.dst]; r.Ty == d.Ty && len(r.Bits) == len(d.Bits) {
+					copy(d.Bits, r.Bits)
+				} else {
+					regs[v.dst] = r.Clone()
+				}
+				r = regs[v.dst]
 			}
 			retire(v.in, r)
 			pc++
@@ -380,9 +381,9 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 				return interp.Value{}, tr, true
 			}
 			r := getOperand(regs, consts, v.a)
-			if v.a >= 0 {
-				// The only value that outlives the frame: clone it off the
-				// arena before the deferred release recycles its storage.
+			if v.a >= 0 && !borrow {
+				// The one value that outlives the frame: the next call
+				// reusing the frame rewrites these words.
 				r = r.Clone()
 			}
 			return r, nil, true
@@ -398,7 +399,7 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 				return interp.Value{}, tr, true
 			}
 			tr := &interp.Trap{Kind: interp.TrapHalt,
-				Msg: fmt.Sprintf("reached unreachable in @%s", f.Nam)}
+				Msg: fmt.Sprintf("reached unreachable in @%s", code.fn.Nam)}
 			return interp.Value{}, it.LocateTrap(tr, v.in), true
 
 		case vGEPLoad:
@@ -417,11 +418,10 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					return interp.Value{}, tr, true
 				}
 			}
-			r := alloc(v.ty, v.nw)
+			r := regs[v.dst]
 			if tr := it.Mem.LoadInto(r, addr); tr != nil {
 				return interp.Value{}, it.LocateTrap(tr, v.in2), true
 			}
-			regs[v.dst] = r
 			retire(v.in2, r)
 			pc++
 
@@ -433,7 +433,7 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					return interp.Value{}, tr, true
 				}
 				if obs != nil {
-					obs.Retire(v.in, it.DynInstrs, interp.PtrValue(v.ty, addr))
+					obs.Retire(v.in, it.DynInstrs, interp.PtrValue(v.in.Ty, addr))
 				}
 				if tr := step(v.in2, v.vec2); tr != nil {
 					return interp.Value{}, tr, true
@@ -446,8 +446,9 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			pc++
 
 		case vCmpBr:
-			// Fused scalar mask-test + branch; the compare cannot trap.
-			cond := alloc(v.ty, 1)
+			// Fused scalar mask-test + branch into the compare's register;
+			// the compare cannot trap.
+			cond := regs[v.dst]
 			interp.CompareInto(cond, v.irop, v.pred,
 				getOperand(regs, consts, v.a), getOperand(regs, consts, v.b))
 			if !fuse(v) {

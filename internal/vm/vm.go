@@ -25,6 +25,15 @@
 // targets are program-counter jumps, and all arithmetic routes through
 // the interp package's exported operation kernels so the two backends
 // cannot drift bit-wise.
+//
+// Registers own their storage: each value-producing register owns its
+// lane words in a frame the Machine reuses call after call, and each
+// opcode writes its result there in place, so a run allocates per
+// frame, not per executed instruction. A register's words change only
+// when its defining instruction executes again, or, for a phi, when its
+// incoming edge is taken again; anything that must outlive that copies
+// the words (edge moves, call results, Memory.Store, the returned value,
+// and observers under the interp.Observer contract).
 package vm
 
 import (
@@ -64,6 +73,7 @@ func Compile(mod *ir.Module) *Program {
 			continue
 		}
 		if code, ok := compileFunc(f, p.fused, p.declIx); ok {
+			code.ix = len(p.fns)
 			p.fns[f] = code
 		}
 	}
@@ -81,20 +91,51 @@ func (p *Program) NumCompiled() int { return len(p.fns) }
 func (p *Program) Fused(pattern string) int { return p.fused[pattern] }
 
 // Machine executes one Program against one interpreter instance. It
-// implements interp.Engine and owns the register-frame recycling pools,
-// so a Machine must not be shared between concurrently running
-// interpreters — attach one Machine per instance (the Program behind it
-// is shared freely).
+// implements interp.Engine and owns the frames its calls run in, so a
+// Machine must not be shared between concurrently running interpreters
+// — attach one Machine per instance (the Program behind it is shared
+// freely).
 type Machine struct {
-	prog  *Program
-	regs  [][]interp.Value
-	argvs [][]interp.Value
-	arena bitsArena
+	prog *Program
+
+	// free holds each compiled function's idle frames, indexed by
+	// fnCode.ix: a call pops one (a recursive call pops a second) and
+	// pushes it back on return, so frames are built once per machine
+	// and call depth.
+	free [][]*frame
+
+	// borrow is set by vCall around it.Call: the callee's return value
+	// may then stay in its frame's words, because vCall copies it into
+	// the destination register before any other frame runs.
+	borrow bool
 
 	// ext caches resolved extern implementations by the program's dense
 	// declaration index, valid for one interpreter registration epoch.
 	ext      []interp.ExternFn
 	extEpoch uint64
+}
+
+// frame is one activation's storage: each register's Value points at
+// its own lane words for the frame's whole life (parameter slots alias
+// the caller's values instead), and argv serves the frame's calls.
+type frame struct {
+	regs []interp.Value
+	argv []interp.Value
+}
+
+func newFrame(code *fnCode) *frame {
+	fr := &frame{
+		regs: make([]interp.Value, len(code.regs)),
+		argv: make([]interp.Value, code.maxArgs),
+	}
+	words := make([]uint64, code.nwords)
+	for i, s := range code.regs {
+		if s.lanes > 0 {
+			fr.regs[i] = interp.Value{Ty: s.ty, Bits: words[:s.lanes:s.lanes]}
+			words = words[s.lanes:]
+		}
+	}
+	return fr
 }
 
 // externFor returns the cached extern implementation for the dense decl
@@ -122,93 +163,11 @@ func (m *Machine) externFor(it *interp.Interp, ix int32, f *ir.Func) interp.Exte
 	return fn
 }
 
-// arenaChunk is the bump-allocator chunk size in lane words (64 KiB).
-const arenaChunk = 8192
-
-// bitsArena bump-allocates lane-word storage for register-resident
-// result values. A frame marks the arena on entry and releases to that
-// mark on exit: every value the frame produced is dead by then (the
-// return value is cloned out first, memory stores copy bytes, and the
-// interp.Observer contract forbids retaining a retired value), so the
-// storage is recycled instead of feeding the garbage collector one
-// allocation per executed instruction.
-type bitsArena struct {
-	cur []uint64
-	off int
-}
-
-// arenaMark is a rewind point: the chunk and offset at frame entry.
-type arenaMark struct {
-	cur []uint64
-	off int
-}
-
-func (a *bitsArena) alloc(n int) []uint64 {
-	if a.off+n > len(a.cur) {
-		sz := arenaChunk
-		if n > sz {
-			sz = n
-		}
-		a.cur, a.off = make([]uint64, sz), 0
-	}
-	s := a.cur[a.off : a.off+n : a.off+n]
-	a.off += n
-	return s
-}
-
-func (a *bitsArena) mark() arenaMark { return arenaMark{a.cur, a.off} }
-
-// release rewinds to mk. A nil mark chunk (the machine's very first
-// frame) keeps the current chunk and just resets the offset.
-func (a *bitsArena) release(mk arenaMark) {
-	if mk.cur != nil {
-		a.cur, a.off = mk.cur, mk.off
-	} else {
-		a.off = 0
-	}
-}
-
 // NewMachine returns a Machine executing prog.
-func NewMachine(prog *Program) *Machine { return &Machine{prog: prog} }
+func NewMachine(prog *Program) *Machine {
+	return &Machine{prog: prog, free: make([][]*frame, len(prog.fns))}
+}
 
 // Attach compiles-and-wires in one step for callers outside the
 // campaign layer: it attaches a fresh Machine over prog to it.
 func Attach(it *interp.Interp, prog *Program) { it.SetEngine(NewMachine(prog)) }
-
-func (m *Machine) getRegs(n int) []interp.Value {
-	if k := len(m.regs); k > 0 {
-		buf := m.regs[k-1]
-		m.regs[k-1] = nil
-		m.regs = m.regs[:k-1]
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]interp.Value, n)
-}
-
-func (m *Machine) putRegs(buf []interp.Value) {
-	for i := range buf {
-		buf[i] = interp.Value{}
-	}
-	m.regs = append(m.regs, buf[:0])
-}
-
-func (m *Machine) getArgs(n int) []interp.Value {
-	if k := len(m.argvs); k > 0 {
-		buf := m.argvs[k-1]
-		m.argvs[k-1] = nil
-		m.argvs = m.argvs[:k-1]
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]interp.Value, n)
-}
-
-func (m *Machine) putArgs(buf []interp.Value) {
-	for i := range buf {
-		buf[i] = interp.Value{}
-	}
-	m.argvs = append(m.argvs, buf[:0])
-}

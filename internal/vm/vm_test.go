@@ -590,3 +590,140 @@ func TestDifferentialOps(t *testing.T) {
 func floatBits32(f float32) uint64 {
 	return uint64(interp.FloatValue(ir.F32, float64(f)).Bits[0])
 }
+
+// callKernel is vecKernel's loop with the trip count as main's argument
+// and the doubling moved into a compiled callee, as blackscholes calls
+// cndf: main(n) runs n iterations over data[i&7], each passing the
+// loaded lanes plus a broadcast of i to @twice and storing the result
+// back.
+func callKernel() *ir.Module {
+	mod := ir.NewModule("callk")
+	v4 := ir.Vec(ir.I32, 4)
+	g := &ir.Global{Nam: "data", Elem: v4, Count: 8}
+	mod.AddGlobal(g)
+
+	twice := ir.NewFunc("twice", v4, []*ir.Type{v4}, []string{"x"})
+	mod.AddFunc(twice)
+	bt := ir.NewBuilder(twice.NewBlock("entry"))
+	bt.Ret(bt.Add(twice.Params[0], twice.Params[0], "d"))
+
+	f := ir.NewFunc("main", ir.I32, []*ir.Type{ir.I32}, []string{"n"})
+	mod.AddFunc(f)
+	entry := f.NewBlock("entry")
+	loop := f.NewBlock("loop")
+	exit := f.NewBlock("exit")
+	ir.NewBuilder(entry).Br(loop)
+
+	b := ir.NewBuilder(loop)
+	i := b.Phi(ir.I32, "i")
+	acc := b.Phi(ir.I32, "acc")
+	j := b.And(i, ir.ConstInt(ir.I32, 7), "j")
+	p := b.GEP(g, j, "p")
+	ld := b.Load(p, "ld")
+	seeded := b.Add(ld, b.Broadcast(i, 4, "bi"), "seeded")
+	dbl := b.Call(twice, "dbl", seeded)
+	p2 := b.GEP(g, j, "p2")
+	b.Store(dbl, p2)
+	lane := b.ExtractElement(dbl, ir.ConstInt(ir.I32, 0), "lane")
+	accN := b.Add(acc, lane, "accn")
+	iN := b.Add(i, ir.ConstInt(ir.I32, 1), "in")
+	c := b.ICmp(ir.IntSLT, iN, f.Params[0], "c")
+	b.CondBr(c, loop, exit)
+	ir.AddIncoming(i, ir.ConstInt(ir.I32, 0), entry)
+	ir.AddIncoming(i, iN, loop)
+	ir.AddIncoming(acc, ir.ConstInt(ir.I32, 0), entry)
+	ir.AddIncoming(acc, accN, loop)
+
+	ir.NewBuilder(exit).Ret(acc)
+	return mod
+}
+
+// TestRunAllocsIndependentOfTripCount pins register-owned frames: once a
+// machine has built its frames, a run allocates the same whether its
+// loop runs n or 16n times, a compiled call per iteration included.
+func TestRunAllocsIndependentOfTripCount(t *testing.T) {
+	mod := callKernel()
+	differential(t, mod, interp.Options{}, "main", interp.IntValue(ir.I32, 20))
+
+	it, err := interp.New(mod, interp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	Attach(it, Compile(mod))
+	allocs := func(n int64) float64 {
+		arg := interp.IntValue(ir.I32, n)
+		return testing.AllocsPerRun(20, func() {
+			if tr := it.Reset(interp.Options{}); tr != nil {
+				t.Fatal(tr)
+			}
+			if _, tr := it.Run("main", arg); tr != nil {
+				t.Fatal(tr)
+			}
+		})
+	}
+	const n = 64
+	if small, large := allocs(n), allocs(16*n); small != large {
+		t.Fatalf("allocations per run grow with trip count: %v at n=%d, %v at n=%d",
+			small, n, large, 16*n)
+	}
+}
+
+// TestCallResultDoesNotAliasArgument pins that a call's result gets its
+// destination register's own words. Both callees return their argument
+// unchanged: the extern @id as injectFault* does on every site but the
+// target, the compiled @idc by lending its parameter. On the back edge
+// p's move is sequenced before q's and s's, so a result sharing p's
+// words would hand q or s the new p.
+func TestCallResultDoesNotAliasArgument(t *testing.T) {
+	mod := ir.NewModule("alias")
+	id := ir.NewDecl("id", ir.I32, ir.I32)
+	mod.AddFunc(id)
+	idc := ir.NewFunc("idc", ir.I32, []*ir.Type{ir.I32}, []string{"x"})
+	mod.AddFunc(idc)
+	ir.NewBuilder(idc.NewBlock("entry")).Ret(idc.Params[0])
+
+	f := ir.NewFunc("main", ir.I32, nil, nil)
+	mod.AddFunc(f)
+	entry := f.NewBlock("entry")
+	loop := f.NewBlock("loop")
+	exit := f.NewBlock("exit")
+	ir.NewBuilder(entry).Br(loop)
+
+	b := ir.NewBuilder(loop)
+	p := b.Phi(ir.I32, "p")
+	q := b.Phi(ir.I32, "q")
+	s := b.Phi(ir.I32, "s")
+	i := b.Phi(ir.I32, "i")
+	r := b.Call(id, "r", p)
+	rc := b.Call(idc, "rc", p)
+	p1 := b.Add(p, ir.ConstInt(ir.I32, 1), "p1")
+	iN := b.Add(i, ir.ConstInt(ir.I32, 1), "in")
+	c := b.ICmp(ir.IntSLT, iN, ir.ConstInt(ir.I32, 5), "c")
+	b.CondBr(c, loop, exit)
+	ir.AddIncoming(p, ir.ConstInt(ir.I32, 1), entry)
+	ir.AddIncoming(p, p1, loop)
+	ir.AddIncoming(q, ir.ConstInt(ir.I32, 0), entry)
+	ir.AddIncoming(q, r, loop)
+	ir.AddIncoming(s, ir.ConstInt(ir.I32, 0), entry)
+	ir.AddIncoming(s, rc, loop)
+	ir.AddIncoming(i, ir.ConstInt(ir.I32, 0), entry)
+	ir.AddIncoming(i, iN, loop)
+
+	be := ir.NewBuilder(exit)
+	hi := be.Mul(q, ir.ConstInt(ir.I32, 100), "hi")
+	mid := be.Mul(s, ir.ConstInt(ir.I32, 10), "mid")
+	be.Ret(be.Add(be.Add(hi, mid, "t"), p, "out"))
+
+	hook := func(it *interp.Interp) {
+		it.RegisterExtern("id", func(_ *interp.Interp, args []interp.Value) (interp.Value, *interp.Trap) {
+			return args[0], nil
+		})
+	}
+	tree := execute(t, mod, interp.Options{}, false, hook, "main")
+	comp := execute(t, mod, interp.Options{}, true, hook, "main")
+	assertSameOutcome(t, tree, comp)
+	// The last iteration sees p = 5 and q = s = 4, the previous p.
+	if comp.val != "445" {
+		t.Fatalf("result = %s, want 445", comp.val)
+	}
+}
