@@ -36,6 +36,8 @@
 // from its workers and serves the fleet-wide merge, so the written
 // trace shows one lane group per worker under the coordinator's
 // dispatch lane, and the profile's counts equal a single-node run's.
+// So does -trace: the merged study's propagation summary is folded from
+// the harvested explanations and equals a single-node run's.
 package main
 
 import (
@@ -132,15 +134,9 @@ func main() {
 				"the study runs on the daemon: -timeline FILE writes its spans to FILE.jsonl in the -events format (fleet-merged for sharded jobs), and the daemon serves its own /metrics"))
 		}
 	}
-	if *shards > 0 {
-		switch {
-		case *remote == "":
-			fail(cliutil.Requires("shards", "remote",
-				"sharding is scheduled by a vulfid coordinator"))
-		case *traceRuns:
-			fail(cliutil.MutuallyExclusive("shards", "trace",
-				"traces attach to fresh local executions, not harvested shard results"))
-		}
+	if *shards > 0 && *remote == "" {
+		fail(cliutil.Requires("shards", "remote",
+			"sharding is scheduled by a vulfid coordinator"))
 	}
 	remoteAPIKey = *apiKey
 
@@ -217,7 +213,7 @@ func main() {
 	}
 	if *tel.Progress {
 		pr := telemetry.NewProgress(os.Stderr, cfg.String(), *camps**exps)
-		cfg.OnExperiment = func(r *campaign.ExperimentResult) {
+		cfg.OnResult = func(_ int, _ int64, r *campaign.ExperimentResult) {
 			pr.Observe(r.Outcome.String(), r.Detected)
 		}
 		defer pr.Finish()

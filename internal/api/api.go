@@ -42,8 +42,11 @@ import (
 // sub-resources — and added the fleet metrics view GET /v1/fleet plus
 // the coordinator's "fleet" SSE event for worker loss and shard
 // reassignment; 1.8 dropped the bucketed "timeline" from "hot_profile",
-// whose phase walls and exp/s now read off the study's spans).
-const APIVersion = "1.8"
+// whose phase walls and exp/s now read off the study's spans; 1.9
+// accepted "trace" on sharded jobs, and a traced study's "propagation"
+// now covers every experiment of the study — resumed ones included —
+// rather than only those run since the daemon last started).
+const APIVersion = "1.9"
 
 // Job lifecycle states. A job moves queued → running → {done, failed,
 // cancelled}; cancellation can also hit a queued job directly. A
@@ -151,8 +154,13 @@ type Spec struct {
 	MaskOblivious          bool `json:"mask_oblivious,omitempty"`
 
 	// Trace enables golden-vs-faulty divergence tracing: the finished
-	// study carries a propagation profile (GET /v1/jobs/{id}/explain) and
-	// the per-job registry gains trace.* metrics. Tracing bypasses the
+	// study carries a propagation profile (GET /v1/jobs/{id}/explain)
+	// folded from every experiment's explanation, and the per-job
+	// registry gains trace.* metrics when the study ends (a shard-range
+	// job leaves them to the coordinator's merge). A resumed or
+	// sharded job's profile equals the uninterrupted single-node one:
+	// workers journal each explanation with its result, and the
+	// coordinator's merge folds the harvested ones. Tracing bypasses the
 	// golden-run cache (divergence analysis needs a live golden ring).
 	Trace bool `json:"trace,omitempty"`
 
@@ -275,14 +283,7 @@ func (s Spec) Total() int {
 	if s.ShardEnd > 0 {
 		return s.ShardEnd - s.ShardStart
 	}
-	e, c := s.Experiments, s.Campaigns
-	if e <= 0 {
-		e = 100
-	}
-	if c <= 0 {
-		c = 20
-	}
-	return e * c
+	return s.ScheduleTotal()
 }
 
 // ScheduleTotal returns the full schedule size Campaigns × Experiments

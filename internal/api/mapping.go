@@ -86,7 +86,7 @@ var knobs = []knob{
 		func(s Spec) bool { return s.MaskOblivious },
 		vulfi.WithMaskOblivious)},
 	{name: "trace", options: boolKnob(func(s Spec) bool { return s.Trace },
-		func() vulfi.StudyOption { return vulfi.WithTrace(0) })},
+		vulfi.WithTrace)},
 	{name: "atlas", options: boolKnob(func(s Spec) bool { return s.Atlas },
 		vulfi.WithAtlas)},
 	{name: "profile", options: boolKnob(func(s Spec) bool { return s.Profile },

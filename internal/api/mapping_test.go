@@ -41,9 +41,9 @@ func TestSpecConfigExhaustive(t *testing.T) {
 	// Runtime wiring the server owns (hooks, registries, checkpoint
 	// replay) plus defaults the spec deliberately leaves alone.
 	runtime := map[string]bool{
-		"Metrics": true, "OnExperiment": true,
+		"Metrics": true,
 		"OnStart": true, "Heartbeat": true, "OnResult": true,
-		"Completed": true, "TraceCap": true,
+		"Completed": true,
 	}
 	cfg, err := fullSpec().Config()
 	if err != nil {

@@ -94,15 +94,14 @@ type Config struct {
 	// (ablation of the paper's mask-aware accounting).
 	MaskOblivious bool
 	// Trace enables golden-vs-faulty divergence tracing: every experiment
-	// records both executions into bounded ring buffers, attaches a
-	// trace.Explanation to its result, and the study aggregates a
-	// propagation profile (depth/spread/time-to-detection histograms on
-	// the study registry plus a per-site SDC blame ranking). Tracing
-	// roughly doubles per-experiment memory traffic; disabled it costs
-	// one nil check per retired instruction.
+	// records both executions into bounded ring buffers (trace.DefaultCap
+	// entries each) and attaches a trace.Explanation to its result, and
+	// the study folds every result's explanation into a propagation
+	// profile (depth/spread/time-to-detection histograms on the study
+	// registry plus a per-site SDC blame ranking). Tracing roughly
+	// doubles per-experiment memory traffic; disabled it costs one nil
+	// check per retired instruction.
 	Trace bool
-	// TraceCap bounds each trace ring in entries (0 = trace.DefaultCap).
-	TraceCap int
 	// Atlas enables per-static-site outcome attribution: the study result
 	// carries one SiteTally per instrumented static site (injections,
 	// outcome split, dynamic activation counts from a deterministic
@@ -172,10 +171,6 @@ type Config struct {
 	// registry; concurrent studies that must not interleave should each
 	// pass their own registry.
 	Metrics *telemetry.Registry
-	// OnExperiment, when non-nil, is invoked after every completed
-	// experiment (live progress hook). It is called from worker
-	// goroutines and must be safe for concurrent use.
-	OnExperiment func(*ExperimentResult)
 	// OnStart, when non-nil, is invoked by the study worker pool just
 	// before experiment index begins executing on the given worker
 	// (liveness hook: paired with OnResult it brackets every in-flight
@@ -242,10 +237,6 @@ type Prepared struct {
 	Res   *codegen.Result
 	Inst  *core.Instrumentation
 	Sites []*core.Site
-
-	// Profile aggregates divergence explanations across the cell's
-	// experiments (nil unless Cfg.Trace).
-	Profile *trace.Profile
 
 	// prof is the execution-profile collector (nil unless Cfg.Profile).
 	prof *profile.Collector
@@ -377,9 +368,7 @@ func compileCell(cfg Config, reg *telemetry.Registry) (*Prepared, error) {
 		Cfg: cfg, Res: res, Inst: inst, Sites: inst.Sites,
 		reg: reg, mx: newCellMetrics(reg),
 	}
-	if cfg.Trace {
-		p.Profile = trace.NewProfile(reg)
-	} else if cfg.Inputs > 0 {
+	if !cfg.Trace && cfg.Inputs > 0 {
 		p.golden = newGoldenCache(goldenCacheCap(cfg.Inputs), reg)
 	}
 	if cfg.Backend == "vm" {
@@ -434,7 +423,7 @@ func (p *Prepared) runObserver() (interp.Observer, *trace.Ring, *profile.Probe) 
 	var ring *trace.Ring
 	var probe *profile.Probe
 	if p.Cfg.Trace {
-		ring = trace.NewRing(p.Cfg.TraceCap)
+		ring = trace.NewRing(trace.DefaultCap)
 	}
 	if p.prof != nil {
 		probe = p.prof.Probe()
@@ -722,7 +711,6 @@ func (p *Prepared) runExperiment(ctx context.Context, seed, inputSeed int64, wc 
 	}
 	if p.Cfg.Trace {
 		res.Explanation = p.explain(g.ring, fRing, res, xf, ftr)
-		p.Profile.Add(res.Explanation)
 	}
 	compareWall := time.Since(compareStart)
 	p.mx.compare.Observe(compareWall)

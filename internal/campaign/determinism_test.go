@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -88,10 +89,20 @@ func TestStudySeedSensitivity(t *testing.T) {
 // triples through OnResult, and a resumed run seeded with those
 // checkpoints must reproduce the uninterrupted study bit-for-bit
 // (wall-clock aside — the one legitimately non-deterministic part).
+// Traced, the propagation summary is part of that equality: it folds
+// the replayed explanations as well as the fresh ones.
 func TestStudyCancelAndResume(t *testing.T) {
-	cfg := smallCfg(benchmarks.Blackscholes, passes.Control)
-	cfg.Workers = 4
+	for _, traced := range []bool{false, true} {
+		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
+			cfg := smallCfg(benchmarks.Blackscholes, passes.Control)
+			cfg.Workers = 4
+			cfg.Trace = traced
+			testCancelAndResume(t, cfg)
+		})
+	}
+}
 
+func testCancelAndResume(t *testing.T, cfg Config) {
 	// Uninterrupted reference run.
 	ref, err := RunStudy(context.Background(), cfg)
 	if err != nil {
@@ -177,6 +188,9 @@ func TestStudyCancelAndResume(t *testing.T) {
 	if !reflect.DeepEqual(ref, res) {
 		t.Fatalf("resumed study differs from uninterrupted run:\nref: %+v\nres: %+v",
 			ref, res)
+	}
+	if cfg.Trace && (res.Propagation == nil || res.Propagation.Traced == 0) {
+		t.Fatalf("traced resumed study has propagation %+v", res.Propagation)
 	}
 }
 

@@ -252,7 +252,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative campaigns", func(c *Config) { c.Campaigns = -5 }},
 		{"negative workers", func(c *Config) { c.Workers = -2 }},
 		{"negative inputs", func(c *Config) { c.Inputs = -1 }},
-		{"negative trace cap", func(c *Config) { c.TraceCap = -1; c.Trace = true }},
 	}
 	for _, tc := range bad {
 		cfg := valid

@@ -8,11 +8,11 @@ import (
 	"vulfi/internal/benchmarks"
 	"vulfi/internal/codegen"
 	"vulfi/internal/core"
-	"vulfi/internal/detect"
 	"vulfi/internal/exec"
 	"vulfi/internal/interp"
 	"vulfi/internal/isa"
 	"vulfi/internal/passes"
+	"vulfi/internal/telemetry"
 )
 
 // OverheadResult measures the cost of the synthesized detector blocks
@@ -56,21 +56,10 @@ func MeasureOverhead(b *benchmarks.Benchmark, target *isa.ISA,
 	everyIteration bool, seed int64, runs int) (*OverheadResult, error) {
 
 	build := func(withDetector bool) (*Prepared, error) {
-		res, err := codegen.Compile(compileProgram(b), target, b.Name)
-		if err != nil {
-			return nil, err
-		}
-		pm := &passes.Manager{Verify: true}
-		if withDetector {
-			pm.Add(&detect.ForeachInvariantPass{EveryIteration: everyIteration})
-		}
-		inst := &core.Instrumentation{}
-		pm.Add(&core.InstrumentPass{Category: category, Out: inst})
-		if err := pm.Run(res.Module); err != nil {
-			return nil, err
-		}
-		cfg := Config{Benchmark: b, ISA: target, Category: category, Scale: scale}
-		return &Prepared{Cfg: cfg, Res: res, Inst: inst}, nil
+		return compileCell(Config{
+			Benchmark: b, ISA: target, Category: category, Scale: scale,
+			Detectors: withDetector, DetectorEveryIteration: everyIteration,
+		}, telemetry.NewRegistry())
 	}
 
 	base, err := build(false)

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -60,11 +61,21 @@ func TestShardRangeRestrictsExecution(t *testing.T) {
 // study's JSON byte for byte (wall fields scrubbed — they measure this
 // machine's clock, the one thing sharding legitimately changes).
 // Atlas site tallies ride along: attribution reads only replayed
-// results plus deterministic profiling runs.
+// results plus deterministic profiling runs. So does the traced
+// variant's propagation summary, folded from the replayed explanations.
 func TestShardMergeEquivalence(t *testing.T) {
-	base := smallCfg(benchmarks.Blackscholes, passes.Control)
-	base.Atlas = true
-	base.Inputs = 2
+	for _, traced := range []bool{false, true} {
+		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
+			base := smallCfg(benchmarks.Blackscholes, passes.Control)
+			base.Atlas = true
+			base.Inputs = 2
+			base.Trace = traced
+			testShardMerge(t, base)
+		})
+	}
+}
+
+func testShardMerge(t *testing.T, base Config) {
 	total := base.Campaigns * base.Experiments
 
 	full, err := RunStudy(context.Background(), base)
@@ -72,6 +83,9 @@ func TestShardMergeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := studyBytes(t, full)
+	if base.Trace && !bytes.Contains(want, []byte(`"propagation"`)) {
+		t.Fatal("traced study has no propagation summary")
+	}
 
 	for _, shards := range []int{1, 2, 7} {
 		merged := map[int]*ExperimentResult{}

@@ -9,6 +9,7 @@ import (
 	"vulfi/internal/obs"
 	"vulfi/internal/profile"
 	"vulfi/internal/stats"
+	"vulfi/internal/telemetry"
 	"vulfi/internal/trace"
 )
 
@@ -143,7 +144,9 @@ type StudyResult struct {
 	Wall time.Duration
 
 	// Propagation is the study's aggregated fault-propagation profile
-	// (nil unless Cfg.Trace was set).
+	// (nil unless Cfg.Trace was set), folded from the explanations of
+	// every result the study holds, replayed or freshly run — so, like
+	// the statistics, it is the same across resumes and shard plans.
 	Propagation *trace.Summary
 
 	// Sites is the per-static-site atlas (nil unless Cfg.Atlas was set):
@@ -165,12 +168,17 @@ type StudyResult struct {
 }
 
 // ExperimentSeed returns the deterministic seed of experiment index i
-// under this configuration. The schedule depends only on Cfg.Seed and
-// the index, so a checkpointed study can be resumed by replaying the
-// completed indices and re-running the rest with identical seeds.
-func (c Config) ExperimentSeed(i int) int64 {
-	return c.Seed + int64(i)*0x9E3779B9 + 1
+// of a study seeded with seed. The schedule depends only on the study
+// seed and the index, so a checkpointed study can be resumed by
+// replaying the completed indices and re-running the rest with
+// identical seeds.
+func ExperimentSeed(seed int64, i int) int64 {
+	return seed + int64(i)*0x9E3779B9 + 1
 }
+
+// ExperimentSeed returns the seed of experiment index i under this
+// configuration (see the package-level ExperimentSeed).
+func (c Config) ExperimentSeed(i int) int64 { return ExperimentSeed(c.Seed, i) }
 
 // InputSeed returns the seed that generates experiment i's program
 // input. Without an input pool (Inputs <= 0) it equals ExperimentSeed(i)
@@ -202,12 +210,11 @@ func RunStudy(ctx context.Context, cfg Config) (*StudyResult, error) {
 }
 
 // RunStudy runs the configured number of campaigns on a prepared cell.
-// OnExperiment fires after every completed experiment for live progress
-// and OnResult checkpoints each freshly executed (index, seed, result)
-// triple.
+// OnResult reports each freshly executed (index, seed, result) triple,
+// for checkpoints and live progress.
 //
 // Cancellation is cooperative between experiments: in-flight experiments
-// finish (and are reported through OnResult/OnExperiment), no further
+// finish (and are reported through OnResult), no further
 // experiments start, and RunStudy returns ctx.Err(). Likewise the first
 // experiment error stops dispatch instead of wasting the rest of the
 // study. Indices present in Cfg.Completed are not re-run; their recorded
@@ -255,9 +262,6 @@ func (p *Prepared) RunStudy(ctx context.Context) (*StudyResult, error) {
 				}
 				if cfg.OnResult != nil {
 					cfg.OnResult(i, seed, r)
-				}
-				if cfg.OnExperiment != nil {
-					cfg.OnExperiment(r)
 				}
 			}
 		}(w)
@@ -325,8 +329,22 @@ dispatch:
 	if present > 0 {
 		sr.MeanGoldenDynInstrs = dynSum / float64(present)
 	}
-	if p.Profile != nil {
-		sr.Propagation = p.Profile.Summary()
+	if cfg.Trace {
+		exps := make([]*trace.Explanation, len(results))
+		for i, r := range results {
+			if r != nil {
+				exps[i] = r.Explanation
+			}
+		}
+		// The trace.* metrics describe a whole study, so a shard leaves
+		// them to the run that folds every index (the coordinator's
+		// merge); otherwise a coordinator that runs shards itself would
+		// count their experiments twice in the job's registry.
+		reg := p.reg
+		if cfg.ShardEnd > 0 {
+			reg = telemetry.NewRegistry()
+		}
+		sr.Propagation = trace.Summarize(reg, exps)
 	}
 	if cfg.Atlas {
 		tallies, err := p.siteTallies(results)

@@ -39,9 +39,6 @@ func (c *Config) Validate() error {
 	if c.Inputs < 0 {
 		return fmt.Errorf("campaign: Inputs must be non-negative (got %d)", c.Inputs)
 	}
-	if c.TraceCap < 0 {
-		return fmt.Errorf("campaign: TraceCap must be non-negative (got %d)", c.TraceCap)
-	}
 	switch c.Backend {
 	case "", "tree", "vm":
 	default:

@@ -59,32 +59,14 @@ func (it *Interp) ResolveExtern(f *ir.Func) (ExternFn, bool) { return it.resolve
 // resolved-extern cache can detect re-registration and invalidate.
 func (it *Interp) ExternEpoch() uint64 { return it.externEpoch }
 
-// Exported operation kernels. These are the tree-walker's own
-// implementations (execInstr dispatches to the same functions), so a
-// backend that routes its arithmetic through them shares bit-exact
-// semantics by construction.
-
-// IntBinOp applies an integer binary opcode lane-wise.
-func IntBinOp(op ir.Op, a, b Value) (Value, *Trap) { return intBin(op, a, b) }
-
-// FloatBinOp applies a float binary opcode lane-wise.
-func FloatBinOp(op ir.Op, a, b Value) Value { return floatBin(op, a, b) }
-
-// CompareOp applies an icmp/fcmp predicate lane-wise (i1 result).
-func CompareOp(op ir.Op, pred ir.Pred, a, b Value) Value { return compare(op, pred, a, b) }
-
-// SelectOp applies select (scalar condition or lane-wise blend).
-func SelectOp(c, t, f Value) Value { return selectVal(c, t, f) }
-
-// CastOp applies a cast opcode to v, producing type to.
-func CastOp(op ir.Op, v Value, to *ir.Type) Value { return castVal(op, v, to) }
-
-// The Into variants compute the same kernels into a caller-provided
-// result value whose Bits already hold one word per lane. Every lane is
+// Exported operation kernels. These run the tree-walker's own lane
+// loops (execInstr reaches the same loops through its allocating
+// wrappers) into a caller-provided result value whose Bits already hold
+// one word per lane, so a backend that routes its arithmetic through
+// them shares bit-exact semantics by construction. Every lane is
 // written on the success path, so the storage may be reused (e.g. a
 // register's own words in a reused frame, rewritten each time its
 // instruction executes) without stale data leaking between executions.
-// They share the exact lane loops with the allocating forms above.
 
 // IntBinInto applies an integer binary opcode lane-wise into out.
 func IntBinInto(out Value, op ir.Op, a, b Value) *Trap { return intBinInto(out, op, a, b) }

@@ -81,7 +81,7 @@ func (o Options) runStudy(cfg campaign.Config) (*campaign.StudyResult, error) {
 	if o.Progress != nil {
 		pr := telemetry.NewProgress(o.Progress, cfg.String(),
 			cfg.Campaigns*cfg.Experiments)
-		cfg.OnExperiment = func(r *campaign.ExperimentResult) {
+		cfg.OnResult = func(_ int, _ int64, r *campaign.ExperimentResult) {
 			pr.Observe(r.Outcome.String(), r.Detected)
 		}
 		defer pr.Finish()

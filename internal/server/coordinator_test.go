@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"vulfi/internal/api"
+	"vulfi/internal/campaign"
 )
 
 // coordOptions are the fast-poll coordinator settings every test here
@@ -80,10 +82,18 @@ func runToDone(t *testing.T, s *Server, spec Spec) Status {
 // TestCoordinatorShardedStudy is the tentpole invariant end to end: a
 // job sharded across two real worker daemons must produce exactly the
 // single-node study — statistics, campaign rates and atlas site
-// tallies — with only the wall clocks differing. The same coordinator
-// runs the unsharded reference, so both paths share one journal dir,
-// registry style and code version.
+// tallies, and traced, the propagation summary — with only the wall
+// clocks differing. The same coordinator runs the unsharded reference,
+// so both paths share one journal dir, registry style and code version.
 func TestCoordinatorShardedStudy(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
+			testCoordinatorSharded(t, traced)
+		})
+	}
+}
+
+func testCoordinatorSharded(t *testing.T, traced bool) {
 	c := newTestServer(t, coordOptions())
 	defer drain(t, c)
 	cts := httptest.NewServer(c.Handler())
@@ -98,6 +108,7 @@ func TestCoordinatorShardedStudy(t *testing.T) {
 
 	spec := testSpec()
 	spec.Atlas = true
+	spec.Trace = traced
 	ref := runToDone(t, c, spec)
 
 	sharded := spec
@@ -112,6 +123,12 @@ func TestCoordinatorShardedStudy(t *testing.T) {
 	}
 	if _, ok := have["sites"]; !ok {
 		t.Fatal("merged study lost its atlas site tallies")
+	}
+	if traced {
+		p, _ := have["propagation"].(map[string]any)
+		if n, _ := p["traced"].(float64); n == 0 {
+			t.Fatalf("merged traced study has propagation %v", have["propagation"])
+		}
 	}
 
 	// The fleet view records the work.
@@ -138,19 +155,33 @@ func TestCoordinatorShardedStudy(t *testing.T) {
 
 // TestCoordinatorLocalFallback: a coordinator with an empty fleet must
 // still finish a sharded job — shards degrade to local execution — and
-// the merged result still matches single-node.
+// the merged result still matches single-node. Traced, the job's
+// trace.* metrics count each experiment once although the shard runs
+// and the merge share its registry.
 func TestCoordinatorLocalFallback(t *testing.T) {
 	c := newTestServer(t, coordOptions())
 	defer drain(t, c)
 
-	spec := testSpec()
-	ref := runToDone(t, c, spec)
+	for _, traced := range []bool{false, true} {
+		spec := testSpec()
+		spec.Trace = traced
+		ref := runToDone(t, c, spec)
 
-	sharded := spec
-	sharded.Shards = 2
-	got := runToDone(t, c, sharded)
-	if !reflect.DeepEqual(stripVolatile(t, got.Result), stripVolatile(t, ref.Result)) {
-		t.Fatal("locally executed sharded study diverged from single-node")
+		sharded := spec
+		sharded.Shards = 2
+		got := runToDone(t, c, sharded)
+		if !reflect.DeepEqual(stripVolatile(t, got.Result), stripVolatile(t, ref.Result)) {
+			t.Fatalf("traced=%v: locally executed sharded study diverged from single-node", traced)
+		}
+		if !traced {
+			continue
+		}
+		counted := func(id string) uint64 {
+			return c.Job(id).Registry().Counter("trace.experiments").Value()
+		}
+		if n, want := counted(got.ID), counted(ref.ID); n != want || n == 0 {
+			t.Fatalf("sharded job's trace.experiments = %d, single-node job's %d", n, want)
+		}
 	}
 }
 
@@ -246,8 +277,7 @@ func TestCoordinatorRestartResumesShardedJob(t *testing.T) {
 
 // TestShardSpecRejection: the routing knob is validated at submission
 // with descriptive errors — sharding without a coordinator, negative
-// counts, combining with an explicit range or with per-execution
-// features.
+// counts, combining with an explicit range.
 func TestShardSpecRejection(t *testing.T) {
 	plain := newTestServer(t, Options{})
 	defer drain(t, plain)
@@ -263,7 +293,6 @@ func TestShardSpecRejection(t *testing.T) {
 		{"no-coordinator", plain, func(s *Spec) { s.Shards = 2 }, "-coordinator"},
 		{"negative", coord, func(s *Spec) { s.Shards = -1 }, "non-negative"},
 		{"explicit-range", coord, func(s *Spec) { s.Shards = 2; s.ShardStart = 1; s.ShardEnd = 3 }, "shard_start"},
-		{"trace", coord, func(s *Spec) { s.Shards = 2; s.Trace = true }, "trace"},
 	}
 	for _, tc := range cases {
 		spec := testSpec()
@@ -278,11 +307,13 @@ func TestShardSpecRejection(t *testing.T) {
 		}
 	}
 
-	// Timeline and profile are no longer rejected on sharded jobs: the
-	// coordinator harvests and merges them (1.7).
+	// Timeline and profile are accepted on sharded jobs since 1.7 (the
+	// coordinator harvests and merges them), trace since 1.9 (the merge
+	// folds the harvested explanations).
 	for _, knob := range []func(*Spec){
 		func(s *Spec) { s.Timeline = true },
 		func(s *Spec) { s.Profile = true },
+		func(s *Spec) { s.Trace = true },
 	} {
 		spec := testSpec()
 		spec.Shards = 2
@@ -332,7 +363,7 @@ func TestExperimentsEndpoint(t *testing.T) {
 		if rec.Index != i {
 			t.Fatalf("feed out of order: position %d holds index %d", i, rec.Index)
 		}
-		if want := experimentSeed(spec.Seed, rec.Index); rec.Seed != want {
+		if want := campaign.ExperimentSeed(spec.Seed, rec.Index); rec.Seed != want {
 			t.Errorf("index %d: seed %d, want %d", rec.Index, rec.Seed, want)
 		}
 		if rec.Result == nil {

@@ -283,7 +283,7 @@ func (j *Job) experimentRecords(from, to int) []api.ExperimentRecord {
 	out := make([]api.ExperimentRecord, 0, len(idxs))
 	for _, i := range idxs {
 		out = append(out, api.ExperimentRecord{
-			Index: i, Seed: experimentSeed(j.Spec.Seed, i), Result: j.completed[i],
+			Index: i, Seed: campaign.ExperimentSeed(j.Spec.Seed, i), Result: j.completed[i],
 		})
 	}
 	j.mu.Unlock()

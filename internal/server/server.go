@@ -319,12 +319,6 @@ func (s *Server) checkShardSpec(spec Spec) error {
 		return fmt.Errorf("shards: %d requires a coordinator; this vulfid runs jobs locally (start it with -coordinator)", spec.Shards)
 	case spec.ShardStart != 0 || spec.ShardEnd != 0:
 		return fmt.Errorf("shards cannot be combined with an explicit shard_start/shard_end range")
-	case spec.Trace:
-		// Timeline and profile are fleet-mergeable (the coordinator
-		// harvests each shard's artifacts and serves the merge); the
-		// divergence trace is not — its rings attach to fresh local
-		// executions, and a half-trace would be a lie.
-		return fmt.Errorf("sharded jobs do not support trace (divergence rings attach to fresh local executions; timeline and profile are supported)")
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -285,13 +286,21 @@ func stripWall(t *testing.T, study json.RawMessage) map[string]any {
 // fresh daemon over the same journal directory must resume the job from
 // its checkpoints, and the final StudyResult — SDC/Benign/Crash counts,
 // per-campaign rates and confidence interval — must be identical to the
-// same spec run uninterrupted.
+// same spec run uninterrupted. Traced, that includes the propagation
+// summary.
 func TestServerDrainResumeIdentical(t *testing.T) {
-	spec := Spec{
-		Benchmark: "Blackscholes", ISA: "AVX", Category: "control",
-		Experiments: 10, Campaigns: 20, Seed: 99, Workers: 1,
+	for _, traced := range []bool{false, true} {
+		t.Run(fmt.Sprintf("traced=%v", traced), func(t *testing.T) {
+			testDrainResume(t, Spec{
+				Benchmark: "Blackscholes", ISA: "AVX", Category: "control",
+				Experiments: 10, Campaigns: 20, Seed: 99, Workers: 1,
+				Trace: traced,
+			})
+		})
 	}
+}
 
+func testDrainResume(t *testing.T, spec Spec) {
 	// Uninterrupted reference, straight on the campaign layer.
 	cfg, err := spec.Config()
 	if err != nil {
@@ -304,6 +313,9 @@ func TestServerDrainResumeIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := stripWall(t, marshalStudy(ref))
+	if _, ok := want["propagation"]; ok != spec.Trace {
+		t.Fatalf("study has propagation: %v, want %v", ok, spec.Trace)
+	}
 
 	dir := t.TempDir()
 	// Throttle the first daemon's experiments so the 200-experiment

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"vulfi/internal/campaign"
 )
 
 // watchdog defaults: an experiment is declared stalled when its age
@@ -30,7 +32,7 @@ const (
 // wedged worker).
 type StallReport struct {
 	// Index is the study-order experiment index; Seed its deterministic
-	// fault seed (campaign.Config.ExperimentSeed(Index)).
+	// fault seed (campaign.ExperimentSeed of the spec's seed and Index).
 	Index int   `json:"index"`
 	Seed  int64 `json:"seed"`
 	// Worker is the pool lane that ran the experiment.
@@ -229,7 +231,7 @@ func (w *watchdog) check() []*StallReport {
 			alive = cur != in.beatSeen
 			in.beatSeen = cur
 		}
-		seed := experimentSeed(w.spec.Seed, idx)
+		seed := campaign.ExperimentSeed(w.spec.Seed, idx)
 		r := &StallReport{
 			Index: idx, Seed: seed, Worker: in.worker,
 			ElapsedNS: elapsed, P99NS: p99, ThresholdNS: threshold,
@@ -258,13 +260,6 @@ func (w *watchdog) snapshot() ([]StallReport, []uint64) {
 		out[i] = *r
 	}
 	return out, beats
-}
-
-// experimentSeed mirrors campaign.Config.ExperimentSeed so a repro
-// bundle is self-describing without a resolved Config (which needs the
-// benchmark registry). The formula is pinned by the campaign tests.
-func experimentSeed(studySeed int64, i int) int64 {
-	return studySeed + int64(i)*0x9E3779B9 + 1
 }
 
 // reproBundle builds the self-contained replay recipe for one

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"vulfi/internal/telemetry"
@@ -58,130 +57,6 @@ func (b *BlameEntry) SDCRate() float64 {
 	return float64(b.SDC) / float64(b.Experiments)
 }
 
-// Profile aggregates explanations across a study into the
-// PropagationProfile: depth/spread/time-to-detection histograms on the
-// study's telemetry registry, crossing counters, and the per-static-site
-// blame table. Add is safe to call from campaign worker goroutines.
-type Profile struct {
-	depthH  *telemetry.Histogram
-	spreadH *telemetry.Histogram
-	ttdH    *telemetry.Histogram
-
-	traced         *telemetry.Counter
-	diverged       *telemetry.Counter
-	controlDiv     *telemetry.Counter
-	crossedControl *telemetry.Counter
-	crossedAddress *telemetry.Counter
-
-	mu        sync.Mutex
-	n         int
-	nDiverged int
-	nCtrlDiv  int
-	nCtrl     int
-	nAddr     int
-	depthSum  uint64
-	depthMax  int
-	spreadSum uint64
-	spreadMax int
-	ttdSum    uint64
-	ttdN      int
-	truncated int
-	blame     map[string]*BlameEntry
-}
-
-// NewProfile creates a profile whose histograms and counters live on
-// reg (pass the study's registry so per-job metrics surface on the
-// service's /metrics endpoint for free).
-func NewProfile(reg *telemetry.Registry) *Profile {
-	return &Profile{
-		depthH:         reg.Histogram(HistDepth),
-		spreadH:        reg.Histogram(HistSpread),
-		ttdH:           reg.Histogram(HistTTD),
-		traced:         reg.Counter("trace.experiments"),
-		diverged:       reg.Counter("trace.diverged"),
-		controlDiv:     reg.Counter("trace.control_divergence"),
-		crossedControl: reg.Counter("trace.crossed_control"),
-		crossedAddress: reg.Counter("trace.crossed_address"),
-		blame:          map[string]*BlameEntry{},
-	}
-}
-
-// Add folds one explained experiment into the profile.
-func (p *Profile) Add(e *Explanation) {
-	if e == nil {
-		return
-	}
-	p.traced.Inc()
-	if e.Diverged {
-		p.diverged.Inc()
-		ObserveCount(p.depthH, uint64(e.Depth))
-		ObserveCount(p.spreadH, uint64(e.MaxLaneSpread))
-	}
-	if e.ControlDivergence {
-		p.controlDiv.Inc()
-	}
-	if e.CrossedControl {
-		p.crossedControl.Inc()
-	}
-	if e.CrossedAddress {
-		p.crossedAddress.Inc()
-	}
-	if e.TimeToDetection >= 0 {
-		ObserveCount(p.ttdH, uint64(e.TimeToDetection))
-	}
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.n++
-	if e.Diverged {
-		p.nDiverged++
-		p.depthSum += uint64(e.Depth)
-		if e.Depth > p.depthMax {
-			p.depthMax = e.Depth
-		}
-		p.spreadSum += uint64(e.MaxLaneSpread)
-		if e.MaxLaneSpread > p.spreadMax {
-			p.spreadMax = e.MaxLaneSpread
-		}
-	}
-	if e.ControlDivergence {
-		p.nCtrlDiv++
-	}
-	if e.CrossedControl {
-		p.nCtrl++
-	}
-	if e.CrossedAddress {
-		p.nAddr++
-	}
-	if e.TimeToDetection >= 0 {
-		p.ttdSum += uint64(e.TimeToDetection)
-		p.ttdN++
-	}
-	if e.Truncated {
-		p.truncated++
-	}
-	if s := e.FaultSite; s != nil {
-		key := s.Key()
-		b := p.blame[key]
-		if b == nil {
-			b = &BlameEntry{Site: key}
-			p.blame[key] = b
-		}
-		b.Experiments++
-		switch e.Outcome {
-		case "SDC":
-			b.SDC++
-		case "Crash":
-			b.Crash++
-		default:
-			b.Benign++
-		}
-		if e.Detected {
-			b.Detected++
-		}
-	}
-}
-
 // Summary is the JSON-exported PropagationProfile of a study.
 type Summary struct {
 	Traced            int `json:"traced"`
@@ -204,31 +79,84 @@ type Summary struct {
 	Blame []BlameEntry `json:"blame"`
 }
 
-// Summary snapshots the profile, with the blame table ranked most
-// SDC-prone first.
-func (p *Profile) Summary() *Summary {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := &Summary{
-		Traced:            p.n,
-		Diverged:          p.nDiverged,
-		ControlDivergence: p.nCtrlDiv,
-		CrossedControl:    p.nCtrl,
-		CrossedAddress:    p.nAddr,
-		Truncated:         p.truncated,
-		MaxDepth:          p.depthMax,
-		MaxLaneSpread:     p.spreadMax,
-		Detections:        p.ttdN,
+// Summarize folds a study's explanations into its PropagationProfile,
+// with the blame table ranked most SDC-prone first, and publishes the
+// depth/spread/time-to-detection histograms and the crossing counters
+// on reg. Nil entries are skipped: an experiment that reached no
+// dynamic site carries no explanation.
+func Summarize(reg *telemetry.Registry, exps []*Explanation) *Summary {
+	depthH := reg.Histogram(HistDepth)
+	spreadH := reg.Histogram(HistSpread)
+	ttdH := reg.Histogram(HistTTD)
+	s := &Summary{}
+	blame := map[string]*BlameEntry{}
+	var depthSum, spreadSum, ttdSum uint64
+	for _, e := range exps {
+		if e == nil {
+			continue
+		}
+		s.Traced++
+		if e.Diverged {
+			s.Diverged++
+			depthSum += uint64(e.Depth)
+			s.MaxDepth = max(s.MaxDepth, e.Depth)
+			spreadSum += uint64(e.MaxLaneSpread)
+			s.MaxLaneSpread = max(s.MaxLaneSpread, e.MaxLaneSpread)
+			ObserveCount(depthH, uint64(e.Depth))
+			ObserveCount(spreadH, uint64(e.MaxLaneSpread))
+		}
+		if e.ControlDivergence {
+			s.ControlDivergence++
+		}
+		if e.CrossedControl {
+			s.CrossedControl++
+		}
+		if e.CrossedAddress {
+			s.CrossedAddress++
+		}
+		if e.TimeToDetection >= 0 {
+			s.Detections++
+			ttdSum += uint64(e.TimeToDetection)
+			ObserveCount(ttdH, uint64(e.TimeToDetection))
+		}
+		if e.Truncated {
+			s.Truncated++
+		}
+		if site := e.FaultSite; site != nil {
+			key := site.Key()
+			b := blame[key]
+			if b == nil {
+				b = &BlameEntry{Site: key}
+				blame[key] = b
+			}
+			b.Experiments++
+			switch e.Outcome {
+			case "SDC":
+				b.SDC++
+			case "Crash":
+				b.Crash++
+			default:
+				b.Benign++
+			}
+			if e.Detected {
+				b.Detected++
+			}
+		}
 	}
-	if p.nDiverged > 0 {
-		s.MeanDepth = float64(p.depthSum) / float64(p.nDiverged)
-		s.MeanLaneSpread = float64(p.spreadSum) / float64(p.nDiverged)
+	reg.Counter("trace.experiments").Add(uint64(s.Traced))
+	reg.Counter("trace.diverged").Add(uint64(s.Diverged))
+	reg.Counter("trace.control_divergence").Add(uint64(s.ControlDivergence))
+	reg.Counter("trace.crossed_control").Add(uint64(s.CrossedControl))
+	reg.Counter("trace.crossed_address").Add(uint64(s.CrossedAddress))
+	if s.Diverged > 0 {
+		s.MeanDepth = float64(depthSum) / float64(s.Diverged)
+		s.MeanLaneSpread = float64(spreadSum) / float64(s.Diverged)
 	}
-	if p.ttdN > 0 {
-		s.MeanTimeToDetection = float64(p.ttdSum) / float64(p.ttdN)
+	if s.Detections > 0 {
+		s.MeanTimeToDetection = float64(ttdSum) / float64(s.Detections)
 	}
-	s.Blame = make([]BlameEntry, 0, len(p.blame))
-	for _, b := range p.blame {
+	s.Blame = make([]BlameEntry, 0, len(blame))
+	for _, b := range blame {
 		s.Blame = append(s.Blame, *b)
 	}
 	sort.Slice(s.Blame, func(i, j int) bool {

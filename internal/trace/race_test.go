@@ -3,71 +3,7 @@ package trace
 import (
 	"sync"
 	"testing"
-
-	"vulfi/internal/telemetry"
 )
-
-// TestConcurrentProfile exercises the study-time concurrency shape under
-// the race detector: each worker owns a pair of rings (one experiment),
-// analyzes them, and folds the explanation into one shared Profile while
-// another goroutine snapshots summaries.
-func TestConcurrentProfile(t *testing.T) {
-	fx := buildDivergeFixture(t)
-	reg := telemetry.NewRegistry()
-	p := NewProfile(reg)
-
-	const workers = 8
-	const experiments = 50
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < experiments; i++ {
-				g, f := NewRing(64), NewRing(64)
-				g.Retire(fx.a, 1, v32(5))
-				if i%2 == 0 {
-					f.Retire(fx.a, 1, v32(uint64(6+w)))
-				} else {
-					f.Retire(fx.a, 1, v32(5))
-				}
-				g.Retire(fx.c, 2, v32(1))
-				f.Retire(fx.c, 2, v32(1))
-				e := Analyze(g, f)
-				e.Outcome = "SDC"
-				e.FaultSite = &SiteRef{SiteID: w, Func: "f", Block: "entry",
-					Instr: "%a = add i32 %x, 1"}
-				if i%3 == 0 {
-					e.NoteDetection(10)
-				}
-				p.Add(e)
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 100; i++ {
-			_ = p.Summary()
-		}
-	}()
-	wg.Wait()
-	<-done
-
-	s := p.Summary()
-	if s.Traced != workers*experiments {
-		t.Fatalf("Traced = %d, want %d", s.Traced, workers*experiments)
-	}
-	if s.Diverged != workers*experiments/2 {
-		t.Fatalf("Diverged = %d, want %d", s.Diverged, workers*experiments/2)
-	}
-	if len(s.Blame) != 1 {
-		t.Fatalf("blame sites = %d, want 1 (same static site)", len(s.Blame))
-	}
-	if s.Blame[0].SDC != workers*experiments {
-		t.Fatalf("blame SDC = %d, want %d", s.Blame[0].SDC, workers*experiments)
-	}
-}
 
 // TestConcurrentRings checks that independent rings retiring in parallel
 // share no state (each experiment's interpreter owns its ring).

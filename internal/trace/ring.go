@@ -4,7 +4,8 @@
 // explain each experiment outcome (Analyze/Explanation — first
 // divergence, propagation depth and lane spread, control/address slice
 // crossings, time to detection), and the per-study aggregation with its
-// per-site SDC blame ranking (Profile).
+// per-site SDC blame ranking (Summarize, a fold over a finished study's
+// explanations that keeps no state between calls).
 package trace
 
 import (

@@ -4,11 +4,12 @@
 #   scripts/smoke.sh SCENARIO [outdir]     (default outdir: SCENARIO-out)
 #
 # Scenarios:
-#   vulfid    start the daemon, submit a study, SIGTERM it mid-run, restart
-#             over the same journal, and assert the job resumes from its
-#             checkpoints and matches an uninterrupted run field for field
-#             (DESIGN.md §9); `vulfi -remote` with -events or -http exits 2
-#             naming -timeline and the daemon's /metrics.
+#   vulfid    start the daemon, submit a traced study, SIGTERM it mid-run,
+#             restart over the same journal, and assert the job resumes
+#             from its checkpoints and matches an uninterrupted run field
+#             for field, propagation profile included (DESIGN.md §9);
+#             `vulfi -remote` with -events or -http exits 2 naming
+#             -timeline and the daemon's /metrics.
 #   trace     one deterministic `-explain` per ISA; the JSON explanations
 #             must parse (DESIGN.md §10).
 #   profile   one small profiled study via `vulfi -profile`: the text
@@ -21,10 +22,11 @@
 #             wall and the JSONL sidecar line by line (DESIGN.md §15), and
 #             the -events file is byte-identical to the sidecar.
 #             Env: EXPERIMENTS (default 10), CAMPAIGNS (2), WORKERS (2).
-#   shard     a coordinator and two worker vulfids run a sharded study
-#             through `vulfi -remote -shards`; one worker is SIGKILLed
-#             mid-study and the merged result must equal the single-node
-#             run (DESIGN.md §16).
+#   shard     a coordinator and two worker vulfids run a traced sharded
+#             study through `vulfi -remote -shards -trace`; one worker is
+#             SIGKILLed mid-study and the merged result, propagation
+#             profile included, must equal the single-node run
+#             (DESIGN.md §16).
 #   fleet     the same fleet runs a sharded study with -timeline and
 #             -profile: the merged trace has a coordinator lane plus one
 #             lane group per worker and joins by span ID, the merged
@@ -118,10 +120,11 @@ scenario_vulfid() {
   start_daemon "$addr" "$jdir"
   pid=$DAEMON
 
-  # 1000 experiments on one worker: slow enough to interrupt mid-run.
+  # 1000 traced experiments on one worker: slow enough to interrupt
+  # mid-run, and the propagation profile must survive the restart too.
   ID=$(curl -sf -XPOST "$CBASE/v1/jobs" -d '{
     "benchmark":"Blackscholes","isa":"AVX","category":"control",
-    "experiments":50,"campaigns":20,"seed":9,"workers":1}' | jq -r .id)
+    "experiments":50,"campaigns":20,"seed":9,"workers":1,"trace":true}' | jq -r .id)
   [ -n "$ID" ] && [ "$ID" != null ] || die "submit returned no job id"
   echo "submitted job $ID"
 
@@ -161,13 +164,16 @@ scenario_vulfid() {
   jq -e '.done == .total' <<<"$FINAL" >/dev/null || die "resumed job incomplete"
   jq -e '.result.sdc + .result.benign + .result.crash == .total' <<<"$FINAL" \
     >/dev/null || die "study outcomes do not cover all experiments"
+  jq -e '.result.propagation.traced > 0' <<<"$FINAL" >/dev/null ||
+    die "resumed traced study has no propagation profile"
   echo "resumed job completed: $(jq -c \
     '{done, total, sdc: .result.sdc, benign: .result.benign, crash: .result.crash,
-      moe: .result.margin_of_error_95}' <<<"$FINAL")"
+      moe: .result.margin_of_error_95, traced: .result.propagation.traced}' <<<"$FINAL")"
 
   # The acceptance bar: the interrupted-then-resumed study must be
-  # statistically identical to the same seed run uninterrupted.
-  REF=$("$WORK/vulfi" -json -benchmark Blackscholes -category control \
+  # identical to the same seed run uninterrupted, statistics and
+  # propagation profile alike.
+  REF=$("$WORK/vulfi" -json -trace -benchmark Blackscholes -category control \
     -isa AVX -experiments 50 -campaigns 20 -seed 9 | jq -S "$STRIP")
   GOT=$(jq -S ".result | $STRIP" <<<"$FINAL")
   [ "$REF" = "$GOT" ] || {
@@ -304,10 +310,10 @@ EOF
 scenario_shard() {
   start_fleet
 
-  # 1000 experiments on single-worker shards: slow enough that killing a
-  # worker lands mid-study and forces a shard reassignment.
+  # 1000 traced experiments on single-worker shards: slow enough that
+  # killing a worker lands mid-study and forces a shard reassignment.
   SPEC=(-benchmark Blackscholes -category control -isa AVX
-    -experiments 50 -campaigns 20 -seed 9 -workers 1)
+    -experiments 50 -campaigns 20 -seed 9 -workers 1 -trace)
   "$WORK/vulfi" -remote "127.0.0.1:$PORT" -shards 4 -json "${SPEC[@]}" \
     >"$OUT/sharded.json" 2>"$WORK/vulfi.log" &
   local vpid=$!
@@ -329,7 +335,9 @@ scenario_shard() {
   [ "$STATE" = done ] || die "sharded job ended $STATE, want done"
 
   # The acceptance bar: the merged sharded study must match the same
-  # seed run single-node field for field.
+  # seed run single-node field for field, propagation profile included.
+  jq -e '.propagation.traced > 0' "$OUT/sharded.json" >/dev/null ||
+    die "merged traced study has no propagation profile"
   REF=$("$WORK/vulfi" -json "${SPEC[@]}" | jq -S "$STRIP")
   GOT=$(jq -S "$STRIP" "$OUT/sharded.json")
   [ "$REF" = "$GOT" ] || {

@@ -183,14 +183,9 @@ func WithMaskOblivious() StudyOption {
 }
 
 // WithTrace enables golden-vs-faulty divergence tracing (bypasses the
-// golden-run cache). cap bounds each trace ring in entries (0 = the
-// trace package default).
-func WithTrace(cap int) StudyOption {
-	return func(c *campaign.Config) error {
-		c.Trace = true
-		c.TraceCap = cap
-		return nil
-	}
+// golden-run cache).
+func WithTrace() StudyOption {
+	return func(c *campaign.Config) error { c.Trace = true; return nil }
 }
 
 // WithAtlas attributes every outcome to its static fault site: the
