@@ -72,10 +72,14 @@ type Config struct {
 	// K > 0 draws experiment i's input seed from a pool of K seeds
 	// (index i mod K), so K = 1 is the paper-faithful fixed-input mode.
 	// With a pool the golden half of each pair is memoized per input
-	// seed (see goldenCache), which roughly halves campaign cost; the
-	// cache is bypassed when Trace is on because divergence analysis
-	// needs a live golden ring. Caching is observationally invisible:
-	// results are byte-identical to an uncached run of the same pool.
+	// seed (see goldenCache), so it runs once per pool seed; the cache is
+	// bypassed when Trace is on because divergence analysis needs a live
+	// golden ring. On the vm backend with no observer (neither Trace nor
+	// Profile), a cached golden run also records snapshots of its state
+	// and each faulty run resumes the latest one before its fault site,
+	// skipping Setup and the shared prefix (see fork.go). Caching and
+	// forking are observationally invisible: results are byte-identical
+	// to an uncached run of the same pool.
 	Inputs int
 	// Detectors inserts the §III detectors before instrumentation.
 	Detectors bool
@@ -270,7 +274,12 @@ type cellMetrics struct {
 	sdc, benign, crash, hang, detected *telemetry.Counter
 	experiments                        *telemetry.Counter
 	// Interpreter counters, published once per run by observe.
+	// instrs counts each run's full DynInstrs, forked or not; the
+	// instructions actually executed are instrs - forkSkipped.
 	instrs, vectorInstrs, siteVisits, traps *telemetry.Counter
+	// Golden-state forking: faulty runs started from a snapshot, and the
+	// summed DynInstrs of the snapshots they started from.
+	forkResumed, forkSkipped *telemetry.Counter
 }
 
 func newCellMetrics(reg *telemetry.Registry) cellMetrics {
@@ -290,6 +299,9 @@ func newCellMetrics(reg *telemetry.Registry) cellMetrics {
 		vectorInstrs: reg.Counter("interp.vector_instrs"),
 		siteVisits:   reg.Counter("interp.site_visits"),
 		traps:        reg.Counter("interp.traps"),
+
+		forkResumed: reg.Counter("campaign.fork.resumed"),
+		forkSkipped: reg.Counter("campaign.fork.skipped_instrs"),
 	}
 }
 
@@ -455,9 +467,16 @@ func (o tracedProbe) Retire(in *ir.Instr, dyn uint64, v interp.Value) {
 // observe runs the entry function and extracts the comparable output:
 // the declared output regions plus the program output stream. Every
 // golden, faulty and atlas-visit run executes through here, so it also
-// publishes the run's interpreter counters to the cell registry.
-func (p *Prepared) observe(x *exec.Instance, spec *benchmarks.RunSpec, plan *core.Plan) ([]byte, *interp.Trap) {
-	_, tr := x.CallExport(p.Cfg.Benchmark.Entry, spec.Args...)
+// publishes the run's interpreter counters to the cell registry. With
+// from set, the run resumes that golden snapshot instead of calling the
+// entry function (spec is then the golden run's).
+func (p *Prepared) observe(x *exec.Instance, spec *benchmarks.RunSpec, plan *core.Plan, from *forkPoint) ([]byte, *interp.Trap) {
+	var tr *interp.Trap
+	if from != nil {
+		_, tr = machine(x).Resume(x.It, from.snap)
+	} else {
+		_, tr = x.CallExport(p.Cfg.Benchmark.Entry, spec.Args...)
+	}
 	p.mx.instrs.Add(x.It.DynInstrs)
 	p.mx.vectorInstrs.Add(x.It.DynVector)
 	p.mx.siteVisits.Add(plan.DynSites)
@@ -513,6 +532,13 @@ type goldenRun struct {
 	// half replays it instead of re-seeding an identical source (see
 	// rngreplay.go). nil when the runtime source hides Source64.
 	draws []uint64
+	// spec is the invocation Setup returned; a forked faulty run reads
+	// its outputs through it.
+	spec *benchmarks.RunSpec
+	// forks are the run's snapshots in execution order (nil unless it was
+	// recorded, see recordForks) and forkBytes their heap footprint.
+	forks     []forkPoint
+	forkBytes int64
 }
 
 // execGolden performs one golden counting run for the given input seed.
@@ -537,7 +563,11 @@ func (p *Prepared) execGolden(inputSeed int64, wc *workerCtx) (*goldenRun, error
 	if err != nil {
 		return nil, err
 	}
-	out, tr := p.observe(xg, spec, goldenPlan)
+	rec := p.recordForks(xg, goldenPlan)
+	out, tr := p.observe(xg, spec, goldenPlan, nil)
+	if rec != nil {
+		machine(xg).SetRecorder(nil)
+	}
 	if tr != nil {
 		return nil, fmt.Errorf("golden run trapped (%s, input %s): %w",
 			p.Cfg, spec.Label, tr)
@@ -548,9 +578,13 @@ func (p *Prepared) execGolden(inputSeed int64, wc *workerCtx) (*goldenRun, error
 		DynInstrs: xg.It.DynInstrs,
 		Label:     spec.Label,
 		ring:      gRing,
+		spec:      spec,
 	}
 	if rsrc != nil {
 		g.draws = rsrc.draws
+	}
+	if rec != nil {
+		g.forks, g.forkBytes = rec.points, rec.bytes()
 	}
 	p.release(xg)
 	return g, nil
@@ -662,28 +696,12 @@ func (p *Prepared) runExperiment(ctx context.Context, seed, inputSeed int64, wc 
 		BitSeed:   uint64(frng.Int63()),
 	}
 
-	// Faulty run: same input (same setup seed), bounded by a hang budget.
 	faultyStart := time.Now()
-	budget := g.DynInstrs*3 + 100_000
 	o, fRing, fProbe := p.runObserver()
-	xf, err := p.newInstance(faultPlan, interp.Options{Budget: budget, Observer: o, Pulse: wc.pulse()})
+	xf, faultyOut, ftr, err := p.execFaulty(g, faultPlan, inputSeed, o, wc)
 	if err != nil {
 		return nil, err
 	}
-	// Same input as the golden half: replay its recorded stream rather
-	// than seeding a second identical source (the seeding, not the
-	// drawing, is what costs — see rngreplay.go).
-	var frand *rand.Rand
-	if g.draws != nil {
-		frand = rand.New(&replaySource{draws: g.draws, seed: inputSeed})
-	} else {
-		frand = rand.New(rand.NewSource(inputSeed))
-	}
-	spec2, err := p.Cfg.Benchmark.Setup(xf, frand, p.Cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	faultyOut, ftr := p.observe(xf, spec2, faultPlan)
 	res.FaultyWall = time.Since(faultyStart)
 	p.mx.faulty.Observe(res.FaultyWall)
 	if fProbe != nil {
@@ -723,6 +741,42 @@ func (p *Prepared) runExperiment(ctx context.Context, seed, inputSeed int64, wc 
 	p.finishExperiment(res)
 	wc.expSpan(p, expID, seed, start, res)
 	return res, nil
+}
+
+// execFaulty performs the faulty half of an experiment under plan: same
+// input as the golden run g, bounded by a hang budget. It returns the
+// instance, which the caller reads and then releases, with the run's
+// output and trap. Until its flip a faulty run is its golden run, so it
+// starts from g's latest snapshot before the target site when there is
+// one (see fork.go), and from the start otherwise.
+func (p *Prepared) execFaulty(g *goldenRun, plan *core.Plan, inputSeed int64, o interp.Observer, wc *workerCtx) (*exec.Instance, []byte, *interp.Trap, error) {
+	budget := g.DynInstrs*3 + 100_000
+	x, err := p.newInstance(plan, interp.Options{Budget: budget, Observer: o, Pulse: wc.pulse()})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if from := g.forkFor(plan.TargetDyn); from != nil {
+		plan.DynSites = from.sites
+		out, tr := p.observe(x, g.spec, plan, from)
+		p.mx.forkResumed.Inc()
+		p.mx.forkSkipped.Add(from.snap.DynInstrs())
+		return x, out, tr, nil
+	}
+	// Replay the golden input's recorded stream rather than seeding a
+	// second identical source (the seeding, not the drawing, is what
+	// costs — see rngreplay.go).
+	var rng *rand.Rand
+	if g.draws != nil {
+		rng = rand.New(&replaySource{draws: g.draws, seed: inputSeed})
+	} else {
+		rng = rand.New(rand.NewSource(inputSeed))
+	}
+	spec, err := p.Cfg.Benchmark.Setup(x, rng, p.Cfg.Scale)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	out, tr := p.observe(x, spec, plan, nil)
+	return x, out, tr, nil
 }
 
 // finishExperiment records an experiment's outcome counters and total

@@ -29,7 +29,8 @@ func goldenCacheCap(k int) int {
 // Hit/miss/eviction counts and the resident footprint are published on
 // the study registry as cache.hits, cache.misses, cache.evictions,
 // cache.bytes and cache.entries; cache.misses equals the number of
-// golden executions actually performed.
+// golden executions actually performed. An entry's footprint is its
+// golden output plus its snapshots (see fork.go).
 //
 // The cache stores results only — it never observes wall clocks — so a
 // cached study's results are byte-identical to an uncached run of the
@@ -40,7 +41,8 @@ type goldenCache struct {
 	cap   int
 	order *list.List              // front = most recently used *goldenEntry
 	items map[int64]*list.Element // input seed -> element in order
-	size  int64                   // bytes of resident golden outputs
+	size  int64                   // bytes of resident golden outputs and snapshots
+	forks int64                   // the snapshot share of size
 
 	hits, misses, evictions *telemetry.Counter
 	bytes, entries          *telemetry.Gauge
@@ -107,12 +109,20 @@ func (c *goldenCache) get(seed int64, fill func() (*goldenRun, error)) (*goldenR
 			delete(c.items, seed)
 		}
 	} else if _, ok := c.items[seed]; ok {
-		c.size += int64(len(run.Out))
+		c.size += int64(len(run.Out)) + run.forkBytes
+		c.forks += run.forkBytes
 		c.bytes.Set(c.size)
 	}
 	c.entries.Set(int64(len(c.items)))
 	c.mu.Unlock()
 	return run, err
+}
+
+// forkBytes returns the snapshot bytes of the resident entries.
+func (c *goldenCache) forkBytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.forks
 }
 
 // evict drops completed least-recently-used entries until the cache is
@@ -126,7 +136,8 @@ func (c *goldenCache) evict() {
 		select {
 		case <-e.ready:
 			if e.err == nil && e.run != nil {
-				c.size -= int64(len(e.run.Out))
+				c.size -= int64(len(e.run.Out)) + e.run.forkBytes
+				c.forks -= e.run.forkBytes
 			}
 			c.order.Remove(el)
 			delete(c.items, e.seed)

@@ -154,12 +154,13 @@ func TestInputPoolSchedule(t *testing.T) {
 
 // TestGoldenCacheLRUBounds: the cache never holds more completed
 // entries than its capacity, evictions are counted, and the resident
-// byte footprint tracks the surviving entries.
+// byte footprint tracks the surviving entries: each entry's output plus
+// its snapshots, both subtracted on eviction.
 func TestGoldenCacheLRUBounds(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := newGoldenCache(2, reg)
 	for seed := int64(0); seed < 5; seed++ {
-		run := &goldenRun{Out: []byte{byte(seed)}, DynSites: 1}
+		run := &goldenRun{Out: []byte{byte(seed)}, DynSites: 1, forkBytes: 100 * seed}
 		if _, err := c.get(seed, func() (*goldenRun, error) { return run, nil }); err != nil {
 			t.Fatal(err)
 		}
@@ -173,8 +174,13 @@ func TestGoldenCacheLRUBounds(t *testing.T) {
 	if got := reg.Gauge("cache.entries").Value(); got != int64(len(c.items)) {
 		t.Fatalf("entries gauge %d, want %d", got, len(c.items))
 	}
-	if got := reg.Gauge("cache.bytes").Value(); got != int64(len(c.items)) {
-		t.Fatalf("bytes gauge %d, want %d (1 byte per resident entry)", got, len(c.items))
+	// Seeds 3 and 4 survive: 1 output byte each plus 300 and 400
+	// snapshot bytes.
+	if got, want := reg.Gauge("cache.bytes").Value(), int64(2+300+400); got != want {
+		t.Fatalf("bytes gauge %d, want %d (outputs + snapshots of the resident entries)", got, want)
+	}
+	if got, want := c.forkBytes(), int64(300+400); got != want {
+		t.Fatalf("snapshot bytes %d, want %d", got, want)
 	}
 
 	// A failed fill must not stick: the next get for that seed re-runs.

@@ -178,6 +178,32 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body []byt
 	return req, nil
 }
 
+// Response body caps, so one bad daemon (a worker's harvest page, say)
+// cannot exhaust the memory of the process reading it.
+// maxResponseBytes bounds a 2xx body. The largest responses the smoke
+// scenarios and the benchmark's vulfid-service workload produce are
+// experiment harvests: 0.8 MB for 250 traced records, 2.3 MB for 4,000
+// untraced ones. The cap leaves room for about 20,000 traced records in
+// one harvest. maxErrorBytes bounds a non-2xx body, one
+// {"error": "..."} message.
+const (
+	maxResponseBytes = 64 << 20
+	maxErrorBytes    = 64 << 10
+)
+
+// readBody reads resp's body, failing with an error that names the
+// request when the body is longer than limit bytes.
+func readBody(resp *http.Response, method, path string, limit int64) ([]byte, error) {
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, fmt.Errorf("vulfid: %s %s: reading response: %w", method, path, err)
+	}
+	if int64(len(raw)) > limit {
+		return nil, fmt.Errorf("vulfid: %s %s: response body exceeds %d bytes", method, path, limit)
+	}
+	return raw, nil
+}
+
 // do issues one request and decodes the JSON response into out (when
 // non-nil). Non-2xx responses become *Error; incompatible daemons
 // become *VersionMismatchError.
@@ -194,7 +220,11 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	if err := c.checkVersion(resp); err != nil {
 		return err
 	}
-	raw, err := io.ReadAll(resp.Body)
+	limit := int64(maxResponseBytes)
+	if resp.StatusCode/100 != 2 {
+		limit = maxErrorBytes
+	}
+	raw, err := readBody(resp, method, path, limit)
 	if err != nil {
 		return err
 	}
@@ -414,8 +444,8 @@ var errTailDone = errors.New("client: tail done")
 // an error (returned verbatim, except errTailDone → nil), or the
 // transport fails. Keep-alive comments are skipped.
 func (c *Client) Events(ctx context.Context, id string, fn func(event string, data json.RawMessage) error) error {
-	req, err := c.newRequest(ctx, http.MethodGet,
-		"/v1/jobs/"+url.PathEscape(id)+"/events", nil)
+	path := "/v1/jobs/" + url.PathEscape(id) + "/events"
+	req, err := c.newRequest(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return err
 	}
@@ -428,7 +458,10 @@ func (c *Client) Events(ctx context.Context, id string, fn func(event string, da
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
+		raw, err := readBody(resp, http.MethodGet, path, maxErrorBytes)
+		if err != nil {
+			return err
+		}
 		return apiError(resp, raw)
 	}
 	sc := bufio.NewScanner(resp.Body)

@@ -207,3 +207,66 @@ func TestTailTerminal(t *testing.T) {
 		t.Fatalf("saw %d experiment events, want 1", experiments)
 	}
 }
+
+// writePadded writes doc followed by spaces, n bytes in all: still one
+// JSON document, since a decoder skips trailing whitespace.
+func writePadded(w http.ResponseWriter, doc string, n int) {
+	fmt.Fprint(w, doc)
+	pad := []byte(strings.Repeat(" ", 64<<10))
+	for left := n - len(doc); left > 0; left -= len(pad) {
+		w.Write(pad[:min(left, len(pad))])
+	}
+}
+
+// TestResponseBodyLimit: a 2xx body of exactly maxResponseBytes
+// decodes, and one byte more fails with an error naming the request.
+func TestResponseBodyLimit(t *testing.T) {
+	for _, n := range []int{maxResponseBytes, maxResponseBytes + 1} {
+		ts := httptest.NewServer(stamped(func(w http.ResponseWriter, r *http.Request) {
+			writePadded(w, `{"id":"j1"}`, n)
+		}))
+		st, err := New(ts.URL).Status(context.Background(), "j1")
+		ts.Close()
+		if n == maxResponseBytes {
+			if err != nil || st.ID != "j1" {
+				t.Fatalf("body of exactly the limit: status %+v, err %v", st, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "GET /v1/jobs/j1") {
+			t.Fatalf("body over the limit: err = %v, want one naming GET /v1/jobs/j1", err)
+		}
+	}
+}
+
+// TestErrorBodyLimit: a non-2xx body of exactly maxErrorBytes still
+// becomes an *Error with the server's message, on a plain request and
+// on the events stream; one byte more fails naming the request.
+func TestErrorBodyLimit(t *testing.T) {
+	for _, n := range []int{maxErrorBytes, maxErrorBytes + 1} {
+		ts := httptest.NewServer(stamped(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusInternalServerError)
+			writePadded(w, `{"error":"boom"}`, n)
+		}))
+		cl := New(ts.URL)
+		_, statusErr := cl.Status(context.Background(), "j1")
+		eventsErr := cl.Events(context.Background(), "j1",
+			func(string, json.RawMessage) error { return nil })
+		ts.Close()
+		for _, c := range []struct {
+			err  error
+			path string
+		}{{statusErr, "GET /v1/jobs/j1"}, {eventsErr, "GET /v1/jobs/j1/events"}} {
+			var ae *Error
+			if n == maxErrorBytes {
+				if !errors.As(c.err, &ae) || ae.Message != "boom" {
+					t.Fatalf("%s: error body of exactly the limit: err = %v, want *Error boom", c.path, c.err)
+				}
+				continue
+			}
+			if errors.As(c.err, &ae) || c.err == nil || !strings.Contains(c.err.Error(), c.path+":") {
+				t.Fatalf("%s: error body over the limit: err = %v, want one naming the request", c.path, c.err)
+			}
+		}
+	}
+}

@@ -78,18 +78,39 @@ func (m *Memory) Alloc(size uint64) (uint64, *Trap) {
 	}
 	addr := m.next
 	m.segs = append(m.segs, segment{start: addr, size: size})
-	var store []byte
-	if bufs := m.free[size]; len(bufs) > 0 {
-		store = bufs[len(bufs)-1]
-		bufs[len(bufs)-1] = nil
-		m.free[size] = bufs[:len(bufs)-1]
+	store, recycled := m.buffer(size)
+	if recycled {
 		clear(store)
-	} else {
-		store = make([]byte, size)
 	}
 	m.data[addr] = store
 	m.next = addr + size + guardGap
 	return addr, nil
+}
+
+// buffer pops recycled segment storage of size bytes, reporting
+// recycled == true because its contents are stale, or makes a zeroed
+// buffer.
+func (m *Memory) buffer(size uint64) (store []byte, recycled bool) {
+	if bufs := m.free[size]; len(bufs) > 0 {
+		store = bufs[len(bufs)-1]
+		bufs[len(bufs)-1] = nil
+		m.free[size] = bufs[:len(bufs)-1]
+		return store, true
+	}
+	return make([]byte, size), false
+}
+
+// restore replaces the memory image with copies of the given segments
+// (see Interp.RestoreState), recycling the current storage first.
+func (m *Memory) restore(segs []segment, data [][]byte, next uint64) {
+	m.Reset(m.limit)
+	for i, sg := range segs {
+		store, _ := m.buffer(sg.size)
+		copy(store, data[i])
+		m.data[sg.start] = store
+	}
+	m.segs = append(m.segs, segs...)
+	m.next = next
 }
 
 // Allocated returns the total number of live segments (diagnostics).

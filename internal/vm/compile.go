@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"math/bits"
+
 	"vulfi/internal/interp"
 	"vulfi/internal/ir"
 )
@@ -36,7 +38,8 @@ const (
 	// has already happened on the incoming edge (vBr/vCondBr move
 	// bundles); this opcode replays the tree-walker's observable phi
 	// schedule: per-phi DynInstrs accounting and Retire in block order,
-	// then one unconditional budget check located at the first phi.
+	// then one unconditional budget check located at the first phi. It is
+	// also the only point where a Recorder takes snapshots.
 	vPhiGroup
 	// Fused superinstructions (see fusion in lower).
 	vGEPLoad  // gep + load  : dst = mem[base + idx*elem]
@@ -115,6 +118,12 @@ type fnCode struct {
 	consts  []interp.Value
 	globals []globalSlot
 	code    []vinstr
+
+	// live maps the pc of each vPhiGroup to the registers live at its
+	// block's head, ascending: the block's live-in set plus its phis,
+	// parameters and globals excluded. A snapshot taken there saves
+	// exactly these (see liveAtPhis).
+	live map[int32][]int32
 }
 
 // regSlot is one register's frame storage.
@@ -215,7 +224,123 @@ func compileFunc(f *ir.Func, fused map[string]int, declIx map[*ir.Func]int32) (*
 			c.code.code[fx.pc].t0 = target
 		}
 	}
+	if widest != nil {
+		c.code.live = c.liveAtPhis()
+	}
 	return &c.code, true
+}
+
+// liveAtPhis computes fnCode.live by a backward liveness pass over the
+// IR on register bitsets: live-in(B) = uses(B) ∪ (live-out(B) − defs(B))
+// and live-out(B) = ⋃ over successors S of live-in(S) plus the operands
+// S's phis take from B. A phi is a definition of its own block and a
+// use at the end of each predecessor, exactly where the bytecode's edge
+// moves read it. Parameters (saved separately) and globals (rewritten
+// at frame entry) are not instructions, so they never enter a set.
+func (c *compiler) liveAtPhis() map[int32][]int32 {
+	blocks := c.f.Blocks
+	nb := len(blocks)
+	words := (len(c.code.regs) + 63) / 64
+	sets := make([]uint64, 4*nb*words)
+	set := func(k, b int) []uint64 { return sets[(k*nb+b)*words:][:words] }
+	const use, def, in, out = 0, 1, 2, 3
+	reg := func(v ir.Value) int32 {
+		if x, ok := v.(*ir.Instr); ok {
+			if r, ok := c.regOf[x]; ok {
+				return r
+			}
+		}
+		return -1
+	}
+	index := make(map[*ir.Block]int32, nb)
+	for i, b := range blocks {
+		index[b] = int32(i)
+	}
+	// succ holds each block's (at most two) successor indices, -1 padded.
+	succ := make([]int32, 2*nb)
+	for i, b := range blocks {
+		u, d, o := set(use, i), set(def, i), set(out, i)
+		succ[2*i], succ[2*i+1] = -1, -1
+		for _, x := range b.Instrs {
+			if x.Op != ir.OpPhi {
+				for k := 0; k < x.NumOperands(); k++ {
+					if r := reg(x.Operand(k)); r >= 0 && d[r/64]&(1<<(r%64)) == 0 {
+						u[r/64] |= 1 << (r % 64)
+					}
+				}
+			}
+			if r, ok := c.regOf[x]; ok {
+				d[r/64] |= 1 << (r % 64)
+			}
+			if !x.Op.IsTerminator() {
+				continue
+			}
+			// The operands the successors' phis take along this edge are
+			// used at the end of b, so they seed its live-out.
+			for k, s := range x.Succs {
+				succ[2*i+k] = index[s]
+				for _, phi := range s.Instrs {
+					if phi.Op != ir.OpPhi {
+						break
+					}
+					for j, pred := range phi.Succs {
+						if r := reg(phi.Operand(j)); pred == b && r >= 0 {
+							o[r/64] |= 1 << (r % 64)
+						}
+					}
+				}
+			}
+			break // lowering stops at the first terminator too
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := nb - 1; i >= 0; i-- {
+			o, li := set(out, i), set(in, i)
+			u, d := set(use, i), set(def, i)
+			for _, s := range succ[2*i : 2*i+2] {
+				if s >= 0 {
+					for w, m := range set(in, int(s)) {
+						o[w] |= m
+					}
+				}
+			}
+			for w := range li {
+				if nw := u[w] | (o[w] &^ d[w]); nw != li[w] {
+					li[w] = nw
+					changed = true
+				}
+			}
+		}
+	}
+
+	// A block's set adds its phis to its live-in set. The sets share one
+	// growing backing array: a full-length subslice stays valid when a
+	// later append moves the array.
+	live := map[int32][]int32{}
+	var all []int32
+	for i, b := range blocks {
+		li, phis := set(in, i), 0
+		for _, phi := range b.Instrs {
+			if phi.Op != ir.OpPhi {
+				break
+			}
+			r := c.regOf[phi]
+			li[r/64] |= 1 << (r % 64)
+			phis++
+		}
+		if phis == 0 {
+			continue
+		}
+		from := len(all)
+		for w, m := range li {
+			for ; m != 0; m &= m - 1 {
+				all = append(all, int32(w*64+bits.TrailingZeros64(m)))
+			}
+		}
+		live[c.starts[b]] = all[from:len(all):len(all)]
+	}
+	return live
 }
 
 // newReg appends a register owning Lanes(ty) words (none for a nil ty:

@@ -64,20 +64,27 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 	if code == nil {
 		return interp.Value{}, nil, false
 	}
-	var fr *frame
-	if free := m.free[code.ix]; len(free) > 0 {
-		fr, m.free[code.ix] = free[len(free)-1], free[:len(free)-1]
-	} else {
-		fr = newFrame(code)
-	}
-	r, tr, ok := m.run(it, code, fr, args, borrow)
+	fr := m.getFrame(code)
+	r, tr, ok := m.run(it, code, fr, args, borrow, 0)
 	m.free[code.ix] = append(m.free[code.ix], fr)
 	return r, tr, ok
 }
 
-// run executes code's body in fr; borrow lets vRet return the frame's
-// own words (see Machine.borrow).
-func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.Value, borrow bool) (interp.Value, *interp.Trap, bool) {
+// getFrame pops an idle frame for code, or builds one; the caller pushes
+// it back onto m.free[code.ix] when the activation ends.
+func (m *Machine) getFrame(code *fnCode) *frame {
+	if free := m.free[code.ix]; len(free) > 0 {
+		fr := free[len(free)-1]
+		m.free[code.ix] = free[:len(free)-1]
+		return fr
+	}
+	return newFrame(code)
+}
+
+// run executes code's body in fr from pc (0 for a call, a snapshot's pc
+// for Resume); borrow lets vRet return the frame's own words (see
+// Machine.borrow).
+func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.Value, borrow bool, pc int32) (interp.Value, *interp.Trap, bool) {
 	regs := fr.regs
 	copy(regs, args)
 	for _, gs := range code.globals {
@@ -134,12 +141,17 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 		}
 	}
 
-	pc := int32(0)
 	for {
 		v := &code.code[pc]
 		switch v.op {
 
 		case vPhiGroup:
+			// A block head with phis is the snapshot point: the edge moves
+			// have run, nothing of the block is accounted yet (see
+			// Recorder).
+			if m.rec != nil && it.DynInstrs >= m.rec.Next && it.Depth() == 1 {
+				m.snapshot(it, code, regs, pc)
+			}
 			// The parallel copy already ran on the incoming edge; this
 			// replays the tree-walker's per-phi accounting and retirement,
 			// then its single unconditional budget check at the first phi.

@@ -34,6 +34,11 @@
 // incoming edge is taken again; anything that must outlive that copies
 // the words (edge moves, call results, Memory.Store, the returned value,
 // and observers under the interp.Observer contract).
+//
+// A Machine can also take snapshots of a run at the block heads with
+// phis of the export function's own frame (see Recorder) and resume a
+// run from one (Machine.Resume); a snapshot saves only the registers
+// live there.
 package vm
 
 import (
@@ -113,6 +118,9 @@ type Machine struct {
 	// declaration index, valid for one interpreter registration epoch.
 	ext      []interp.ExternFn
 	extEpoch uint64
+
+	// rec, when set, receives snapshots of the run (see SetRecorder).
+	rec *Recorder
 }
 
 // frame is one activation's storage: each register's Value points at
