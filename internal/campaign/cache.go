@@ -7,8 +7,6 @@ import (
 	"vulfi/internal/lang"
 )
 
-type langProgram = lang.Program
-
 var (
 	progMu    sync.Mutex
 	progCache = map[*benchmarks.Benchmark]*lang.Program{}

@@ -77,9 +77,9 @@ type Config struct {
 	// golden ring. On the vm backend with no observer (neither Trace nor
 	// Profile), a cached golden run also records snapshots of its state
 	// and each faulty run resumes the latest one before its fault site,
-	// skipping Setup and the shared prefix (see fork.go). Caching and
-	// forking are observationally invisible: results are byte-identical
-	// to an uncached run of the same pool.
+	// skipping the shared prefix (see fork.go). Caching and forking are
+	// observationally invisible: results are byte-identical to an
+	// uncached run of the same pool.
 	Inputs int
 	// Detectors inserts the §III detectors before instrumentation.
 	Detectors bool
@@ -351,7 +351,7 @@ func Prepare(cfg Config) (*Prepared, error) {
 // compileCell is Prepare's timed part: compile, detector synthesis,
 // instrumentation and the per-cell execution state.
 func compileCell(cfg Config, reg *telemetry.Registry) (*Prepared, error) {
-	res, err := codegen.Compile(mustProgram(cfg.Benchmark), cfg.ISA,
+	res, err := codegen.Compile(compileProgram(cfg.Benchmark), cfg.ISA,
 		cfg.Benchmark.Name)
 	if err != nil {
 		return nil, fmt.Errorf("compile %s: %w", cfg.Benchmark.Name, err)
@@ -387,11 +387,6 @@ func compileCell(cfg Config, reg *telemetry.Registry) (*Prepared, error) {
 		p.vmProg = vm.Compile(res.Module)
 	}
 	return p, nil
-}
-
-// mustProgram memoizes parsing+checking per benchmark source.
-func mustProgram(b *benchmarks.Benchmark) *langProgram {
-	return compileProgram(b)
 }
 
 // newInstance builds (or reuses) an interpreter instance with the ISA
@@ -526,22 +521,22 @@ type goldenRun struct {
 	Out       []byte
 	DynSites  uint64
 	DynInstrs uint64
-	Label     string
 	ring      *trace.Ring
-	// draws is the input generator's recorded random stream: the faulty
-	// half replays it instead of re-seeding an identical source (see
-	// rngreplay.go). nil when the runtime source hides Source64.
-	draws []uint64
-	// spec is the invocation Setup returned; a forked faulty run reads
-	// its outputs through it.
-	spec *benchmarks.RunSpec
+	// spec is the invocation Setup returned and start the instance state
+	// right after Setup: a faulty run that resumes no snapshot restores
+	// start and calls the entry function with spec's arguments.
+	spec  *benchmarks.RunSpec
+	start *interp.State
 	// forks are the run's snapshots in execution order (nil unless it was
-	// recorded, see recordForks) and forkBytes their heap footprint.
+	// recorded, see recordForks). forkBytes is the heap footprint of
+	// start and the snapshots.
 	forks     []forkPoint
 	forkBytes int64
 }
 
 // execGolden performs one golden counting run for the given input seed.
+// It is the only place a faulty run's input is built: Setup runs once,
+// and the state it leaves is saved for the faulty runs to restore.
 func (p *Prepared) execGolden(inputSeed int64, wc *workerCtx) (*goldenRun, error) {
 	goldenPlan := &core.Plan{Mode: core.CountOnly}
 	o, gRing, probe := p.runObserver()
@@ -552,17 +547,11 @@ func (p *Prepared) execGolden(inputSeed int64, wc *workerCtx) (*goldenRun, error
 	if probe != nil {
 		defer p.prof.Add("golden", probe)
 	}
-	var grng *rand.Rand
-	rsrc := newRecSource(inputSeed)
-	if rsrc != nil {
-		grng = rand.New(rsrc)
-	} else {
-		grng = rand.New(rand.NewSource(inputSeed))
-	}
-	spec, err := p.Cfg.Benchmark.Setup(xg, grng, p.Cfg.Scale)
+	spec, err := p.Cfg.Benchmark.Setup(xg, rand.New(rand.NewSource(inputSeed)), p.Cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
+	start := xg.It.SaveState(nil)
 	rec := p.recordForks(xg, goldenPlan)
 	out, tr := p.observe(xg, spec, goldenPlan, nil)
 	if rec != nil {
@@ -576,15 +565,14 @@ func (p *Prepared) execGolden(inputSeed int64, wc *workerCtx) (*goldenRun, error
 		Out:       out,
 		DynSites:  goldenPlan.DynSites,
 		DynInstrs: xg.It.DynInstrs,
-		Label:     spec.Label,
 		ring:      gRing,
 		spec:      spec,
-	}
-	if rsrc != nil {
-		g.draws = rsrc.draws
+		start:     start,
+		forkBytes: start.Bytes(nil),
 	}
 	if rec != nil {
-		g.forks, g.forkBytes = rec.points, rec.bytes()
+		g.forks = rec.points
+		g.forkBytes += rec.bytes()
 	}
 	p.release(xg)
 	return g, nil
@@ -675,7 +663,7 @@ func (p *Prepared) runExperiment(ctx context.Context, seed, inputSeed int64, wc 
 	res := &ExperimentResult{
 		DynSites:        g.DynSites,
 		GoldenDynInstrs: g.DynInstrs,
-		InputLabel:      g.Label,
+		InputLabel:      g.spec.Label,
 	}
 	if g.DynSites == 0 {
 		// No dynamic site in this category was ever reached: nothing to
@@ -698,7 +686,7 @@ func (p *Prepared) runExperiment(ctx context.Context, seed, inputSeed int64, wc 
 
 	faultyStart := time.Now()
 	o, fRing, fProbe := p.runObserver()
-	xf, faultyOut, ftr, err := p.execFaulty(g, faultPlan, inputSeed, o, wc)
+	xf, faultyOut, ftr, err := p.execFaulty(g, faultPlan, o, wc)
 	if err != nil {
 		return nil, err
 	}
@@ -747,35 +735,24 @@ func (p *Prepared) runExperiment(ctx context.Context, seed, inputSeed int64, wc 
 // input as the golden run g, bounded by a hang budget. It returns the
 // instance, which the caller reads and then releases, with the run's
 // output and trap. Until its flip a faulty run is its golden run, so it
-// starts from g's latest snapshot before the target site when there is
-// one (see fork.go), and from the start otherwise.
-func (p *Prepared) execFaulty(g *goldenRun, plan *core.Plan, inputSeed int64, o interp.Observer, wc *workerCtx) (*exec.Instance, []byte, *interp.Trap, error) {
+// resumes g's latest snapshot before the target site when there is one
+// (see fork.go), and otherwise restores g's post-Setup state and calls
+// the entry function.
+func (p *Prepared) execFaulty(g *goldenRun, plan *core.Plan, o interp.Observer, wc *workerCtx) (*exec.Instance, []byte, *interp.Trap, error) {
 	budget := g.DynInstrs*3 + 100_000
 	x, err := p.newInstance(plan, interp.Options{Budget: budget, Observer: o, Pulse: wc.pulse()})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if from := g.forkFor(plan.TargetDyn); from != nil {
+	from := g.forkFor(plan.TargetDyn)
+	if from != nil {
 		plan.DynSites = from.sites
-		out, tr := p.observe(x, g.spec, plan, from)
 		p.mx.forkResumed.Inc()
 		p.mx.forkSkipped.Add(from.snap.DynInstrs())
-		return x, out, tr, nil
-	}
-	// Replay the golden input's recorded stream rather than seeding a
-	// second identical source (the seeding, not the drawing, is what
-	// costs — see rngreplay.go).
-	var rng *rand.Rand
-	if g.draws != nil {
-		rng = rand.New(&replaySource{draws: g.draws, seed: inputSeed})
 	} else {
-		rng = rand.New(rand.NewSource(inputSeed))
+		x.It.RestoreState(g.start)
 	}
-	spec, err := p.Cfg.Benchmark.Setup(x, rng, p.Cfg.Scale)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	out, tr := p.observe(x, spec, plan, nil)
+	out, tr := p.observe(x, g.spec, plan, from)
 	return x, out, tr, nil
 }
 

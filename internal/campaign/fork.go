@@ -12,8 +12,8 @@ import (
 // its golden run, instruction for instruction, so a cached golden run
 // on the vm backend records snapshots of its state and each faulty run
 // starts from the latest one taken before its target site, skipping
-// Setup and the shared prefix. Spacing, count and byte budget are
-// constants: results do not depend on them.
+// the shared prefix. Spacing, count and byte budget are constants:
+// results do not depend on them.
 const (
 	// forkFirst is the DynInstrs count at which a golden run's first
 	// snapshot is due, and the initial spacing between snapshots.
@@ -21,8 +21,9 @@ const (
 	// forkMax bounds the snapshots one golden run keeps: past it, every
 	// other one is dropped and the spacing doubles.
 	forkMax = 32
-	// forkBudget bounds the snapshot bytes of the golden cache: a fill
-	// records none while the cache already holds this many.
+	// forkBudget bounds the saved-state bytes of the golden cache (each
+	// entry's post-Setup state and snapshots): a fill records no
+	// snapshots while the cache already holds this many.
 	forkBudget = 64 << 20
 )
 
@@ -73,9 +74,9 @@ func (r *forkRecorder) bytes() int64 {
 // recordForks attaches a snapshot recorder for x's golden run when the
 // run can be forked from: the cell caches golden runs, runs on the vm
 // backend, observes nothing (trace rings and profile probes must see
-// every instruction), and the cache's snapshots are within forkBudget.
-// It returns nil otherwise. The caller detaches the recorder (see
-// vm.Machine.SetRecorder) before releasing x.
+// every instruction), and the cache's saved states are within
+// forkBudget. It returns nil otherwise. The caller detaches the
+// recorder (see vm.Machine.SetRecorder) before releasing x.
 func (p *Prepared) recordForks(x *exec.Instance, plan *core.Plan) *forkRecorder {
 	m := machine(x)
 	if m == nil || p.golden == nil || x.It.Observer() != nil || p.golden.forkBytes() >= forkBudget {

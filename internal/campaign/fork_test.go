@@ -4,16 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"vulfi/internal/benchmarks"
 	"vulfi/internal/core"
+	"vulfi/internal/detect"
+	"vulfi/internal/exec"
 	"vulfi/internal/interp"
 	"vulfi/internal/isa"
 	"vulfi/internal/obs"
 	"vulfi/internal/passes"
 	"vulfi/internal/telemetry"
+	"vulfi/internal/vm"
 )
 
 // forkDefaultScale lists the benchmarks whose test-scale golden runs end
@@ -195,8 +200,9 @@ func TestForkResumeEquivalence(t *testing.T) {
 }
 
 // TestForkBudgetStopsRecording: a fill made while the golden cache
-// already holds more than forkBudget of snapshots records none, and a
-// fill below the budget does.
+// already holds more than forkBudget of saved states records no
+// snapshots, and a fill below the budget does. Either way the fill
+// keeps its post-Setup state, whose bytes its entry counts.
 func TestForkBudgetStopsRecording(t *testing.T) {
 	cfg := forkCfg(benchmarks.Swaptions, isa.AVX, passes.PureData)
 	cfg.Metrics = telemetry.NewRegistry()
@@ -209,7 +215,7 @@ func TestForkBudgetStopsRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.forks) == 0 || g.forkBytes == 0 {
+	if len(g.forks) == 0 || g.forkBytes <= g.start.Bytes(nil) {
 		t.Fatalf("fill below the budget recorded %d snapshots (%d bytes)", len(g.forks), g.forkBytes)
 	}
 	full := &goldenRun{Out: []byte{0}, forkBytes: forkBudget + 1}
@@ -220,10 +226,10 @@ func TestForkBudgetStopsRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.forks) != 0 || g.forkBytes != 0 {
+	if len(g.forks) != 0 || g.forkBytes != g.start.Bytes(nil) {
 		t.Fatalf("fill over the budget recorded %d snapshots (%d bytes)", len(g.forks), g.forkBytes)
 	}
-	if g.spec == nil || g.DynSites == 0 {
+	if g.spec == nil || g.start == nil || g.DynSites == 0 {
 		t.Fatal("fill over the budget lost its golden run")
 	}
 }
@@ -242,8 +248,7 @@ func TestForkAtEverySnapshotBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const inputSeed = 7
-		g, err := p.goldenRunFor(inputSeed, nil)
+		g, err := p.goldenRunFor(7, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +266,7 @@ func TestForkAtEverySnapshotBoundary(t *testing.T) {
 		}
 		run := func(g *goldenRun, target uint64) end {
 			plan := &core.Plan{Mode: core.InjectOnce, TargetDyn: target, BitSeed: 0x9E3779B97F4A7C15}
-			x, out, tr, err := p.execFaulty(g, plan, inputSeed, nil, nil)
+			x, out, tr, err := p.execFaulty(g, plan, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,5 +334,120 @@ func TestForkTimeline(t *testing.T) {
 	if h := forked.reg.Histogram("campaign.faulty").Snapshot(); h.Count != n || int64(h.Sum) != sum {
 		t.Fatalf("campaign.faulty observed %d totalling %d ns; faulty spans %d totalling %d ns",
 			h.Count, int64(h.Sum), n, sum)
+	}
+}
+
+// setupRun runs p's cell from scratch, sharing no saved state: a fresh
+// instance, Setup from inputSeed, then the entry function under plan
+// and budget. It returns the instance with the run's comparable output
+// and trap.
+func setupRun(t *testing.T, p *Prepared, inputSeed int64, plan *core.Plan, budget uint64) (*exec.Instance, []byte, *interp.Trap) {
+	t.Helper()
+	x, err := exec.NewInstance(p.Res, interp.Options{Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.vmProg != nil {
+		vm.Attach(x.It, p.vmProg)
+	}
+	core.AttachRuntime(x.It, plan)
+	detect.AttachRuntime(x.It)
+	spec, err := p.Cfg.Benchmark.Setup(x, rand.New(rand.NewSource(inputSeed)), p.Cfg.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, tr := p.observe(x, spec, plan, nil)
+	return x, out, tr
+}
+
+// TestRestoreMatchesSetup keeps a reference for the faulty half that
+// restores nothing. For every benchmark × ISA on both backends, each
+// experiment is rebuilt by hand with setupRun: a count-only golden run,
+// the fault drawn from its seed, and a faulty run of the same input
+// built by a second Setup. Outcome, detection, injection record, trap
+// (Dyn included) and DynSites must equal RunExperimentAt's, whose
+// faulty runs restore the golden run's post-Setup state or resume its
+// snapshots.
+func TestRestoreMatchesSetup(t *testing.T) {
+	cell := 0
+	for _, b := range benchmarks.All() {
+		for _, target := range isa.All {
+			for _, backend := range []string{"tree", "vm"} {
+				cfg := forkCfg(b, target, passes.AllCategories[cell%len(passes.AllCategories)])
+				cfg.Backend = backend
+				cfg.Detectors = cell%2 == 0
+				cell++
+				t.Run(cfg.String()+"/"+backend, func(t *testing.T) {
+					p, err := Prepare(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < cfg.Experiments*cfg.Campaigns; i++ {
+						gplan := &core.Plan{Mode: core.CountOnly}
+						xg, gout, gtr := setupRun(t, p, cfg.InputSeed(i), gplan, 0)
+						if gtr != nil {
+							t.Fatalf("experiment %d: golden run trapped: %v", i, gtr)
+						}
+						want := ExperimentResult{DynSites: gplan.DynSites}
+						if gplan.DynSites > 0 {
+							frng := rand.New(rand.NewSource(cfg.ExperimentSeed(i) ^ 0x5DEECE66D))
+							plan := &core.Plan{
+								Mode:      core.InjectOnce,
+								TargetDyn: 1 + uint64(frng.Int63n(int64(gplan.DynSites))),
+								BitSeed:   uint64(frng.Int63()),
+							}
+							xf, fout, ftr := setupRun(t, p, cfg.InputSeed(i), plan, xg.It.DynInstrs*3+100_000)
+							want.Record = plan.Record
+							want.Detected = len(xf.It.Detections) > 0
+							switch {
+							case ftr != nil:
+								want.Outcome, want.Trap = OutcomeCrash, ftr
+							case !bytes.Equal(gout, fout):
+								want.Outcome = OutcomeSDC
+							}
+						}
+						got, err := p.RunExperimentAt(context.Background(), i)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.Outcome != want.Outcome || got.Detected != want.Detected ||
+							got.Record != want.Record || got.DynSites != want.DynSites {
+							t.Fatalf("experiment %d:\ngot  %+v\nwant %+v", i, *got, want)
+						}
+						if (got.Trap == nil) != (want.Trap == nil) || got.Trap != nil && *got.Trap != *want.Trap {
+							t.Fatalf("experiment %d: trap %+v, want %+v", i, got.Trap, want.Trap)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSetupOncePerGoldenRun: Setup builds a golden run's input, and no
+// faulty run calls it again. Through a counting copy of a benchmark, on
+// both backends, with and without an input pool, the study's Setup
+// calls must equal its golden executions: cache.misses with a pool, one
+// per experiment without.
+func TestSetupOncePerGoldenRun(t *testing.T) {
+	for _, backend := range []string{"tree", "vm"} {
+		for _, inputs := range []int{0, 2} {
+			var calls atomic.Uint64
+			b := *benchmarks.Jacobi
+			b.Setup = func(x *exec.Instance, rng *rand.Rand, scale benchmarks.Scale) (*benchmarks.RunSpec, error) {
+				calls.Add(1)
+				return benchmarks.Jacobi.Setup(x, rng, scale)
+			}
+			cfg := forkCfg(&b, isa.AVX, passes.PureData)
+			cfg.Backend, cfg.Inputs, cfg.Workers = backend, inputs, 2
+			run := runForkCell(t, cfg, false)
+			want := uint64(cfg.Experiments * cfg.Campaigns)
+			if inputs > 0 {
+				want = run.reg.Counter("cache.misses").Value()
+			}
+			if got := calls.Load(); got != want {
+				t.Fatalf("%s, inputs %d: %d Setup calls for %d golden executions", backend, inputs, got, want)
+			}
+		}
 	}
 }

@@ -30,7 +30,8 @@ func goldenCacheCap(k int) int {
 // the study registry as cache.hits, cache.misses, cache.evictions,
 // cache.bytes and cache.entries; cache.misses equals the number of
 // golden executions actually performed. An entry's footprint is its
-// golden output plus its snapshots (see fork.go).
+// golden output plus its saved states: the post-Setup state and the
+// snapshots (see fork.go).
 //
 // The cache stores results only — it never observes wall clocks — so a
 // cached study's results are byte-identical to an uncached run of the
@@ -41,8 +42,8 @@ type goldenCache struct {
 	cap   int
 	order *list.List              // front = most recently used *goldenEntry
 	items map[int64]*list.Element // input seed -> element in order
-	size  int64                   // bytes of resident golden outputs and snapshots
-	forks int64                   // the snapshot share of size
+	size  int64                   // bytes of resident golden outputs and saved states
+	forks int64                   // the saved-state share of size
 
 	hits, misses, evictions *telemetry.Counter
 	bytes, entries          *telemetry.Gauge
@@ -118,7 +119,7 @@ func (c *goldenCache) get(seed int64, fill func() (*goldenRun, error)) (*goldenR
 	return run, err
 }
 
-// forkBytes returns the snapshot bytes of the resident entries.
+// forkBytes returns the saved-state bytes of the resident entries.
 func (c *goldenCache) forkBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

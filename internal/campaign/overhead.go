@@ -118,7 +118,7 @@ func DynCount(b *benchmarks.Benchmark, target *isa.ISA,
 	}
 	var sum float64
 	for i := 0; i < samples; i++ {
-		x, err := newCleanInstance(res)
+		x, err := exec.NewInstance(res, interp.Options{})
 		if err != nil {
 			return 0, err
 		}
@@ -132,8 +132,4 @@ func DynCount(b *benchmarks.Benchmark, target *isa.ISA,
 		sum += float64(x.It.DynInstrs)
 	}
 	return sum / float64(samples), nil
-}
-
-func newCleanInstance(res *codegen.Result) (*exec.Instance, error) {
-	return exec.NewInstance(res, interp.Options{})
 }

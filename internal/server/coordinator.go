@@ -421,8 +421,14 @@ func (s *Server) runShardOnWorker(ctx context.Context, job *Job, w *workerEntry,
 	}()
 
 	lastHarvest := time.Now()
+	// harvest asks only from the shard's first unharvested index, so a
+	// poll does not re-send the triples earlier polls fetched.
 	harvest := func() error {
-		recs, err := w.cl.Experiments(ctx, shardID, r.lo, r.hi)
+		left := job.missingWithin(r)
+		if len(left) == 0 {
+			return nil
+		}
+		recs, err := w.cl.Experiments(ctx, shardID, left[0].lo, r.hi)
 		if err != nil {
 			return err
 		}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -221,6 +222,66 @@ func TestCoordinatorWorkerKilledMidStudy(t *testing.T) {
 	got := waitState(t, c, job.ID, StateDone)
 	if !reflect.DeepEqual(stripVolatile(t, got.Result), stripVolatile(t, ref.Result)) {
 		t.Fatal("study with a killed worker diverged from single-node")
+	}
+}
+
+// TestCoordinatorHarvestPages: each poll asks a worker only for the
+// triples not yet harvested, so over shards that span several polls
+// every experiment index crosses the wire exactly once. The worker runs
+// each shard on one goroutine, so its finished indices are a prefix of
+// the shard and the first unharvested index bounds them all.
+func TestCoordinatorHarvestPages(t *testing.T) {
+	c := newTestServer(t, coordOptions())
+	defer drain(t, c)
+	cts := httptest.NewServer(c.Handler())
+	defer cts.Close()
+
+	w := newTestServer(t, Options{expThrottle: 20 * time.Millisecond})
+	defer drain(t, w)
+	var mu sync.Mutex
+	served := map[int]int{}
+	inner := w.Handler()
+	wts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if !strings.HasSuffix(r.URL.Path, "/experiments") {
+			inner.ServeHTTP(rw, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		var body api.ExperimentsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Errorf("experiments response: %v", err)
+		}
+		mu.Lock()
+		for _, e := range body.Experiments {
+			served[e.Index]++
+		}
+		mu.Unlock()
+		for k, v := range rec.Header() {
+			rw.Header()[k] = v
+		}
+		rw.WriteHeader(rec.Code)
+		rw.Write(rec.Body.Bytes())
+	}))
+	defer wts.Close()
+	register(t, cts.URL, wts.URL)
+
+	spec := testSpec()
+	spec.Workers = 1
+	spec.Shards = 2
+	got := runToDone(t, c, spec)
+	if got.Done != got.Total {
+		t.Fatalf("sharded job: %d/%d experiments", got.Done, got.Total)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(served) != got.Total {
+		t.Fatalf("worker served %d distinct indices, want %d", len(served), got.Total)
+	}
+	for i := 0; i < got.Total; i++ {
+		if served[i] != 1 {
+			t.Fatalf("index %d served %d times, want once (served %v)", i, served[i], served)
+		}
 	}
 }
 

@@ -239,7 +239,8 @@ func (r *Replay) Terminal() bool { return terminalState(r.State) }
 
 // ReplayJournal reads a job journal back. Unknown record kinds are
 // skipped (forward compatibility); a truncated or corrupt final line is
-// tolerated; corruption anywhere else is an error.
+// tolerated; corruption anywhere else, and a submit record without a
+// spec, is an error.
 func ReplayJournal(path string) (*Replay, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -268,6 +269,9 @@ func ReplayJournal(path string) (*Replay, error) {
 		}
 		switch rec.T {
 		case "submit":
+			if rec.Spec == nil {
+				return nil, fmt.Errorf("%s: corrupt journal: submit record without a spec", path)
+			}
 			rp.ID, rp.Spec, rp.Tenant = rec.ID, *rec.Spec, rec.Tenant
 		case "exp":
 			if rec.Index != nil && rec.Result != nil {

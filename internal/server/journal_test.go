@@ -3,6 +3,7 @@ package server
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,7 +133,8 @@ func TestJournalCorruptMiddle(t *testing.T) {
 }
 
 // TestScanJournalsSkipsDamaged: one bad journal must not block a daemon
-// restart; the damaged callback reports it.
+// restart; the damaged callback reports it. A submit record without a
+// spec is such damage: replay reports it as an error, not a panic.
 func TestScanJournalsSkipsDamaged(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(JournalPath(dir, "jgood"), false)
@@ -146,9 +148,13 @@ func TestScanJournalsSkipsDamaged(t *testing.T) {
 		[]byte(`{"t":"state","state":"running"}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var damaged []string
-	rps, err := ScanJournals(dir, func(path string, _ error) {
-		damaged = append(damaged, filepath.Base(path))
+	if err := os.WriteFile(JournalPath(dir, "jnospec"),
+		[]byte(`{"t":"submit","id":"x"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	damaged := map[string]error{}
+	rps, err := ScanJournals(dir, func(path string, err error) {
+		damaged[filepath.Base(path)] = err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +162,10 @@ func TestScanJournalsSkipsDamaged(t *testing.T) {
 	if len(rps) != 1 || rps[0].ID != "jgood" {
 		t.Fatalf("scan returned %d replays", len(rps))
 	}
-	if len(damaged) != 1 || damaged[0] != "jbad.jsonl" {
+	if len(damaged) != 2 || damaged["jbad.jsonl"] == nil {
 		t.Fatalf("damaged callback got %v", damaged)
+	}
+	if err := damaged["jnospec.jsonl"]; err == nil || !strings.Contains(err.Error(), "without a spec") {
+		t.Fatalf("submit record without a spec reported as %v", err)
 	}
 }

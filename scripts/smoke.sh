@@ -36,11 +36,16 @@
 #             self-contained, the history lists both runs, `vulfi diff`
 #             passes identical runs and fails a detector-disabled
 #             candidate naming `detected` (DESIGN.md §12).
+#   paper     regenerate every table and figure with `experiments -all
+#             -backend vm` and diff the report against the committed
+#             experiments_output.txt with the wall-clock fields masked
+#             (see mask_wall): no outcome rate, count or site tally may
+#             move (EXPERIMENTS.md).
 #
 # Artifacts and daemon logs land in outdir and are kept when a check
 # fails. Daemons listen on 127.0.0.1 from VULFID_PORT (default 8666)
 # upward. The daemon scenarios need curl and jq; trace and timeline need
-# python3.
+# python3; paper needs awk.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -483,8 +488,38 @@ scenario_atlas() {
   echo "PASS: atlas smoke (artifacts in $OUT/)"
 }
 
+# mask_wall FILE prints an `experiments -all` report without what a
+# rerun legitimately changes: the section timings (`[… done in …]`),
+# Figure 12's Avg Overhead(wall) column and ablation (c)'s
+# `wall overhead=` values. It drops the committed file's trailing EXIT=
+# line and collapses runs of spaces, since column widths follow the
+# masked values.
+mask_wall() {
+  awk '
+    /^EXIT=/ { next }
+    /^FIGURE 12/ { fig12 = 1 }
+    /^$/ { fig12 = 0 }
+    { sub(/ done in .*\]$/, " done]"); gsub(/wall overhead=[^ ]*/, "wall overhead=WALL") }
+    fig12 && NF == 6 && $4 ~ /%$/ { $4 = "WALL" }
+    { gsub(/ +/, " "); sub(/ $/, ""); print }
+  ' "$1"
+}
+
+scenario_paper() {
+  echo "== experiments -all -backend vm =="
+  go build -o "$WORK/experiments" ./cmd/experiments
+  "$WORK/experiments" -all -backend vm >"$OUT/experiments_output.txt"
+  mask_wall experiments_output.txt >"$OUT/committed.masked"
+  mask_wall "$OUT/experiments_output.txt" >"$OUT/regenerated.masked"
+  if ! diff -u "$OUT/committed.masked" "$OUT/regenerated.masked" >"$OUT/paper.diff"; then
+    cat "$OUT/paper.diff"
+    die "regenerated report differs from experiments_output.txt"
+  fi
+  echo "PASS: paper smoke, every number reproduced (artifacts in $OUT/)"
+}
+
 declare -F "scenario_$SCENARIO" >/dev/null ||
-  die "unknown scenario $SCENARIO (want vulfid, trace, profile, timeline, shard, fleet or atlas)"
+  die "unknown scenario $SCENARIO (want vulfid, trace, profile, timeline, shard, fleet, atlas or paper)"
 mkdir -p "$OUT"
 go build -o "$WORK/vulfi" ./cmd/vulfi
 go build -o "$WORK/vulfid" ./cmd/vulfid
