@@ -72,14 +72,16 @@ type Config struct {
 	// K > 0 draws experiment i's input seed from a pool of K seeds
 	// (index i mod K), so K = 1 is the paper-faithful fixed-input mode.
 	// With a pool the golden half of each pair is memoized per input
-	// seed (see goldenCache), so it runs once per pool seed; the cache is
-	// bypassed when Trace is on because divergence analysis needs a live
-	// golden ring. On the vm backend with no observer (neither Trace nor
-	// Profile), a cached golden run also records snapshots of its state
-	// and each faulty run resumes the latest one before its fault site,
-	// skipping the shared prefix (see fork.go). Caching and forking are
-	// observationally invisible: results are byte-identical to an
-	// uncached run of the same pool.
+	// seed (see goldenCache): the first 1,024 pool seeds to be filled are
+	// kept for the cell's life, so their golden runs execute once each,
+	// and any further seed re-runs its golden half on every use. The
+	// cache is bypassed when Trace is on because divergence analysis
+	// needs a live golden ring. On the vm backend with no observer
+	// (neither Trace nor Profile), a cached golden run also records
+	// snapshots of its state and each faulty run resumes the latest one
+	// before its fault site, skipping the shared prefix (see fork.go).
+	// Caching and forking are observationally invisible: results are
+	// byte-identical to an uncached run of the same pool.
 	Inputs int
 	// Detectors inserts the §III detectors before instrumentation.
 	Detectors bool
@@ -381,7 +383,7 @@ func compileCell(cfg Config, reg *telemetry.Registry) (*Prepared, error) {
 		reg: reg, mx: newCellMetrics(reg),
 	}
 	if !cfg.Trace && cfg.Inputs > 0 {
-		p.golden = newGoldenCache(goldenCacheCap(cfg.Inputs), reg)
+		p.golden = newGoldenCache(reg)
 	}
 	if cfg.Backend == "vm" {
 		p.vmProg = vm.Compile(res.Module)
@@ -582,8 +584,8 @@ func (p *Prepared) execGolden(inputSeed int64, wc *workerCtx) (*goldenRun, error
 // memoization cache when the cell carries one. A cache fill performed
 // by this caller lands as a "cache-fill" span on its lane: the span's
 // ID derives from the input seed (not the triggering experiment, which
-// is scheduling-dependent), so refills forced by evictions repeat the
-// same identity and collapse in the canonical span tree.
+// is scheduling-dependent), so refills of a seed the full cache did not
+// keep repeat the same identity and collapse in the canonical span tree.
 func (p *Prepared) goldenRunFor(inputSeed int64, wc *workerCtx) (*goldenRun, error) {
 	if p.golden == nil {
 		return p.execGolden(inputSeed, wc)

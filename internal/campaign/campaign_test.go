@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -118,6 +119,9 @@ func TestOverheadMeasurement(t *testing.T) {
 	}
 	if o.DynOverhead() > 0.5 {
 		t.Fatalf("exit-only detector overhead suspiciously high: %v", o.DynOverhead())
+	}
+	if !(o.WallRatio > 0) || math.IsInf(o.WallRatio, 0) {
+		t.Fatalf("wall ratio %v, want a positive finite median", o.WallRatio)
 	}
 }
 

@@ -210,7 +210,7 @@ func TestForkBudgetStopsRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.golden = newGoldenCache(4, cfg.Metrics)
+	p.golden = newGoldenCache(cfg.Metrics)
 	g, err := p.goldenRunFor(1, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -152,38 +153,61 @@ func TestInputPoolSchedule(t *testing.T) {
 	}
 }
 
-// TestGoldenCacheLRUBounds: the cache never holds more completed
-// entries than its capacity, evictions are counted, and the resident
-// byte footprint tracks the surviving entries: each entry's output plus
-// its snapshots, both subtracted on eviction.
-func TestGoldenCacheLRUBounds(t *testing.T) {
+// TestGoldenCacheBounds: the cache keeps at most goldenCacheMaxEntries
+// seeds and never drops a filled one, a seed past the bound is filled
+// for its caller on every use but not kept, every fill counts as a miss,
+// and the resident byte footprint is the kept entries' outputs plus
+// their saved states.
+func TestGoldenCacheBounds(t *testing.T) {
+	const n = goldenCacheMaxEntries
 	reg := telemetry.NewRegistry()
-	c := newGoldenCache(2, reg)
-	for seed := int64(0); seed < 5; seed++ {
-		run := &goldenRun{Out: []byte{byte(seed)}, DynSites: 1, forkBytes: 100 * seed}
-		if _, err := c.get(seed, func() (*goldenRun, error) { return run, nil }); err != nil {
-			t.Fatal(err)
+	c := newGoldenCache(reg)
+	fills := uint64(0)
+	kept := make([]*goldenRun, n)
+	for pass := 0; pass < 2; pass++ {
+		for seed := int64(0); seed < n+3; seed++ {
+			run := &goldenRun{Out: []byte{byte(seed)}, DynSites: 1, forkBytes: seed}
+			got, err := c.get(seed, func() (*goldenRun, error) {
+				fills++
+				return run, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case pass == 0 && seed < n:
+				kept[seed] = got
+			case pass == 1 && seed < n && got != kept[seed]:
+				t.Fatalf("seed %d: second pass got a new run, want the kept one", seed)
+			case seed >= n && got != run:
+				t.Fatalf("seed %d past the bound: got %p, want its own fill %p", seed, got, run)
+			}
 		}
 	}
-	if n := len(c.items); n > 2 {
-		t.Fatalf("%d resident entries, cap 2", n)
+	if len(c.items) != n {
+		t.Fatalf("%d resident entries, bound %d", len(c.items), n)
 	}
-	if ev := reg.Counter("cache.evictions").Value(); ev != 3 {
-		t.Fatalf("evictions = %d, want 3", ev)
+	if got := reg.Gauge("cache.entries").Value(); got != n {
+		t.Fatalf("entries gauge %d, want %d", got, n)
 	}
-	if got := reg.Gauge("cache.entries").Value(); got != int64(len(c.items)) {
-		t.Fatalf("entries gauge %d, want %d", got, len(c.items))
+	if hits := reg.Counter("cache.hits").Value(); hits != n {
+		t.Fatalf("hits = %d, want %d (one per kept seed on the second pass)", hits, n)
 	}
-	// Seeds 3 and 4 survive: 1 output byte each plus 300 and 400
-	// snapshot bytes.
-	if got, want := reg.Gauge("cache.bytes").Value(), int64(2+300+400); got != want {
-		t.Fatalf("bytes gauge %d, want %d (outputs + snapshots of the resident entries)", got, want)
+	if misses := reg.Counter("cache.misses").Value(); misses != fills || fills != n+6 {
+		t.Fatalf("misses = %d, fills = %d, want both %d", misses, fills, n+6)
 	}
-	if got, want := c.forkBytes(), int64(300+400); got != want {
-		t.Fatalf("snapshot bytes %d, want %d", got, want)
+	// Seeds 0..n-1 are kept: 1 output byte each plus seed bytes of saved
+	// states.
+	states := int64(n * (n - 1) / 2)
+	if got, want := reg.Gauge("cache.bytes").Value(), n+states; got != want {
+		t.Fatalf("bytes gauge %d, want %d (outputs + saved states of the kept entries)", got, want)
+	}
+	if got := c.forkBytes(); got != states {
+		t.Fatalf("saved-state bytes %d, want %d", got, states)
 	}
 
 	// A failed fill must not stick: the next get for that seed re-runs.
+	c = newGoldenCache(telemetry.NewRegistry())
 	wantErr := fmt.Errorf("boom")
 	if _, err := c.get(99, func() (*goldenRun, error) { return nil, wantErr }); err != wantErr {
 		t.Fatalf("err = %v, want %v", err, wantErr)
@@ -197,13 +221,55 @@ func TestGoldenCacheLRUBounds(t *testing.T) {
 	}
 }
 
+// TestGoldenCachePoolPastTheBound: experiment i reads pool seed i mod K,
+// so with K past the bound each seed comes back only after K-1 others.
+// The kept seeds hit on the second pass, one hit each (an LRU of the
+// same bound drops every seed before its return and scores none). The
+// seeds past the bound refill under the same cache-fill span identity,
+// so the canonical span tree does not depend on the worker count.
+func TestGoldenCachePoolPastTheBound(t *testing.T) {
+	const k = 1100
+	run := func(workers int) (*StudyResult, *telemetry.Registry) {
+		cfg := smallCfg(benchmarks.VectorCopy, passes.PureData)
+		cfg.Inputs = k
+		cfg.Experiments, cfg.Campaigns = k, 2
+		cfg.Workers = workers
+		cfg.Timeline = true
+		cfg.Metrics = telemetry.NewRegistry()
+		sr, err := RunStudy(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sr, cfg.Metrics
+	}
+	one, reg := run(1)
+	if hits := reg.Counter("cache.hits").Value(); hits != goldenCacheMaxEntries {
+		t.Fatalf("hits = %d, want %d", hits, goldenCacheMaxEntries)
+	}
+	if misses := reg.Counter("cache.misses").Value(); misses != 2*k-goldenCacheMaxEntries {
+		t.Fatalf("misses = %d, want %d", misses, 2*k-goldenCacheMaxEntries)
+	}
+	four, _ := run(4)
+	a, err := json.Marshal(one.Timeline.Canonical())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(four.Timeline.Canonical())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("worker count changed the canonical span tree of a pool past the bound")
+	}
+}
+
 // TestGoldenCacheSingleflight: concurrent misses on one seed must run
 // the fill exactly once, with every waiter receiving the leader's
 // result. Run under -race this also proves the cache's happens-before
 // edges.
 func TestGoldenCacheSingleflight(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := newGoldenCache(4, reg)
+	c := newGoldenCache(reg)
 	var fills atomic.Int64
 	gate := make(chan struct{})
 	want := &goldenRun{Out: []byte("golden"), DynSites: 7}

@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"vulfi/internal/benchmarks"
@@ -27,8 +28,10 @@ type OverheadResult struct {
 
 	BaseDynInstrs float64
 	DetDynInstrs  float64
-	BaseWall      time.Duration
-	DetWall       time.Duration
+	// WallRatio is the median over inputs of the detector run's wall
+	// time over the base run's, the two timed back to back on the same
+	// input.
+	WallRatio float64
 }
 
 // DynOverhead is the relative dynamic-instruction overhead.
@@ -41,16 +44,19 @@ func (o OverheadResult) DynOverhead() float64 {
 
 // WallOverhead is the relative wall-clock overhead.
 func (o OverheadResult) WallOverhead() float64 {
-	if o.BaseWall == 0 {
+	if o.WallRatio == 0 {
 		return 0
 	}
-	return float64(o.DetWall)/float64(o.BaseWall) - 1
+	return o.WallRatio - 1
 }
 
-// MeasureOverhead runs the benchmark `runs` times with and without the
-// detector blocks (both variants instrumented in CountOnly mode, like
+// MeasureOverhead runs the benchmark on `runs` inputs with and without
+// the detector blocks (both variants instrumented in CountOnly mode, like
 // the paper's measurement on instrumented binaries) and reports the
-// averages.
+// average dynamic instruction counts and the median wall ratio. Each
+// input's two runs execute back to back, alternating which goes first,
+// so host drift over the measurement cancels out of every ratio instead
+// of landing on whichever variant ran later.
 func MeasureOverhead(b *benchmarks.Benchmark, target *isa.ISA,
 	scale benchmarks.Scale, category passes.Category,
 	everyIteration bool, seed int64, runs int) (*OverheadResult, error) {
@@ -71,40 +77,54 @@ func MeasureOverhead(b *benchmarks.Benchmark, target *isa.ISA,
 		return nil, err
 	}
 
-	out := &OverheadResult{Benchmark: b.Name, ISA: target.Name, Runs: runs}
-	measure := func(p *Prepared) (float64, time.Duration, error) {
-		var dyn float64
-		var wall time.Duration
-		// Warm-up pass excluded from timing (allocator and cache effects
-		// otherwise dominate small kernels).
-		for i := -1; i < runs; i++ {
-			plan := &core.Plan{Mode: core.CountOnly}
-			x, err := p.newInstance(plan, interp.Options{})
-			if err != nil {
-				return 0, 0, err
-			}
-			spec, err := b.Setup(x, rand.New(rand.NewSource(seed+int64(i))), scale)
-			if err != nil {
-				return 0, 0, err
-			}
-			start := time.Now()
-			if _, tr := x.CallExport(b.Entry, spec.Args...); tr != nil {
-				return 0, 0, fmt.Errorf("overhead run trapped: %w", tr)
-			}
-			if i >= 0 {
-				wall += time.Since(start)
-				dyn += float64(x.It.DynInstrs)
+	run := func(p *Prepared, inputSeed int64) (uint64, time.Duration, error) {
+		plan := &core.Plan{Mode: core.CountOnly}
+		x, err := p.newInstance(plan, interp.Options{})
+		if err != nil {
+			return 0, 0, err
+		}
+		spec, err := b.Setup(x, rand.New(rand.NewSource(inputSeed)), scale)
+		if err != nil {
+			return 0, 0, err
+		}
+		start := time.Now()
+		if _, tr := x.CallExport(b.Entry, spec.Args...); tr != nil {
+			return 0, 0, fmt.Errorf("overhead run trapped: %w", tr)
+		}
+		return x.It.DynInstrs, time.Since(start), nil
+	}
+	variants := [2]*Prepared{base, det}
+	var baseDyn, detDyn float64
+	ratios := make([]float64, 0, runs)
+	// Input -1 is a warm-up pair excluded from timing (allocator and cache
+	// effects otherwise dominate small kernels).
+	for i := -1; i < runs; i++ {
+		var dyn [2]uint64 // indexed like variants
+		var wall [2]time.Duration
+		for k := 0; k < 2; k++ {
+			v := k ^ i&1 // odd inputs run the detector variant first
+			if dyn[v], wall[v], err = run(variants[v], seed+int64(i)); err != nil {
+				return nil, err
 			}
 		}
-		return dyn / float64(runs), wall / time.Duration(runs), nil
+		if i < 0 {
+			continue
+		}
+		baseDyn += float64(dyn[0])
+		detDyn += float64(dyn[1])
+		ratios = append(ratios, float64(wall[1])/float64(wall[0]))
 	}
-	if out.BaseDynInstrs, out.BaseWall, err = measure(base); err != nil {
-		return nil, err
+	sort.Float64s(ratios)
+	ratio := ratios[runs/2]
+	if runs%2 == 0 {
+		ratio = (ratios[runs/2-1] + ratio) / 2
 	}
-	if out.DetDynInstrs, out.DetWall, err = measure(det); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return &OverheadResult{
+		Benchmark: b.Name, ISA: target.Name, Runs: runs,
+		BaseDynInstrs: baseDyn / float64(runs),
+		DetDynInstrs:  detDyn / float64(runs),
+		WallRatio:     ratio,
+	}, nil
 }
 
 // DynCount measures the average dynamic instruction count of the

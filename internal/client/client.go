@@ -67,30 +67,21 @@ func WithAPIKey(key string) Option {
 	return func(c *Client) { c.key = key }
 }
 
-// WithHTTPClient substitutes the transport (tests, custom timeouts).
-func WithHTTPClient(hc *http.Client) Option {
-	return func(c *Client) { c.hc = hc }
-}
-
 // WithNotify receives human-facing advisories — backoff waits, stream
 // reconnects, minor version drift. Default: silently dropped.
 func WithNotify(f func(format string, args ...any)) Option {
 	return func(c *Client) { c.notify = f }
 }
 
-// WithMaxBackoff caps the wait between 429 retries (default 30s).
-func WithMaxBackoff(d time.Duration) Option {
-	return func(c *Client) { c.maxBackoff = d }
-}
+// maxBackoff caps the wait between 429 retries.
+const maxBackoff = 30 * time.Second
 
 // Client talks to one vulfid daemon.
 type Client struct {
-	base       string
-	key        string
-	hc         *http.Client
-	notify     func(format string, args ...any)
-	maxBackoff time.Duration
-	warnOnce   sync.Once
+	base     string
+	key      string
+	notify   func(format string, args ...any)
+	warnOnce sync.Once
 }
 
 // New builds a client for the daemon at addr. A bare host:port gets
@@ -102,12 +93,7 @@ func New(addr string, opts ...Option) *Client {
 		base = "http://" + base
 	}
 	base = strings.TrimRight(base, "/")
-	c := &Client{
-		base:       base,
-		hc:         http.DefaultClient,
-		notify:     func(string, ...any) {},
-		maxBackoff: 30 * time.Second,
-	}
+	c := &Client{base: base, notify: func(string, ...any) {}}
 	for _, o := range opts {
 		o(c)
 	}
@@ -212,7 +198,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	if err != nil {
 		return err
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -243,7 +229,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 // status. 429 backpressure — a full queue or an exhausted tenant
 // quota — is retried automatically: the server's Retry-After is
 // honored when present, otherwise an exponential backoff applies, both
-// capped by WithMaxBackoff and jittered ±20% so a fleet of clients
+// capped at maxBackoff and jittered ±20% so a fleet of clients
 // doesn't stampede the daemon in lockstep.
 func (c *Client) Submit(ctx context.Context, spec api.Spec) (*api.Status, error) {
 	body, err := json.Marshal(spec)
@@ -266,8 +252,8 @@ func (c *Client) Submit(ctx context.Context, spec api.Spec) (*api.Status, error)
 			delay = backoff
 			backoff *= 2
 		}
-		if delay > c.maxBackoff {
-			delay = c.maxBackoff
+		if delay > maxBackoff {
+			delay = maxBackoff
 		}
 		// ±20% jitter, never below 80% of the hinted delay — the server's
 		// hint is a floor estimate of when capacity frees up.
@@ -449,7 +435,7 @@ func (c *Client) Events(ctx context.Context, id string, fn func(event string, da
 	if err != nil {
 		return err
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

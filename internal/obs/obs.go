@@ -77,8 +77,9 @@ type CanonicalSpan struct {
 }
 
 // Canonical returns the deterministic span tree: spans deduplicated by
-// ID (golden cache-fill spans can legitimately repeat when evictions
-// force refills — same derived ID, same work) and sorted by ID. Two
+// ID (golden cache-fill spans can legitimately repeat when a seed the
+// full cache did not keep is refilled — same derived ID, same work) and
+// sorted by ID. Two
 // runs of one configuration yield equal Canonical() regardless of
 // worker count or scheduling.
 func (t *Timeline) Canonical() []CanonicalSpan {

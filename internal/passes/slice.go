@@ -40,7 +40,7 @@ func ForwardSlice(v ir.Value) SliceFlags {
 	visit = func(uses []ir.Use) {
 		for _, u := range uses {
 			in := u.User
-			classifyUse(in, u.Index, &flags)
+			ClassifyUse(in, u.Index, &flags)
 			if seen[in] {
 				continue
 			}
@@ -60,8 +60,10 @@ func ForwardSlice(v ir.Value) SliceFlags {
 	return flags
 }
 
-// classifyUse updates flags for a single use edge (user, operand index).
-func classifyUse(in *ir.Instr, opIdx int, flags *SliceFlags) {
+// ClassifyUse updates flags for a single use edge (user, operand index):
+// the Figure 2 rule for which operand uses put a value on the control or
+// address slice.
+func ClassifyUse(in *ir.Instr, opIdx int, flags *SliceFlags) {
 	switch in.Op {
 	case ir.OpCondBr:
 		flags.Control = true

@@ -45,9 +45,6 @@ type Options struct {
 	// ISAs filters targets (nil = AVX + SSE).
 	ISAs []*isa.ISA
 
-	// Metrics receives study telemetry (phase histograms, outcome
-	// counters). Nil records to the process-wide default registry.
-	Metrics *telemetry.Registry
 	// Events, when non-nil, traces every study cell and receives each
 	// finished study's span timeline as obs JSONL (one header line, then
 	// one line per span), appended study by study.
@@ -55,24 +52,12 @@ type Options struct {
 	// Progress, when non-nil, renders a live per-cell progress line
 	// (counts, exp/s, ETA) to the writer — typically os.Stderr.
 	Progress io.Writer
-	// Context, when non-nil, cancels in-flight studies cooperatively
-	// (between experiments). Nil means run to completion.
-	Context context.Context
-}
-
-// ctx resolves the options' context (Background when unconfigured).
-func (o Options) ctx() context.Context {
-	if o.Context != nil {
-		return o.Context
-	}
-	return context.Background()
 }
 
 // runStudy threads the options' telemetry sinks into one study cell and
 // runs it, rendering live progress and appending the study's span
 // timeline to Events when configured.
 func (o Options) runStudy(cfg campaign.Config) (*campaign.StudyResult, error) {
-	cfg.Metrics = o.Metrics
 	if o.Events != nil {
 		cfg.Timeline = true
 	}
@@ -86,7 +71,7 @@ func (o Options) runStudy(cfg campaign.Config) (*campaign.StudyResult, error) {
 		}
 		defer pr.Finish()
 	}
-	sr, err := campaign.RunStudy(o.ctx(), cfg)
+	sr, err := campaign.RunStudy(context.Background(), cfg)
 	if err != nil || o.Events == nil {
 		return sr, err
 	}
@@ -303,7 +288,7 @@ func Ablations(w io.Writer, o Options) error {
 		if err != nil {
 			return err
 		}
-		r, err := p.RunExperiment(o.ctx(), o.Seed)
+		r, err := p.RunExperiment(context.Background(), o.Seed)
 		if err != nil {
 			return err
 		}

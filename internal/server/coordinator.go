@@ -37,7 +37,9 @@ import (
 // sharded job from its journal like any other interrupted job.
 
 const (
-	defaultWorkerTTL    = 15 * time.Second
+	// workerTTL is how stale a worker's last heartbeat may be before it
+	// stops being schedulable.
+	workerTTL           = 15 * time.Second
 	defaultHarvestEvery = 2 * time.Second
 	// workerMisses is how many consecutive failed polls (status or
 	// harvest) declare a worker unreachable and trigger reassignment.
@@ -102,13 +104,6 @@ func planShards(runs []shardRange, n int) []shardRange {
 		}
 	}
 	return out
-}
-
-func (s *Server) workerTTL() time.Duration {
-	if s.opts.WorkerTTL > 0 {
-		return s.opts.WorkerTTL
-	}
-	return defaultWorkerTTL
 }
 
 func (s *Server) harvestEvery() time.Duration {
@@ -340,7 +335,7 @@ func (s *Server) runShardedJob(job *Job) {
 		}
 	}
 	// Let in-flight shard runners unwind (they observe ctx promptly);
-	// their results still dedupe through addHarvested.
+	// their results still dedupe through addResult.
 	for inflight > 0 {
 		<-results
 		inflight--
@@ -434,7 +429,7 @@ func (s *Server) runShardOnWorker(ctx context.Context, job *Job, w *workerEntry,
 		}
 		fresh := 0
 		for _, rec := range recs {
-			if job.addHarvested(rec.Index, rec.Seed, rec.Result) {
+			if job.addResult(rec.Index, rec.Seed, rec.Result) {
 				fresh++
 			}
 		}
@@ -539,7 +534,7 @@ func (s *Server) harvestShardObs(ctx context.Context, job *Job, w *workerEntry, 
 }
 
 // runShardLocally executes one shard on the coordinator's own campaign
-// pool — the no-fleet fallback. Results flow through addHarvested like
+// pool — the no-fleet fallback. Results flow through addResult like
 // remote triples, so journal, counters and SSE progress are uniform,
 // and the shard's observability lands in addShardObs exactly as a
 // harvested worker's would.
@@ -552,7 +547,7 @@ func (s *Server) runShardLocally(ctx context.Context, job *Job, r shardRange, tp
 	cfg.Metrics = job.reg
 	var fresh int64
 	cfg.OnResult = func(i int, seed int64, res *campaign.ExperimentResult) {
-		if job.addHarvested(i, seed, res) {
+		if job.addResult(i, seed, res) {
 			atomic.AddInt64(&fresh, 1)
 		}
 	}

@@ -161,30 +161,15 @@ func (j *Job) State() string {
 	return j.state
 }
 
-// onResult is the campaign checkpoint hook: journal first (crash
-// safety), then update progress, record the triple for harvesting
-// (GET /v1/jobs/{id}/experiments) and notify subscribers. Called from
-// worker goroutines.
-func (j *Job) onResult(index int, seed int64, r *campaign.ExperimentResult) {
-	j.journal.Experiment(index, seed, r)
-	j.mu.Lock()
-	j.completed[index] = r
-	j.note(r)
-	ev := api.ExperimentEvent{
-		Index: index, Seed: seed, Outcome: r.Outcome.String(),
-		Detected: r.Detected, Done: j.done, Total: j.total,
-	}
-	j.mu.Unlock()
-	j.broadcast("experiment", ev)
-}
-
-// addHarvested folds one shard-harvested experiment into the job:
-// journal (crash safety — a restarted coordinator replays these
-// triples instead of re-fetching them), progress counters, harvest
-// store and live broadcast. Indices already present — a reassigned
-// shard re-harvesting its overlap — are dropped without journaling
-// twice; the return value reports whether the triple was new.
-func (j *Job) addHarvested(index int, seed int64, r *campaign.ExperimentResult) bool {
+// addResult folds one finished experiment into the job, whether the
+// local campaign pool ran it or a shard harvest fetched it: journal
+// (crash safety — a restarted job replays these triples instead of
+// re-running or re-fetching them), harvest store, progress counters and
+// live broadcast. Indices already present — a reassigned shard
+// re-harvesting its overlap — are dropped without journaling twice; the
+// return value reports whether the triple was new. Called from worker
+// and harvest goroutines.
+func (j *Job) addResult(index int, seed int64, r *campaign.ExperimentResult) bool {
 	if r == nil {
 		return false
 	}
@@ -194,8 +179,7 @@ func (j *Job) addHarvested(index int, seed int64, r *campaign.ExperimentResult) 
 		return false
 	}
 	// Journal under mu so the dedupe check and the journal append are
-	// atomic (the journal's own lock is a leaf; this order is the same
-	// one onResult-then-broadcast takes).
+	// atomic (the journal's own lock is a leaf).
 	j.journal.Experiment(index, seed, r)
 	j.completed[index] = r
 	j.note(r)

@@ -28,18 +28,14 @@ type workerEntry struct {
 }
 
 type fleet struct {
-	mu  sync.Mutex
-	ttl time.Duration
+	mu sync.Mutex
 	// mk builds the API client for a newly registered worker URL.
 	mk    func(url string) *client.Client
 	byURL map[string]*workerEntry
 }
 
-func newFleet(ttl time.Duration, mk func(url string) *client.Client) *fleet {
-	if ttl <= 0 {
-		ttl = defaultWorkerTTL
-	}
-	return &fleet{ttl: ttl, mk: mk, byURL: map[string]*workerEntry{}}
+func newFleet(mk func(url string) *client.Client) *fleet {
+	return &fleet{mk: mk, byURL: map[string]*workerEntry{}}
 }
 
 // newWorkerID returns a random 12-hex-digit worker id.
@@ -85,7 +81,7 @@ func (f *fleet) upsert(reg api.WorkerRegistration) api.Worker {
 // alive reports whether the worker's last beat is within the TTL
 // (mu held).
 func (f *fleet) alive(w *workerEntry) bool {
-	return !w.LastSeen.IsZero() && time.Since(w.LastSeen) < f.ttl
+	return !w.LastSeen.IsZero() && time.Since(w.LastSeen) < workerTTL
 }
 
 // view renders the wire form of a worker (mu held).

@@ -56,7 +56,9 @@ func (s *Server) runJob(job *Job) {
 		return
 	}
 	cfg.Metrics = job.reg
-	cfg.OnResult = job.onResult
+	cfg.OnResult = func(i int, seed int64, r *campaign.ExperimentResult) {
+		job.addResult(i, seed, r)
+	}
 
 	// Stall watchdog: the pool reports starts, finishes and interpreter
 	// heartbeats; a ticker flags stragglers. The watchdog wrap sits
@@ -87,7 +89,7 @@ func (s *Server) runJob(job *Job) {
 			inner(i, seed, r)
 		}
 	}
-	tick := s.opts.WatchdogTick
+	tick := s.opts.watchdogTick
 	if tick <= 0 {
 		tick = defaultWatchdogTick
 	}

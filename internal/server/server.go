@@ -52,22 +52,6 @@ type Options struct {
 	// store.
 	HistoryPath string
 
-	// KeepAlive is the idle interval after which the SSE stream
-	// (GET /v1/jobs/{id}/events) emits a ": keep-alive" comment, so
-	// proxies and NAT boxes don't reap quiet connections while a long
-	// experiment runs. Default 15s; negative disables.
-	KeepAlive time.Duration
-
-	// Watchdog thresholds: an inflight experiment is flagged as stalled
-	// when its age exceeds max(StallFactor × rolling-P99 experiment
-	// wall, StallMin), evaluated every WatchdogTick once StallMinSamples
-	// experiments have completed. Zero values take the defaults
-	// (4×, 250ms, 1s, 8).
-	StallFactor     float64
-	StallMin        time.Duration
-	WatchdogTick    time.Duration
-	StallMinSamples int
-
 	// Coordinator enables the shard scheduler: jobs submitted with
 	// "shards": N > 1 are split into experiment-index ranges and
 	// dispatched to the registered worker fleet (POST /v1/workers)
@@ -77,9 +61,6 @@ type Options struct {
 	// FleetKey is the API key the coordinator presents to its workers
 	// (set it when the workers run with -api-key themselves).
 	FleetKey string
-	// WorkerTTL is how stale a worker's last heartbeat may be before it
-	// stops being schedulable. Default 15s.
-	WorkerTTL time.Duration
 	// HarvestEvery is the coordinator's shard poll interval: how often
 	// each worker is asked for status and newly checkpointed
 	// experiments. Default 2s.
@@ -101,6 +82,15 @@ type Options struct {
 	// goroutine. Test-only: sleeping inside it for a chosen index forges
 	// a straggler so watchdog tests are deterministic.
 	stallInject func(index int)
+	// keepAlive overrides the SSE keep-alive interval
+	// (defaultKeepAlive). Test-only.
+	keepAlive time.Duration
+	// Watchdog thresholds, each zero for its default (see watchdog.go).
+	// Test-only: they shrink the watchdog's time scale.
+	stallFactor     float64
+	stallMin        time.Duration
+	watchdogTick    time.Duration
+	stallMinSamples int
 }
 
 // serverMetrics caches the server's instruments.
@@ -176,7 +166,7 @@ func New(opts Options) (*Server, error) {
 		jobs: map[string]*Job{},
 	}
 	if opts.Coordinator {
-		s.fleet = newFleet(opts.WorkerTTL, func(url string) *client.Client {
+		s.fleet = newFleet(func(url string) *client.Client {
 			return client.New(url, client.WithAPIKey(opts.FleetKey))
 		})
 	}
@@ -910,12 +900,18 @@ func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = job.Registry().WriteProm(w)
 }
 
+// defaultKeepAlive is the idle interval after which the SSE stream
+// (GET /v1/jobs/{id}/events) emits a ": keep-alive" comment, so proxies
+// and NAT boxes don't reap quiet connections while a long experiment
+// runs.
+const defaultKeepAlive = 15 * time.Second
+
 // handleEvents streams job progress as Server-Sent Events: a "state"
 // snapshot on connect, one "experiment" event per completed experiment,
 // "stall" events when the watchdog flags a straggler, "state" events on
 // transitions, and a final "state" with the result when the job ends.
 // While the stream is idle — a long experiment, a quiet queue — it
-// emits a ": keep-alive" SSE comment every Options.KeepAlive, so
+// emits a ": keep-alive" SSE comment every defaultKeepAlive, so
 // proxies and NAT boxes don't reap the connection between events.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	job := s.jobOr404(w, r)
@@ -942,16 +938,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		raw, err := json.Marshal(job.Status())
 		return err == nil && send("state", raw)
 	}
-	keepAlive := s.opts.KeepAlive
-	if keepAlive == 0 {
-		keepAlive = 15 * time.Second
+	keepAlive := s.opts.keepAlive
+	if keepAlive <= 0 {
+		keepAlive = defaultKeepAlive
 	}
-	var tick <-chan time.Time
-	if keepAlive > 0 {
-		t := time.NewTicker(keepAlive)
-		defer t.Stop()
-		tick = t.C
-	}
+	tick := time.NewTicker(keepAlive)
+	defer tick.Stop()
 	ch, cancel := job.Subscribe()
 	defer cancel()
 	if !snapshot() {
@@ -969,7 +961,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !send(ev.Type, ev.Data) {
 				return
 			}
-		case <-tick:
+		case <-tick.C:
 			// Comment line: ignored by EventSource parsers, but traffic
 			// on the wire for anything timing out idle connections.
 			if _, err := fmt.Fprint(w, ": keep-alive\n\n"); err != nil {

@@ -194,10 +194,10 @@ func TestTimelineNotTraced(t *testing.T) {
 func TestWatchdogStallRepro(t *testing.T) {
 	const stallIdx = 6
 	s := newTestServer(t, Options{
-		WatchdogTick:    5 * time.Millisecond,
-		StallMin:        30 * time.Millisecond,
-		StallMinSamples: 4,
-		StallFactor:     2,
+		watchdogTick:    5 * time.Millisecond,
+		stallMin:        30 * time.Millisecond,
+		stallMinSamples: 4,
+		stallFactor:     2,
 		stallInject: func(index int) {
 			if index == stallIdx {
 				time.Sleep(300 * time.Millisecond)
@@ -286,7 +286,7 @@ func TestWatchdogStallRepro(t *testing.T) {
 // emit ": keep-alive" comments so intermediaries keep the stream open.
 func TestEventsKeepAlive(t *testing.T) {
 	s := newTestServer(t, Options{
-		KeepAlive: 20 * time.Millisecond,
+		keepAlive: 20 * time.Millisecond,
 		stallInject: func(index int) {
 			if index == 0 {
 				time.Sleep(400 * time.Millisecond)

@@ -11,11 +11,12 @@ import (
 	"vulfi/internal/campaign"
 )
 
-// watchdog defaults: an experiment is declared stalled when its age
-// exceeds max(StallFactor × rolling P99 wall, StallMin), once at least
-// StallMinSamples experiments have completed (before that the P99 is
-// noise). The ticker re-evaluates inflight experiments every
-// WatchdogTick.
+// watchdog thresholds: an experiment is declared stalled when its age
+// exceeds max(defaultStallFactor × rolling P99 wall, defaultStallMin),
+// once at least defaultStallMinSamples experiments have completed
+// (before that the P99 is noise). The ticker re-evaluates inflight
+// experiments every defaultWatchdogTick. Tests shrink them through the
+// unexported Options hooks.
 const (
 	defaultStallFactor     = 4
 	defaultStallMinSamples = 8
@@ -124,9 +125,9 @@ func newWatchdog(spec Spec, workers int, opts Options) *watchdog {
 		inflight:   make(map[int]*inflight),
 		walls:      make([]int64, wallRing),
 		flagged:    make(map[int]int),
-		factor:     opts.StallFactor,
-		minSamples: opts.StallMinSamples,
-		stallMin:   opts.StallMin,
+		factor:     opts.stallFactor,
+		minSamples: opts.stallMinSamples,
+		stallMin:   opts.stallMin,
 		now:        time.Now,
 	}
 	if w.factor <= 0 {

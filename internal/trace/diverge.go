@@ -3,7 +3,7 @@ package trace
 import (
 	"vulfi/internal/interp"
 	"vulfi/internal/ir"
-	"vulfi/internal/isa"
+	"vulfi/internal/passes"
 )
 
 // maxChain bounds how many corruption-chain links an Explanation keeps
@@ -224,44 +224,20 @@ func diffLanes(g, f []uint64) []int {
 }
 
 // classifyUses folds the static uses of a corrupted instruction into the
-// explanation's crossing flags. The cases mirror passes.classifyUse so
-// the dynamic classification is comparable with the static Figure 2
+// explanation's crossing flags through passes.ClassifyUse, so the
+// dynamic classification is comparable with the static Figure 2
 // taxonomy; the select condition is additionally treated as control
 // (dynamically a corrupted condition steers lane selection even though
 // the static slicer does not walk it).
 func classifyUses(in *ir.Instr, e *Explanation) {
+	f := passes.SliceFlags{Control: e.CrossedControl, Address: e.CrossedAddress}
 	for _, u := range in.Uses() {
-		switch u.User.Op {
-		case ir.OpCondBr:
-			e.CrossedControl = true
-		case ir.OpSelect:
-			if u.Index == 0 {
-				e.CrossedControl = true
-			}
-		case ir.OpGEP:
-			e.CrossedAddress = true
-		case ir.OpLoad:
-			if u.Index == 0 {
-				e.CrossedAddress = true
-			}
-		case ir.OpStore:
-			if u.Index == 1 {
-				e.CrossedAddress = true
-			}
-		case ir.OpCall:
-			name := u.User.Callee.Nam
-			if mi, ok := isa.MaskedOpInfo(name); ok {
-				switch {
-				case u.Index == mi.MaskOperand:
-					e.CrossedControl = true
-				case u.Index == 0:
-					e.CrossedAddress = true // base pointer
-				case u.Index == 1 && mi.MaskOperand == 2:
-					e.CrossedAddress = true // gather/scatter index vector
-				}
-			}
+		passes.ClassifyUse(u.User, u.Index, &f)
+		if u.User.Op == ir.OpSelect && u.Index == 0 {
+			f.Control = true
 		}
 	}
+	e.CrossedControl, e.CrossedAddress = f.Control, f.Address
 }
 
 // laneString formats an entry's value with its static result type.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vulfi/internal/ir"
+	"vulfi/internal/passes"
 )
 
 // divergeFixture builds a function whose instructions exercise every
@@ -108,6 +109,30 @@ func TestAnalyzeControlUse(t *testing.T) {
 	}
 	if e.SliceClass() != "control" {
 		t.Fatalf("SliceClass = %q, want control", e.SliceClass())
+	}
+}
+
+// TestAnalyzeSelectConditionUse: a corrupted select condition steers
+// lane selection, so the dynamic classification counts it as control
+// even though the static slicer does not.
+func TestAnalyzeSelectConditionUse(t *testing.T) {
+	m := ir.NewModule("t")
+	fn := ir.NewFunc("g", ir.I32, []*ir.Type{ir.I32}, []string{"x"})
+	m.AddFunc(fn)
+	b := ir.NewBuilder(fn.NewBlock("entry"))
+	c := b.ICmp(ir.IntSLT, fn.Params[0], ir.ConstInt(ir.I32, 10), "c")
+	b.Ret(b.Select(c, fn.Params[0], ir.ConstInt(ir.I32, 1), "s"))
+	if err := m.Verify(); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	if passes.ForwardSlice(c).Control {
+		t.Fatal("static slice of the select condition reached control")
+	}
+	g, f := NewRing(0), NewRing(0)
+	g.Retire(c, 1, v32(1))
+	f.Retire(c, 1, v32(0))
+	if e := Analyze(g, f); !e.CrossedControl || e.CrossedAddress {
+		t.Fatalf("control=%v address=%v, want control only", e.CrossedControl, e.CrossedAddress)
 	}
 }
 
