@@ -87,7 +87,7 @@ func (p *Prepared) profileVisits() ([]uint64, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, tr := p.observe(x, spec, plan, nil); tr != nil {
+		if _, tr := p.observe(x, spec, plan); tr != nil {
 			return nil, tr
 		}
 		p.release(x)

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -76,12 +77,14 @@ type Config struct {
 	// kept for the cell's life, so their golden runs execute once each,
 	// and any further seed re-runs its golden half on every use. The
 	// cache is bypassed when Trace is on because divergence analysis
-	// needs a live golden ring. On the vm backend with no observer
-	// (neither Trace nor Profile), a cached golden run also records
-	// snapshots of its state and each faulty run resumes the latest one
-	// before its fault site, skipping the shared prefix (see fork.go).
-	// Caching and forking are observationally invisible: results are
-	// byte-identical to an uncached run of the same pool.
+	// needs a live golden ring. Either way, on the vm backend with no
+	// observer (neither Trace nor Profile), every golden run records
+	// snapshots of its state; each faulty run resumes the latest one
+	// before its fault site, skipping the shared prefix, and stops at the
+	// first later one its state equals, skipping the shared suffix (see
+	// fork.go). Caching and forking are observationally invisible:
+	// results are byte-identical to an uncached run of the same pool and
+	// to the tree backend.
 	Inputs int
 	// Detectors inserts the §III detectors before instrumentation.
 	Detectors bool
@@ -279,9 +282,11 @@ type cellMetrics struct {
 	// instrs counts each run's full DynInstrs, forked or not; the
 	// instructions actually executed are instrs - forkSkipped.
 	instrs, vectorInstrs, siteVisits, traps *telemetry.Counter
-	// Golden-state forking: faulty runs started from a snapshot, and the
-	// summed DynInstrs of the snapshots they started from.
-	forkResumed, forkSkipped *telemetry.Counter
+	// Golden-state forking: faulty runs started from a snapshot, faulty
+	// runs stopped where they rejoined their golden run, and the
+	// instructions neither executed: the prefix a resumed run skipped
+	// and the tail a stopped run did not run.
+	forkResumed, forkConverged, forkSkipped *telemetry.Counter
 }
 
 func newCellMetrics(reg *telemetry.Registry) cellMetrics {
@@ -302,8 +307,9 @@ func newCellMetrics(reg *telemetry.Registry) cellMetrics {
 		siteVisits:   reg.Counter("interp.site_visits"),
 		traps:        reg.Counter("interp.traps"),
 
-		forkResumed: reg.Counter("campaign.fork.resumed"),
-		forkSkipped: reg.Counter("campaign.fork.skipped_instrs"),
+		forkResumed:   reg.Counter("campaign.fork.resumed"),
+		forkConverged: reg.Counter("campaign.fork.converged"),
+		forkSkipped:   reg.Counter("campaign.fork.skipped_instrs"),
 	}
 }
 
@@ -461,24 +467,30 @@ func (o tracedProbe) Retire(in *ir.Instr, dyn uint64, v interp.Value) {
 	o.ring.Retire(in, dyn, v)
 }
 
-// observe runs the entry function and extracts the comparable output:
-// the declared output regions plus the program output stream. Every
-// golden, faulty and atlas-visit run executes through here, so it also
-// publishes the run's interpreter counters to the cell registry. With
-// from set, the run resumes that golden snapshot instead of calling the
-// entry function (spec is then the golden run's).
-func (p *Prepared) observe(x *exec.Instance, spec *benchmarks.RunSpec, plan *core.Plan, from *forkPoint) ([]byte, *interp.Trap) {
-	var tr *interp.Trap
-	if from != nil {
-		_, tr = machine(x).Resume(x.It, from.snap)
-	} else {
-		_, tr = x.CallExport(p.Cfg.Benchmark.Entry, spec.Args...)
-	}
+// observe runs the entry function and returns the run's output (see
+// output). Golden and atlas-visit runs execute through here; a faulty
+// run starts from a saved golden state instead (see execFaulty).
+func (p *Prepared) observe(x *exec.Instance, spec *benchmarks.RunSpec, plan *core.Plan) ([]byte, *interp.Trap) {
+	_, tr := x.CallExport(p.Cfg.Benchmark.Entry, spec.Args...)
+	return p.output(x, spec, plan, tr)
+}
+
+// publish adds a finished run's interpreter counters to the cell
+// registry. Every golden, faulty and atlas-visit run is published once.
+func (p *Prepared) publish(x *exec.Instance, plan *core.Plan, tr *interp.Trap) {
 	p.mx.instrs.Add(x.It.DynInstrs)
 	p.mx.vectorInstrs.Add(x.It.DynVector)
 	p.mx.siteVisits.Add(plan.DynSites)
 	if tr != nil {
 		p.mx.traps.Inc()
+	}
+}
+
+// output publishes a run that ended with tr and extracts its comparable
+// output: the declared output regions plus the program output stream.
+func (p *Prepared) output(x *exec.Instance, spec *benchmarks.RunSpec, plan *core.Plan, tr *interp.Trap) ([]byte, *interp.Trap) {
+	p.publish(x, plan, tr)
+	if tr != nil {
 		return nil, tr
 	}
 	var buf bytes.Buffer
@@ -523,7 +535,12 @@ type goldenRun struct {
 	Out       []byte
 	DynSites  uint64
 	DynInstrs uint64
-	ring      *trace.Ring
+	// dynVector and the detections are the rest of how the run ended,
+	// which a faulty run that rejoins it reports (see rejoin).
+	dynVector     uint64
+	detections    []string
+	detectionDyns []uint64
+	ring          *trace.Ring
 	// spec is the invocation Setup returned and start the instance state
 	// right after Setup: a faulty run that resumes no snapshot restores
 	// start and calls the entry function with spec's arguments.
@@ -555,7 +572,7 @@ func (p *Prepared) execGolden(inputSeed int64, wc *workerCtx) (*goldenRun, error
 	}
 	start := xg.It.SaveState(nil)
 	rec := p.recordForks(xg, goldenPlan)
-	out, tr := p.observe(xg, spec, goldenPlan, nil)
+	out, tr := p.observe(xg, spec, goldenPlan)
 	if rec != nil {
 		machine(xg).SetRecorder(nil)
 	}
@@ -564,13 +581,16 @@ func (p *Prepared) execGolden(inputSeed int64, wc *workerCtx) (*goldenRun, error
 			p.Cfg, spec.Label, tr)
 	}
 	g := &goldenRun{
-		Out:       out,
-		DynSites:  goldenPlan.DynSites,
-		DynInstrs: xg.It.DynInstrs,
-		ring:      gRing,
-		spec:      spec,
-		start:     start,
-		forkBytes: start.Bytes(nil),
+		Out:           out,
+		DynSites:      goldenPlan.DynSites,
+		DynInstrs:     xg.It.DynInstrs,
+		dynVector:     xg.It.DynVector,
+		detections:    slices.Clone(xg.It.Detections),
+		detectionDyns: slices.Clone(xg.It.DetectionDyns),
+		ring:          gRing,
+		spec:          spec,
+		start:         start,
+		forkBytes:     start.Bytes(nil),
 	}
 	if rec != nil {
 		g.forks = rec.points
@@ -739,22 +759,36 @@ func (p *Prepared) runExperiment(ctx context.Context, seed, inputSeed int64, wc 
 // output and trap. Until its flip a faulty run is its golden run, so it
 // resumes g's latest snapshot before the target site when there is one
 // (see fork.go), and otherwise restores g's post-Setup state and calls
-// the entry function.
+// the entry function. A run whose state equals one of g's later
+// snapshots stops there and reports g's ending (see rejoin).
 func (p *Prepared) execFaulty(g *goldenRun, plan *core.Plan, o interp.Observer, wc *workerCtx) (*exec.Instance, []byte, *interp.Trap, error) {
 	budget := g.DynInstrs*3 + 100_000
 	x, err := p.newInstance(plan, interp.Options{Budget: budget, Observer: o, Pulse: wc.pulse()})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	from := g.forkFor(plan.TargetDyn)
+	from, ahead := g.forkFor(plan.TargetDyn)
+	j := joinFor(x, ahead)
+	var tr *interp.Trap
 	if from != nil {
 		plan.DynSites = from.sites
 		p.mx.forkResumed.Inc()
 		p.mx.forkSkipped.Add(from.snap.DynInstrs())
+		_, tr = machine(x).Resume(x.It, from.snap)
 	} else {
 		x.It.RestoreState(g.start)
+		_, tr = x.CallExport(p.Cfg.Benchmark.Entry, g.spec.Args...)
 	}
-	out, tr := p.observe(x, g.spec, plan, from)
+	if j != nil {
+		machine(x).SetJoin(nil)
+		for _, fp := range ahead {
+			if fp.snap == j.At {
+				p.rejoin(x, g, plan, fp.sites)
+				return x, g.Out, nil, nil
+			}
+		}
+	}
+	out, tr := p.output(x, g.spec, plan, tr)
 	return x, out, tr, nil
 }
 

@@ -30,7 +30,7 @@ var forkDefaultScale = map[string]bool{
 }
 
 // forkCfg is a small vm cell with a two-input pool, so its golden runs
-// are cached and recorded.
+// are cached (and, like every vm golden run, recorded).
 func forkCfg(b *benchmarks.Benchmark, target *isa.ISA, cat passes.Category) Config {
 	cfg := Config{
 		Benchmark:   b,
@@ -51,15 +51,16 @@ func forkCfg(b *benchmarks.Benchmark, target *isa.ISA, cat passes.Category) Conf
 
 // forkRun is one study of a cell with every experiment result kept.
 type forkRun struct {
-	sr      *StudyResult
-	results map[int]*ExperimentResult
-	reg     *telemetry.Registry
-	resumed uint64
+	sr                 *StudyResult
+	results            map[int]*ExperimentResult
+	reg                *telemetry.Registry
+	resumed, converged uint64
 }
 
 // runForkCell runs the study of cfg, collecting each result through
-// OnResult and the metrics on a private registry.
-func runForkCell(t *testing.T, cfg Config, unforked bool) forkRun {
+// OnResult and the metrics on a private registry. uncached knocks out
+// the cell's golden cache, so every experiment runs its own golden run.
+func runForkCell(t *testing.T, cfg Config, uncached bool) forkRun {
 	t.Helper()
 	run := forkRun{results: map[int]*ExperimentResult{}}
 	var mu sync.Mutex
@@ -74,13 +75,14 @@ func runForkCell(t *testing.T, cfg Config, unforked bool) forkRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unforked {
-		p.golden = nil // no cache, so no snapshots: every faulty run is whole
+	if uncached {
+		p.golden = nil
 	}
 	if run.sr, err = p.RunStudy(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	run.resumed = cfg.Metrics.Counter("campaign.fork.resumed").Value()
+	run.converged = cfg.Metrics.Counter("campaign.fork.converged").Value()
 	return run
 }
 
@@ -106,66 +108,101 @@ func sameResults(t *testing.T, what string, got, want map[int]*ExperimentResult)
 }
 
 // TestForkDifferential is golden-state forking's exactness contract.
-// Every benchmark × ISA × category runs as a small forking vm study
-// (detectors on in every other cell, one worker and four alternately)
-// and must equal two references that never fork: the same prepared
-// cell without its golden cache, and the tree backend. Study JSON must
-// be byte-identical and every experiment result equal. Cells whose
-// golden runs are long enough must really have resumed faulty runs.
+// Every benchmark × ISA × category runs as a small vm study (detectors
+// on in every other cell, one worker and four alternately) at Inputs 0,
+// where each golden run is recorded for its one faulty run, and at
+// Inputs 2, where golden runs are cached, and again with that cache
+// knocked out. All three fork, and each must equal the tree backend,
+// which never forks, run the same way: study JSON
+// byte-identical, every experiment result equal, and the interpreter
+// counters on the registry equal. Cells whose golden runs are long
+// enough must have resumed faulty runs, and in each variant some of
+// their runs must have stopped where they rejoined their golden run.
+// Only a Benign run can rejoin, and every Sorting pure-data run here
+// is an SDC, so rejoining is required of the cells together.
 func TestForkDifferential(t *testing.T) {
 	mustFork := map[string]bool{
 		"Jacobi/AVX/pure-data": true, "Jacobi/SSE/pure-data": true,
 		"Sorting/AVX/pure-data": true, "Sorting/SSE/pure-data": true,
 		"Swaptions/AVX/pure-data": true, "Swaptions/SSE/pure-data": true,
 	}
+	counters := []string{"interp.instrs", "interp.vector_instrs", "interp.site_visits", "interp.traps"}
+	variants := []struct {
+		name     string
+		inputs   int
+		uncached bool
+	}{{"fresh", 0, false}, {"cached", 2, false}, {"uncached", 2, true}}
+	converged := map[string]uint64{} // mustFork cells' rejoined runs by variant
 	cell := 0
 	for _, b := range benchmarks.All() {
 		for _, target := range isa.All {
 			for _, cat := range passes.AllCategories {
-				cfg := forkCfg(b, target, cat)
-				cfg.Detectors = cell%2 == 0
-				cfg.Workers = 1 + 3*(cell/2%2)
+				base := forkCfg(b, target, cat)
+				base.Detectors = cell%2 == 0
+				base.Workers = 1 + 3*(cell/2%2)
 				cell++
-				t.Run(cfg.String(), func(t *testing.T) {
-					forked := runForkCell(t, cfg, false)
-					unforked := runForkCell(t, cfg, true)
-					treeCfg := cfg
-					treeCfg.Backend = "tree"
-					tree := runForkCell(t, treeCfg, false)
+				t.Run(base.String(), func(t *testing.T) {
+					for _, v := range variants {
+						cfg := base
+						cfg.Inputs = v.inputs
+						t.Run(v.name, func(t *testing.T) {
+							forked := runForkCell(t, cfg, v.uncached)
+							treeCfg := cfg
+							treeCfg.Backend = "tree"
+							tree := runForkCell(t, treeCfg, v.uncached)
 
-					if mustFork[cfg.String()] && forked.resumed == 0 {
-						t.Fatal("no faulty run resumed from a snapshot")
-					}
-					if unforked.resumed != 0 || tree.resumed != 0 {
-						t.Fatalf("references resumed %d (no cache) and %d (tree) runs, want 0",
-							unforked.resumed, tree.resumed)
-					}
-					sameResults(t, "forked vs unforked", forked.results, unforked.results)
-					sameResults(t, "forked vs tree", forked.results, tree.results)
-					got := studyBytes(t, forked.sr)
-					if want := studyBytes(t, unforked.sr); !bytes.Equal(got, want) {
-						t.Fatalf("forked study diverged from unforked:\nforked:   %s\nunforked: %s", got, want)
-					}
-					if want := studyBytes(t, tree.sr); !bytes.Equal(got, want) {
-						t.Fatalf("forked study diverged from tree:\nforked: %s\ntree:   %s", got, want)
+							if mustFork[cfg.String()] {
+								if forked.resumed == 0 {
+									t.Fatal("no faulty run resumed from a snapshot")
+								}
+								converged[v.name] += forked.converged
+							}
+							if tree.resumed != 0 || tree.converged != 0 {
+								t.Fatalf("tree backend resumed %d and converged %d runs, want 0",
+									tree.resumed, tree.converged)
+							}
+							sameResults(t, "forked vs tree", forked.results, tree.results)
+							if got, want := studyBytes(t, forked.sr), studyBytes(t, tree.sr); !bytes.Equal(got, want) {
+								t.Fatalf("forked study diverged from tree:\nforked: %s\ntree:   %s", got, want)
+							}
+							for _, name := range counters {
+								if got, want := forked.reg.Counter(name).Value(), tree.reg.Counter(name).Value(); got != want {
+									t.Errorf("%s = %d, tree backend %d", name, got, want)
+								}
+							}
+						})
 					}
 				})
 			}
 		}
 	}
+	for _, v := range variants {
+		if converged[v.name] == 0 {
+			t.Errorf("%s: no faulty run of the cells that must fork rejoined its golden run", v.name)
+		}
+	}
 }
 
-// TestForkNeedsAnUnobservedCachedVMCell: a profiled cell observes every
-// instruction of every run, so its golden runs record no snapshots even
-// with a cache and the vm backend; the same cell unprofiled forks.
-func TestForkNeedsAnUnobservedCachedVMCell(t *testing.T) {
+// TestForkNeedsAnUnobservedVMCell: a vm cell without an input pool
+// records every golden run, so its faulty runs resume snapshots and
+// stop where they rejoin. A profiled cell observes every instruction of
+// every run, so the same cell profiled does neither, and neither does
+// the tree backend.
+func TestForkNeedsAnUnobservedVMCell(t *testing.T) {
 	cfg := forkCfg(benchmarks.Swaptions, isa.AVX, passes.PureData)
-	if plain := runForkCell(t, cfg, false); plain.resumed == 0 {
-		t.Fatal("unprofiled cell resumed no faulty run")
+	cfg.Inputs = 0
+	if plain := runForkCell(t, cfg, false); plain.resumed == 0 || plain.converged == 0 {
+		t.Fatalf("unprofiled cell: %d faulty runs resumed and %d converged, want some of each",
+			plain.resumed, plain.converged)
 	}
-	cfg.Profile = true
-	if profiled := runForkCell(t, cfg, false); profiled.resumed != 0 {
-		t.Fatalf("profiled cell resumed %d faulty runs, want 0", profiled.resumed)
+	profiled := cfg
+	profiled.Profile = true
+	tree := cfg
+	tree.Backend = "tree"
+	for name, c := range map[string]Config{"profiled": profiled, "tree": tree} {
+		if r := runForkCell(t, c, false); r.resumed != 0 || r.converged != 0 {
+			t.Fatalf("%s cell: %d faulty runs resumed and %d converged, want 0", name, r.resumed, r.converged)
+		}
 	}
 }
 
@@ -237,13 +274,17 @@ func TestForkBudgetStopsRecording(t *testing.T) {
 // TestForkAtEverySnapshotBoundary drives the faulty half directly with
 // targets on both sides of every snapshot's tag: the site the tag
 // counts last (which the snapshot has already passed, so the run must
-// start earlier) and the one after it (the first the snapshot can
-// serve). Each forked run must end exactly as the same run from the
-// start: output, trap, counters, detections and injection record.
+// start earlier, and may rejoin there) and the one after it (the first
+// the snapshot can serve). Each forked run must end exactly as the same
+// run from the start with no snapshot to resume or rejoin: output,
+// trap, counters, detections, site count and injection record. Some
+// forked runs must have stopped where they rejoined.
 func TestForkAtEverySnapshotBoundary(t *testing.T) {
+	reg := telemetry.NewRegistry()
 	for _, cat := range []passes.Category{passes.PureData, passes.Control} {
 		cfg := forkCfg(benchmarks.Jacobi, isa.AVX, cat)
 		cfg.Detectors = true
+		cfg.Metrics = reg
 		p, err := Prepare(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -258,11 +299,11 @@ func TestForkAtEverySnapshotBoundary(t *testing.T) {
 		whole := *g
 		whole.forks = nil
 		type end struct {
-			out      string
-			trap     interp.Trap
-			dyn, vec uint64
-			detected int
-			record   core.InjectionRecord
+			out             string
+			trap            interp.Trap
+			dyn, vec, sites uint64
+			detected        int
+			record          core.InjectionRecord
 		}
 		run := func(g *goldenRun, target uint64) end {
 			plan := &core.Plan{Mode: core.InjectOnce, TargetDyn: target, BitSeed: 0x9E3779B97F4A7C15}
@@ -272,7 +313,7 @@ func TestForkAtEverySnapshotBoundary(t *testing.T) {
 			}
 			defer p.release(x)
 			e := end{out: string(out), dyn: x.It.DynInstrs, vec: x.It.DynVector,
-				detected: len(x.It.Detections), record: plan.Record}
+				sites: plan.DynSites, detected: len(x.It.Detections), record: plan.Record}
 			if tr != nil {
 				e.trap = *tr
 			}
@@ -289,6 +330,9 @@ func TestForkAtEverySnapshotBoundary(t *testing.T) {
 				}
 			}
 		}
+	}
+	if reg.Counter("campaign.fork.converged").Value() == 0 {
+		t.Fatal("no boundary run rejoined its golden run")
 	}
 }
 
@@ -356,7 +400,7 @@ func setupRun(t *testing.T, p *Prepared, inputSeed int64, plan *core.Plan, budge
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, tr := p.observe(x, spec, plan, nil)
+	out, tr := p.observe(x, spec, plan)
 	return x, out, tr
 }
 

@@ -8,10 +8,11 @@ import (
 // State is a copy of an interpreter's execution state at one point of a
 // run: the memory image (segments, their bytes, the next allocation
 // address), DynInstrs and DynVector, the program output, and the
-// detector firings. SaveState takes one and RestoreState installs one.
-// Nothing writes to a State after SaveState returns (RestoreState copies
-// out of it), so one State may be restored by any number of
-// interpreters concurrently.
+// detector firings. SaveState takes one, RestoreState installs one and
+// SameState compares a live interpreter with one. Nothing writes to a
+// State after SaveState returns (RestoreState copies out of it), so one
+// State may be restored and compared by any number of interpreters
+// concurrently.
 type State struct {
 	segs []segment
 	data [][]byte // parallel to segs
@@ -52,6 +53,25 @@ func (it *Interp) SaveState(prev *State) *State {
 
 // DynInstrs returns the dynamic instruction count at which s was taken.
 func (s *State) DynInstrs() uint64 { return s.dynInstrs }
+
+// SameState reports whether the interpreter's execution state equals s,
+// comparing in place and copying nothing: the counters, the next
+// allocation address, the segment table, the output and the detections
+// with their dyns first, the segment bytes last.
+func (it *Interp) SameState(s *State) bool {
+	m := it.Mem
+	if it.DynInstrs != s.dynInstrs || it.DynVector != s.dynVector || m.next != s.next ||
+		!slices.Equal(m.segs, s.segs) || !bytes.Equal(it.Output.Bytes(), s.output) ||
+		!slices.Equal(it.Detections, s.detections) || !slices.Equal(it.DetectionDyns, s.detectionDyns) {
+		return false
+	}
+	for i, sg := range m.segs {
+		if !bytes.Equal(m.data[sg.start], s.data[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // Bytes returns the heap bytes s holds beyond what it shares with prev
 // (the State taken before it, or nil): each segment copy it does not

@@ -51,23 +51,27 @@ var tTable95 = []float64{
 	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
 }
 
+// z975 is the standard normal 0.975 quantile.
+const z975 = 1.959964
+
 // TCritical95 returns the two-sided 95% Student-t critical value for the
-// given degrees of freedom (normal approximation beyond the table).
+// given degrees of freedom: the table up to df 30, and beyond it the
+// first four terms of the Cornish–Fisher expansion of the t quantile
+// around the normal one (Abramowitz & Stegun 26.7.5), within 1e-4 of
+// the exact value there.
 func TCritical95(df int) float64 {
 	switch {
 	case df <= 0:
 		return math.Inf(1)
 	case df <= len(tTable95):
 		return tTable95[df-1]
-	case df <= 40:
-		return 2.021
-	case df <= 60:
-		return 2.000
-	case df <= 120:
-		return 1.980
-	default:
-		return 1.960
 	}
+	z, v := z975, float64(df)
+	z2 := z * z
+	g1 := z * (z2 + 1) / 4
+	g2 := z * ((5*z2+16)*z2 + 3) / 96
+	g3 := z * (((3*z2+19)*z2+17)*z2 - 15) / 384
+	return z + g1/v + g2/(v*v) + g3/(v*v*v)
 }
 
 // MarginOfError95 returns the paper's ±margin at 95% confidence for the

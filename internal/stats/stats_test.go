@@ -38,17 +38,28 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
+// TestTCritical: the table up to df 30, then the Cornish–Fisher
+// expansion, checked against standard t-table values.
 func TestTCritical(t *testing.T) {
-	cases := []struct {
+	table := []struct {
+		df   int
+		want float64
+	}{{1, 12.706}, {5, 2.571}, {19, 2.093}, {30, 2.042}}
+	for _, c := range table {
+		if got := TCritical95(c.df); got != c.want {
+			t.Errorf("t(%d) = %v, want %v", c.df, got, c.want)
+		}
+	}
+	expansion := []struct {
 		df   int
 		want float64
 	}{
-		{1, 12.706}, {5, 2.571}, {19, 2.093}, {30, 2.042},
-		{35, 2.021}, {50, 2.000}, {100, 1.980}, {1000, 1.960},
+		{31, 2.0395}, {35, 2.0301}, {40, 2.0211}, {50, 2.0086},
+		{60, 2.0003}, {100, 1.9840}, {120, 1.9799}, {1000, 1.9623},
 	}
-	for _, c := range cases {
-		if got := TCritical95(c.df); got != c.want {
-			t.Errorf("t(%d) = %v, want %v", c.df, got, c.want)
+	for _, c := range expansion {
+		if got := TCritical95(c.df); math.Abs(got-c.want) > 5e-4 {
+			t.Errorf("t(%d) = %.4f, want %.4f", c.df, got, c.want)
 		}
 	}
 	if !math.IsInf(TCritical95(0), 1) {

@@ -148,9 +148,10 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 		case vPhiGroup:
 			// A block head with phis is the snapshot point: the edge moves
 			// have run, nothing of the block is accounted yet (see
-			// Recorder).
-			if m.rec != nil && it.DynInstrs >= m.rec.Next && it.Depth() == 1 {
-				m.snapshot(it, code, regs, pc)
+			// Recorder and Join). A run that rejoined a Join's snapshot
+			// stops here.
+			if m.hook != nil && it.Depth() == 1 && m.hook.at(it, code, regs, pc) {
+				return interp.Value{}, nil, true
 			}
 			// The parallel copy already ran on the incoming edge; this
 			// replays the tree-walker's per-phi accounting and retirement,

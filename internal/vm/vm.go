@@ -36,9 +36,9 @@
 // and observers under the interp.Observer contract).
 //
 // A Machine can also take snapshots of a run at the block heads with
-// phis of the export function's own frame (see Recorder) and resume a
-// run from one (Machine.Resume); a snapshot saves only the registers
-// live there.
+// phis of the export function's own frame (see Recorder), resume a run
+// from one (Machine.Resume), and stop a run where its state equals one
+// (see Join); a snapshot saves only the registers live there.
 package vm
 
 import (
@@ -119,8 +119,9 @@ type Machine struct {
 	ext      []interp.ExternFn
 	extEpoch uint64
 
-	// rec, when set, receives snapshots of the run (see SetRecorder).
-	rec *Recorder
+	// hook, when set, is the run's Recorder or Join (see SetRecorder
+	// and SetJoin).
+	hook pointHook
 }
 
 // frame is one activation's storage: each register's Value points at
