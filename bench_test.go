@@ -340,19 +340,11 @@ func BenchmarkInterpreter(b *testing.B) {
 // the exported API against drift).
 func BenchmarkFacadeStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		study, err := vulfi.NewStudy(
-			vulfi.WithBenchmarkName("VectorCopy"),
-			vulfi.WithISA(vulfi.AVX),
-			vulfi.WithCategory(vulfi.Control),
-			vulfi.WithScale(benchmarks.ScaleTest),
-			vulfi.WithExperiments(5),
-			vulfi.WithCampaigns(1),
-			vulfi.WithSeed(int64(i+1)),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sr, err := study.Run(context.Background())
+		sr, err := vulfi.RunStudy(context.Background(), vulfi.Config{
+			Benchmark: vulfi.BenchmarkByName("VectorCopy"),
+			ISA:       vulfi.AVX, Category: vulfi.Control, Scale: vulfi.ScaleTest,
+			Experiments: 5, Campaigns: 1, Seed: int64(i + 1),
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

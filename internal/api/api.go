@@ -1,10 +1,9 @@
 // Package api is the versioned wire schema of the vulfid HTTP/JSON
 // API: the job spec, job status and lifecycle states, the worker-fleet
-// registration types, and the single declarative mapping that turns a
-// wire spec into a validated study configuration through the root
-// package's functional options (mapping.go). It is the one vocabulary
-// shared by the server (internal/server), the typed client
-// (internal/client) and the CLIs — a wire knob is declared exactly
+// registration types, and Spec.Config, which turns a wire spec into a
+// campaign.Config checked by campaign.Config.Validate (mapping.go). It
+// is the one vocabulary shared by the server (internal/server), the
+// typed client (internal/client) and the CLIs — a wire knob is declared
 // once, here, and every consumer sees the same name, default and
 // validation.
 package api
@@ -45,8 +44,10 @@ import (
 // whose phase walls and exp/s now read off the study's spans; 1.9
 // accepted "trace" on sharded jobs, and a traced study's "propagation"
 // now covers every experiment of the study — resumed ones included —
-// rather than only those run since the daemon last started).
-const APIVersion = "1.9"
+// rather than only those run since the daemon last started; 1.10 made
+// an empty "backend" mean "vm" instead of "tree", so a journaled spec
+// with no backend resumes on the vm, with byte-identical results).
+const APIVersion = "1.10"
 
 // Job lifecycle states. A job moves queued → running → {done, failed,
 // cancelled}; cancellation can also hit a queued job directly. A
@@ -97,7 +98,7 @@ func TerminalState(s string) bool {
 //	  "trace": false,                   // divergence tracing (disables golden cache)
 //	  "atlas": false,                   // per-static-site outcome attribution
 //	  "profile": false,                 // execution profiler (hot_profile in the result)
-//	  "backend": "tree",                // execution backend: "tree" or "vm"
+//	  "backend": "vm",                  // execution backend: "vm" or "tree"
 //	  "timeline": false,                // span tracing (timeline in the result)
 //	  "trace_parent": "",               // W3C traceparent to nest the study under
 //	  "shards": 0,                      // coordinator: split across N workers
@@ -179,12 +180,12 @@ type Spec struct {
 	// equal the single-node run's.
 	Profile bool `json:"profile,omitempty"`
 
-	// Backend selects the execution backend: "tree" (or empty) runs the
-	// reference tree-walking interpreter, "vm" the compiled bytecode
-	// backend. The backends produce byte-identical results (the
-	// differential suite pins outcomes, counts, traps and study JSON),
-	// so the knob only affects throughput. Rides through the journal,
-	// so resumed jobs keep their backend.
+	// Backend selects the execution backend: "vm" (or empty, the
+	// default) runs the compiled bytecode backend, "tree" the reference
+	// tree-walking interpreter. The backends produce byte-identical
+	// results (the differential suite pins outcomes, counts, traps and
+	// study JSON), so the knob only affects throughput. Rides through
+	// the journal, so resumed jobs keep their backend.
 	Backend string `json:"backend,omitempty"`
 
 	// Timeline enables hierarchical span tracing: the finished study's

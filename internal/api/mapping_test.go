@@ -6,18 +6,48 @@ import (
 	"testing"
 )
 
-// TestMappingCoversSpec: the knob table translates every wire field, in
-// wire order — adding a Spec field without a mapping entry (or vice
-// versa) fails here before it can ship as a silently ignored knob.
-func TestMappingCoversSpec(t *testing.T) {
-	got, want := MappedKnobs(), SpecFields()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("MappedKnobs() = %v\nSpecFields() = %v", got, want)
+// TestEverySpecFieldReachesConfig: zeroing any one wire field of a
+// fully valued spec changes the resolved Config, so adding a Spec field
+// that Config does not copy fails here before it can ship as a silently
+// ignored knob. The skipped fields are the routing knob only the
+// coordinator reads and the three required names.
+func TestEverySpecFieldReachesConfig(t *testing.T) {
+	full := fullSpec()
+	want, err := full.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	skip := map[string]bool{"shards": true, "benchmark": true, "isa": true, "category": true}
+	typ := reflect.TypeOf(full)
+	checked := 0
+	for i := 0; i < typ.NumField(); i++ {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		if skip[name] {
+			continue
+		}
+		spec := full
+		reflect.ValueOf(&spec).Elem().Field(i).SetZero()
+		if name == "shard_end" {
+			spec.ShardStart = 0 // a range start needs its end
+		}
+		got, err := spec.Config()
+		if err != nil {
+			t.Errorf("%s zeroed: %v", name, err)
+			continue
+		}
+		if reflect.DeepEqual(got, want) {
+			t.Errorf("zeroing %q leaves the Config unchanged", name)
+		}
+		checked++
+	}
+	if want := len(SpecFields()) - len(skip); checked != want {
+		t.Errorf("checked %d fields, want %d", checked, want)
 	}
 }
 
 // fullSpec carries a non-default value for every knob, so the mapping
-// must touch every campaign.Config field it claims to own.
+// must touch every campaign.Config field it claims to own. The backend
+// is "tree" because an empty one resolves to the default, vm.
 func fullSpec() Spec {
 	return Spec{
 		Benchmark: "Blackscholes", ISA: "avx", Category: "control",
@@ -25,7 +55,7 @@ func fullSpec() Spec {
 		Workers: 2, Inputs: 2,
 		Detectors: true, DetectorEveryIteration: true, BroadcastDetector: true,
 		MaskLoopDetector: true, WholeRegisterSites: true, MaskOblivious: true,
-		Trace: true, Atlas: true, Profile: true, Backend: "vm",
+		Trace: true, Atlas: true, Profile: true, Backend: "tree",
 		Timeline:    true,
 		TraceParent: "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01",
 		Shards:      4, ShardStart: 1, ShardEnd: 2,

@@ -26,7 +26,9 @@ import (
 //
 // VULFI_BENCH_BACKEND selects the execution backend the same way
 // (unset/"tree" = reference tree-walker, "vm" = compiled bytecode), so
-// the backend speedup is benchstat-diffable under one name too:
+// the backend speedup is benchstat-diffable under one name too. Unset
+// means tree here, not the study default vm, so the overhead and cache
+// gates keep measuring the path BENCH_6.json recorded:
 //
 //	VULFI_BENCH_BACKEND=tree go test -run '^$' -bench StudyThroughput -count 10 ./internal/campaign/ > tree.txt
 //	VULFI_BENCH_BACKEND=vm   go test -run '^$' -bench StudyThroughput -count 10 ./internal/campaign/ > vm.txt
@@ -44,6 +46,9 @@ func BenchmarkStudyThroughput(b *testing.B) {
 		inputs = v
 	}
 	backend := os.Getenv("VULFI_BENCH_BACKEND")
+	if backend == "" {
+		backend = "tree"
+	}
 	cfg := Config{
 		Benchmark: benchmarks.VectorCopy, ISA: isa.AVX,
 		Category: passes.PureData, Scale: benchmarks.ScaleDefault,

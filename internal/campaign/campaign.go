@@ -119,14 +119,18 @@ type Config struct {
 	// byte-identical tallies.
 	Atlas bool
 	// Backend selects the execution backend for every run of this cell.
-	// "" or "tree" is the reference tree-walking interpreter; "vm"
-	// lowers the prepared module to the internal/vm bytecode form
-	// (pre-resolved operand slots, phi-eliminating edge moves, fused
-	// superinstructions) and executes that instead. The two backends are
-	// observably equivalent — outcomes, dynamic counts, trap provenance,
-	// injection semantics and study JSON are byte-identical (pinned by
-	// the differential suite in internal/vm and backend_test.go) — so
-	// the knob trades nothing but speed. Validated by Config.Validate.
+	// "vm", the default (Config.Validate turns "" into it), lowers the
+	// prepared module to the internal/vm bytecode form (pre-resolved
+	// operand slots, phi-eliminating edge moves, fused
+	// superinstructions), executes that, and forks faulty runs from
+	// golden-run snapshots; "tree" is the reference tree-walking
+	// interpreter, the oracle the vm is checked against. The two
+	// backends are observably equivalent — outcomes, dynamic counts,
+	// trap provenance, injection semantics and study JSON are
+	// byte-identical (pinned by the differential suite in internal/vm,
+	// backend_test.go and fork_test.go) — so the knob trades nothing but
+	// speed. A cell compiled without Validate (MeasureOverhead) keeps ""
+	// and runs on the tree.
 	Backend string
 	// Timeline enables hierarchical span tracing: the study records a
 	// span tree (study → experiment → golden/faulty/compare, plus

@@ -333,7 +333,8 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 
-	// Zero counts normalize to the paper's defaults.
+	// Zero counts normalize to the paper's defaults, and an unset
+	// backend to the vm.
 	cfg := valid
 	cfg.Experiments, cfg.Campaigns = 0, 0
 	if err := cfg.Validate(); err != nil {
@@ -341,6 +342,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if cfg.Experiments != 100 || cfg.Campaigns != 20 {
 		t.Fatalf("defaults = %d×%d, want 100×20", cfg.Experiments, cfg.Campaigns)
+	}
+	if cfg.Backend != "vm" {
+		t.Fatalf("default backend = %q, want vm", cfg.Backend)
 	}
 }
 

@@ -137,15 +137,11 @@ func studyRootName(cfg Config) string {
 // -1 like the study JSON's.
 func StudyAttrs(sr *StudyResult) map[string]string {
 	cfg := sr.Cfg
-	backend := cfg.Backend
-	if backend == "" {
-		backend = "tree"
-	}
 	return map[string]string{
 		"benchmark":       cfg.Benchmark.Name,
 		"isa":             cfg.ISA.Name,
 		"category":        cfg.Category.String(),
-		"backend":         backend,
+		"backend":         cfg.Backend,
 		"seed":            strconv.FormatInt(cfg.Seed, 10),
 		"experiments":     strconv.Itoa(cfg.Campaigns * cfg.Experiments),
 		"campaigns":       strconv.Itoa(cfg.Campaigns),

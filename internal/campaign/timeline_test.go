@@ -59,7 +59,7 @@ func TestStudyTimelineStructure(t *testing.T) {
 		t.Fatalf("root span %+v does not match timeline root %s", root, tl.Root)
 	}
 	if root.Attrs["benchmark"] != cfg.Benchmark.Name ||
-		root.Attrs["backend"] != "tree" {
+		root.Attrs["backend"] != "vm" {
 		t.Fatalf("root attrs = %v", root.Attrs)
 	}
 	if n := len(byName["compile"]); n != 1 {

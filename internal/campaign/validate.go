@@ -9,11 +9,12 @@ import (
 )
 
 // Validate normalizes the configuration in place — applying the paper's
-// defaults for unset counts (100 experiments × 20 campaigns) — and
-// reports the first invalid field. It is the single gate every entry
-// point shares: the root vulfi package, RunStudy/Prepare, the CLIs and
-// the vulfid service all funnel their configurations through it, so a
-// spec rejected in one place is rejected identically everywhere.
+// defaults for unset counts (100 experiments × 20 campaigns) and the vm
+// backend for an unset one — and reports the first invalid field. It is
+// the single gate every entry point shares: RunStudy/Prepare (and the
+// root vulfi package's forwarders to them), the CLIs and the vulfid
+// service all funnel their configurations through it, so a spec
+// rejected in one place is rejected identically everywhere.
 func (c *Config) Validate() error {
 	if c.Benchmark == nil {
 		return fmt.Errorf("campaign: Benchmark is required")
@@ -54,6 +55,9 @@ func (c *Config) Validate() error {
 	}
 	if c.Campaigns == 0 {
 		c.Campaigns = 20
+	}
+	if c.Backend == "" {
+		c.Backend = "vm"
 	}
 	// The shard range is checked against the normalized counts: a spec
 	// that says nothing about counts still shards over the defaulted

@@ -76,7 +76,7 @@ func Inputs(fs *flag.FlagSet) *int {
 // Backend registers the canonical -backend flag selecting the
 // execution backend.
 func Backend(fs *flag.FlagSet) *string {
-	return fs.String("backend", "", "execution backend: tree (reference interpreter) or vm (compiled bytecode; same results, faster)")
+	return fs.String("backend", "", "execution backend: vm (compiled bytecode, the default) or tree (reference interpreter; same results, slower)")
 }
 
 // Timeline registers the canonical -timeline flag. The flag name is

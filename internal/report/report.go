@@ -37,8 +37,9 @@ type Options struct {
 	// (0 = a fresh input per experiment, no cache).
 	Inputs int
 	// Backend is the execution backend threaded into every study cell:
-	// "" or "tree" for the reference interpreter, "vm" for the compiled
-	// bytecode backend (identical results, faster).
+	// "" or "vm" for the compiled bytecode backend, "tree" for the
+	// reference interpreter (identical results, slower). Figure 12's
+	// overhead and Table I's dynamic counts always run on the tree.
 	Backend string
 	// Benchmarks filters to the named subset (nil = all).
 	Benchmarks []string

@@ -417,7 +417,11 @@ func (s *Server) runShardOnWorker(ctx context.Context, job *Job, w *workerEntry,
 
 	lastHarvest := time.Now()
 	// harvest asks only from the shard's first unharvested index, so a
-	// poll does not re-send the triples earlier polls fetched.
+	// poll does not re-send the triples earlier polls fetched. A record
+	// outside the asked range, with another seed than the schedule's or
+	// without a result fails the whole poll before anything is
+	// journaled: it counts as a miss, so a worker that keeps sending
+	// them is declared unreachable and its shard is planned again.
 	harvest := func() error {
 		left := job.missingWithin(r)
 		if len(left) == 0 {
@@ -426,6 +430,13 @@ func (s *Server) runShardOnWorker(ctx context.Context, job *Job, w *workerEntry,
 		recs, err := w.cl.Experiments(ctx, shardID, left[0].lo, r.hi)
 		if err != nil {
 			return err
+		}
+		for _, rec := range recs {
+			if rec.Index < left[0].lo || rec.Index >= r.hi || rec.Result == nil ||
+				rec.Seed != campaign.ExperimentSeed(job.Spec.Seed, rec.Index) {
+				return fmt.Errorf("harvest [%d,%d): foreign record (index %d, seed %d)",
+					left[0].lo, r.hi, rec.Index, rec.Seed)
+			}
 		}
 		fresh := 0
 		for _, rec := range recs {

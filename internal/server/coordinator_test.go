@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -282,6 +283,87 @@ func TestCoordinatorHarvestPages(t *testing.T) {
 		if served[i] != 1 {
 			t.Fatalf("index %d served %d times, want once (served %v)", i, served[i], served)
 		}
+	}
+}
+
+// TestCoordinatorRejectsForeignRecords: a worker whose harvest
+// responses carry one record the coordinator did not ask for — outside
+// the schedule, in the other shard's range with a changed outcome, or
+// with another seed than the schedule's — fails every poll before the
+// record is journaled. The worker is declared unreachable, its shard is
+// planned again, and the job ends with every experiment counted once
+// and the single-node result.
+func TestCoordinatorRejectsForeignRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// forge returns the foreign record's index and seed, given the
+		// asked range [from, to) of a 10-experiment schedule split in two.
+		forge func(from, to int) (int, int64)
+	}{
+		{"out-of-schedule", func(int, int) (int, int64) {
+			return 100000, campaign.ExperimentSeed(testSpec().Seed, 100000)
+		}},
+		{"other-shard", func(from, to int) (int, int64) {
+			i := 9
+			if to > i {
+				i = 0
+			}
+			return i, campaign.ExperimentSeed(testSpec().Seed, i)
+		}},
+		{"wrong-seed", func(from, to int) (int, int64) {
+			return from, campaign.ExperimentSeed(testSpec().Seed, from) + 1
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestServer(t, coordOptions())
+			defer drain(t, c)
+			cts := httptest.NewServer(c.Handler())
+			defer cts.Close()
+			ref := runToDone(t, c, testSpec())
+			truth := c.Job(ref.ID).experimentRecords(0, 0)
+
+			w := newTestServer(t, Options{})
+			defer drain(t, w)
+			inner := w.Handler()
+			wts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				if !strings.HasSuffix(r.URL.Path, "/experiments") {
+					inner.ServeHTTP(rw, r)
+					return
+				}
+				rec := httptest.NewRecorder()
+				inner.ServeHTTP(rec, r)
+				var body api.ExperimentsResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+					t.Errorf("experiments response: %v", err)
+				}
+				from, _ := strconv.Atoi(r.URL.Query().Get("from"))
+				to, _ := strconv.Atoi(r.URL.Query().Get("to"))
+				i, seed := tc.forge(from, to)
+				lie := *truth[i%len(truth)].Result
+				if lie.Outcome == campaign.OutcomeSDC {
+					lie.Outcome = campaign.OutcomeBenign
+				} else {
+					lie.Outcome = campaign.OutcomeSDC
+				}
+				// First in the page, so it would win the dedupe against a
+				// genuine record of the same index.
+				body.Experiments = append([]api.ExperimentRecord{{Index: i, Seed: seed, Result: &lie}},
+					body.Experiments...)
+				writeJSON(rw, rec.Code, body)
+			}))
+			defer wts.Close()
+			register(t, cts.URL, wts.URL)
+
+			sharded := testSpec()
+			sharded.Shards = 2
+			got := runToDone(t, c, sharded)
+			if got.Done != got.Total {
+				t.Fatalf("sharded job: %d/%d experiments", got.Done, got.Total)
+			}
+			if !reflect.DeepEqual(stripVolatile(t, got.Result), stripVolatile(t, ref.Result)) {
+				t.Fatal("study fed a foreign record diverged from single-node")
+			}
+		})
 	}
 }
 

@@ -17,19 +17,20 @@
 //
 // Run a full statistical campaign on a built-in benchmark:
 //
-//	study, _ := vulfi.NewStudy(
-//		vulfi.WithBenchmarkName("Blackscholes"),
-//		vulfi.WithISA(vulfi.AVX),
-//		vulfi.WithCategory(vulfi.Control),
-//		vulfi.WithInputs(8), // pool 8 inputs; golden runs are memoized
-//	)
-//	result, _ := study.Run(context.Background())
+//	result, _ := vulfi.RunStudy(context.Background(), vulfi.Config{
+//		Benchmark: vulfi.BenchmarkByName("Blackscholes"),
+//		ISA:       vulfi.AVX,
+//		Category:  vulfi.Control,
+//		Inputs:    8, // pool 8 inputs; golden runs are memoized
+//	})
 //
 // See the examples/ directory for complete programs and DESIGN.md for
 // the system inventory and the paper-experiment index.
 package vulfi
 
 import (
+	"context"
+
 	"vulfi/internal/benchmarks"
 	"vulfi/internal/campaign"
 	"vulfi/internal/codegen"
@@ -168,6 +169,8 @@ type (
 	Config = campaign.Config
 	// StudyResult is a statistically qualified study.
 	StudyResult = campaign.StudyResult
+	// Prepared is a compiled, instrumented cell ready for experiments.
+	Prepared = campaign.Prepared
 	// ExperimentResult is one golden/faulty pair outcome.
 	ExperimentResult = campaign.ExperimentResult
 	// Outcome classifies an experiment (SDC / Benign / Crash).
@@ -191,6 +194,17 @@ const (
 	SDC    = campaign.OutcomeSDC
 	Crash  = campaign.OutcomeCrash
 )
+
+// RunStudy validates cfg (Config.Validate applies the paper's 100×20
+// defaults and the vm backend) and runs its campaigns on a worker pool;
+// cancelling ctx stops the study cooperatively between experiments.
+func RunStudy(ctx context.Context, cfg Config) (*StudyResult, error) {
+	return campaign.RunStudy(ctx, cfg)
+}
+
+// Prepare validates cfg and compiles and instruments the cell for
+// manual experiment control (single experiments, custom schedules).
+func Prepare(cfg Config) (*Prepared, error) { return campaign.Prepare(cfg) }
 
 // Benchmarks returns the paper's Table I benchmarks.
 func Benchmarks() []*Benchmark { return benchmarks.Study() }

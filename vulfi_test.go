@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	vulfi "vulfi"
-	"vulfi/internal/benchmarks"
 )
 
 // TestFacadeWorkflow walks the documented public-API workflow end to end.
@@ -83,20 +82,11 @@ func TestFacadeBenchmarkRegistry(t *testing.T) {
 }
 
 func TestFacadeStudy(t *testing.T) {
-	study, err := vulfi.NewStudy(
-		vulfi.WithBenchmarkName("DotProduct"),
-		vulfi.WithISA(vulfi.SSE),
-		vulfi.WithCategory(vulfi.PureData),
-		vulfi.WithScale(benchmarks.ScaleTest),
-		vulfi.WithExperiments(8),
-		vulfi.WithCampaigns(2),
-		vulfi.WithSeed(5),
-		vulfi.WithDetectors(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := study.Run(context.Background())
+	sr, err := vulfi.RunStudy(context.Background(), vulfi.Config{
+		Benchmark: vulfi.BenchmarkByName("DotProduct"),
+		ISA:       vulfi.SSE, Category: vulfi.PureData, Scale: vulfi.ScaleTest,
+		Experiments: 8, Campaigns: 2, Seed: 5, Detectors: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
