@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -324,6 +325,9 @@ func TestConfigValidate(t *testing.T) {
 		{"negative campaigns", func(c *Config) { c.Campaigns = -5 }},
 		{"negative workers", func(c *Config) { c.Workers = -2 }},
 		{"negative inputs", func(c *Config) { c.Inputs = -1 }},
+		{"schedule overflows", func(c *Config) { c.Campaigns, c.Experiments = 3037000500, 3037000500 }},
+		{"schedule one past the bound", func(c *Config) { c.Campaigns, c.Experiments = 1, MaxExperiments+1 }},
+		{"workers one past the bound", func(c *Config) { c.Workers = MaxWorkers + 1 }},
 	}
 	for _, tc := range bad {
 		cfg := valid
@@ -333,9 +337,27 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 
+	// The bounds themselves are accepted, and each rejection names its
+	// field.
+	cfg := valid
+	cfg.Campaigns, cfg.Experiments, cfg.Workers = 1<<10, MaxExperiments>>10, MaxWorkers
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Validate rejected the bounds: %v", err)
+	}
+	for field, mutate := range map[string]func(*Config){
+		"Campaigns × Experiments": func(c *Config) { c.Campaigns = 1<<10 + 1 },
+		"Workers":                 func(c *Config) { c.Workers = MaxWorkers + 1 },
+	} {
+		c := cfg
+		mutate(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("over the %s bound: Validate returned %v", field, err)
+		}
+	}
+
 	// Zero counts normalize to the paper's defaults, and an unset
 	// backend to the vm.
-	cfg := valid
+	cfg = valid
 	cfg.Experiments, cfg.Campaigns = 0, 0
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)

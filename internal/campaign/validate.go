@@ -8,6 +8,15 @@ import (
 	"vulfi/internal/passes"
 )
 
+// MaxExperiments bounds a study's schedule, Campaigns × Experiments.
+// RunStudy sizes its result slice by the schedule; the paper's cell is
+// 2,000 experiments.
+const MaxExperiments = 1 << 20
+
+// MaxWorkers bounds Workers: RunStudy starts one goroutine per worker,
+// and the vulfid watchdog keeps a heartbeat slot for each.
+const MaxWorkers = 1024
+
 // Validate normalizes the configuration in place — applying the paper's
 // defaults for unset counts (100 experiments × 20 campaigns) and the vm
 // backend for an unset one — and reports the first invalid field. It is
@@ -34,8 +43,8 @@ func (c *Config) Validate() error {
 	if c.Campaigns < 0 {
 		return fmt.Errorf("campaign: Campaigns must be non-negative (got %d)", c.Campaigns)
 	}
-	if c.Workers < 0 {
-		return fmt.Errorf("campaign: Workers must be non-negative (got %d)", c.Workers)
+	if c.Workers < 0 || c.Workers > MaxWorkers {
+		return fmt.Errorf("campaign: Workers must be in [0, %d] (got %d)", MaxWorkers, c.Workers)
 	}
 	if c.Inputs < 0 {
 		return fmt.Errorf("campaign: Inputs must be non-negative (got %d)", c.Inputs)
@@ -58,6 +67,11 @@ func (c *Config) Validate() error {
 	}
 	if c.Backend == "" {
 		c.Backend = "vm"
+	}
+	// Divide rather than multiply, so an overflowing product is caught.
+	if c.Campaigns > MaxExperiments/c.Experiments {
+		return fmt.Errorf("campaign: Campaigns × Experiments (%d × %d) exceeds %d",
+			c.Campaigns, c.Experiments, MaxExperiments)
 	}
 	// The shard range is checked against the normalized counts: a spec
 	// that says nothing about counts still shards over the defaulted

@@ -89,15 +89,34 @@ func (p *Plan) handle(val interp.Value, active, siteID int64) interp.Value {
 	return val
 }
 
+// countLive is handle for n live sites in one step, when none of them
+// does more than count: no visits are being counted, and the target is
+// not among them. Otherwise it declines, and the caller replays the
+// calls one by one.
+func (p *Plan) countLive(n uint64) bool {
+	if p.Visits != nil {
+		return false
+	}
+	if p.Mode == InjectOnce && !p.Injected && p.TargetDyn > p.DynSites && p.TargetDyn <= p.DynSites+n {
+		return false
+	}
+	p.DynSites += n
+	return true
+}
+
 // AttachRuntime registers the injectFault* runtime API on an interpreter,
-// bound to the given plan. Call once per execution with a fresh plan.
+// bound to the given plan, with the plan's bulk counter beside each
+// extern (see interp.BulkCounter). Call once per execution with a fresh
+// plan.
 func AttachRuntime(it *interp.Interp, plan *Plan) {
 	impl := func(it *interp.Interp, args []interp.Value) (interp.Value, *interp.Trap) {
 		return plan.handle(args[0], args[1].Int(), args[2].Int()), nil
 	}
+	count := plan.countLive
 	for _, f := range it.Mod.Funcs {
 		if f.IsDecl && strings.HasPrefix(f.Nam, "injectFault") {
 			it.RegisterExtern(f.Nam, impl)
+			it.RegisterBulkCounter(f.Nam, count)
 		}
 	}
 }

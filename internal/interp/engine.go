@@ -17,7 +17,9 @@ import "vulfi/internal/ir"
 // accounting (including phis and terminators), identical budget-check
 // schedule, identical trap kinds/messages/provenance, and identical
 // Observer event streams. The differential tests in internal/vm and
-// internal/campaign pin this contract.
+// internal/campaign pin this contract. So an engine may replace extern
+// calls by one BulkCounter call only where no observer is attached and
+// no budget check falls among the instructions it skips.
 //
 // Like registered externs, the engine survives Reset: campaign instance
 // pools reset-and-reuse interpreters without re-attaching their
@@ -34,10 +36,10 @@ func (it *Interp) Engine() Engine { return it.engine }
 
 // The methods below export exactly the hooks an Engine needs to
 // replicate the tree-walker's observable contract without duplicating
-// its semantics: budget checks, trap provenance, extern resolution and
-// the scalar/vector operation kernels (the observer is read through
-// Observer). Engines must use these rather than re-implement them, so
-// the two backends cannot drift.
+// its semantics: budget checks, trap provenance, extern and
+// bulk-counter resolution and the scalar/vector operation kernels (the
+// observer is read through Observer). Engines must use these rather
+// than re-implement them, so the two backends cannot drift.
 
 // CheckBudget reports a TrapBudget when the executed-instruction count
 // has exceeded the configured budget, with the tree-walker's exact
@@ -55,8 +57,14 @@ func (it *Interp) LocateTrap(tr *Trap, in *ir.Instr) *Trap { return it.locate(tr
 // cache the result must key the cache on ExternEpoch.
 func (it *Interp) ResolveExtern(f *ir.Func) (ExternFn, bool) { return it.resolveExtern(f) }
 
-// ExternEpoch returns a counter bumped by every RegisterExtern, so a
-// resolved-extern cache can detect re-registration and invalidate.
+// ResolveBulkCounter returns the bulk counter registered beside f's
+// extern, or nil. Engines that cache it must key the cache on
+// ExternEpoch, as for ResolveExtern.
+func (it *Interp) ResolveBulkCounter(f *ir.Func) BulkCounter { return it.bulk[f.Nam] }
+
+// ExternEpoch returns a counter bumped by every RegisterExtern and
+// RegisterBulkCounter, so a resolved-extern cache can detect
+// re-registration and invalidate.
 func (it *Interp) ExternEpoch() uint64 { return it.externEpoch }
 
 // Exported operation kernels. These run the tree-walker's own lane

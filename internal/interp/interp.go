@@ -63,8 +63,12 @@ type Interp struct {
 	// name) into a pointer-keyed one. RegisterExtern invalidates it, so
 	// replacement keeps its install-over semantics.
 	externBy map[*ir.Func]ExternFn
-	// externEpoch counts RegisterExtern calls; engines key their own
-	// resolved-extern caches on it (see ExternEpoch).
+	// bulk holds the bulk counters registered beside externs (see
+	// RegisterBulkCounter), by extern name.
+	bulk map[string]BulkCounter
+	// externEpoch counts RegisterExtern and RegisterBulkCounter calls;
+	// engines key their own resolved-extern caches on it (see
+	// ExternEpoch).
 	externEpoch uint64
 	budget      uint64
 	maxDepth    int
@@ -91,6 +95,7 @@ func New(mod *ir.Module, opts Options) (*Interp, error) {
 		Mod:     mod,
 		Mem:     NewMemory(opts.MemLimit),
 		externs: map[string]ExternFn{},
+		bulk:    map[string]BulkCounter{},
 		globals: map[*ir.Global]uint64{},
 	}
 	if tr := it.Reset(opts); tr != nil {
@@ -140,10 +145,27 @@ func (it *Interp) Reset(opts Options) *Trap {
 }
 
 // RegisterExtern installs (or replaces) the implementation of an external
-// function.
+// function. It drops any bulk counter registered beside the old one.
 func (it *Interp) RegisterExtern(name string, fn ExternFn) {
 	it.externs[name] = fn
+	delete(it.bulk, name)
 	clear(it.externBy)
+	it.externEpoch++
+}
+
+// BulkCounter stands in for n consecutive calls of the extern it is
+// registered beside, each with a nonzero second (active) argument, when
+// every one of those calls would return its first argument and only
+// count: it then counts all n and returns true. Otherwise it changes
+// nothing and returns false, and the caller makes the calls one by one.
+// The tree-walker never calls it; an engine may, where it can show that
+// nothing else observes the calls (see Engine).
+type BulkCounter func(n uint64) bool
+
+// RegisterBulkCounter registers fn beside the extern called name, until
+// that extern is registered again.
+func (it *Interp) RegisterBulkCounter(name string, fn BulkCounter) {
+	it.bulk[name] = fn
 	it.externEpoch++
 }
 

@@ -2,8 +2,11 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -191,5 +194,73 @@ func TestInputsRoundTrip(t *testing.T) {
 	}
 	if got := job.Status().Spec.Inputs; got != 2 {
 		t.Fatalf("resumed spec inputs = %d, want 2", got)
+	}
+}
+
+// hugeSpec asks for a 3037000500 × 3037000500 schedule, whose product
+// overflows int64. Before Config.Validate bounded the schedule, it was
+// accepted and journaled, and RunStudy's result slice then panicked the
+// daemon, again on every restart.
+const hugeSpec = `{"benchmark":"VectorCopy","isa":"AVX","category":"control","experiments":3037000500,"campaigns":3037000500}`
+
+// TestSubmitOversizedRejected: the oversized schedule and a worker
+// count past campaign.MaxWorkers each get a 400 naming the field, and
+// nothing is journaled.
+func TestSubmitOversizedRejected(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Options{JournalDir: dir})
+	defer drain(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for body, field := range map[string]string{
+		hugeSpec: "Campaigns × Experiments",
+		`{"benchmark":"VectorCopy","isa":"AVX","category":"control","workers":1000000}`: "Workers",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: %s, want 400", body, resp.Status)
+		}
+		if !strings.Contains(string(raw), field) {
+			t.Fatalf("%s: error %s does not name %s", body, raw, field)
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(b), `"t":"submit"`) {
+			t.Fatalf("%s journaled a rejected spec: %s", ent.Name(), b)
+		}
+	}
+}
+
+// TestReplayOversizedFails: a journal that already holds the oversized
+// spec, written by a daemon that accepted it, fails that job with the
+// Validate error on restart instead of running it.
+func TestReplayOversizedFails(t *testing.T) {
+	dir := t.TempDir()
+	line := `{"t":"submit","id":"jhuge","spec":` + hugeSpec + "}\n"
+	if err := os.WriteFile(JournalPath(dir, "jhuge"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{JournalDir: dir})
+	defer drain(t, s)
+	st := waitState(t, s, "jhuge", StateFailed)
+	if !strings.Contains(st.Error, "Campaigns × Experiments") {
+		t.Fatalf("job failed with %q, want the schedule bound", st.Error)
 	}
 }

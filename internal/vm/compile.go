@@ -45,6 +45,11 @@ const (
 	vGEPLoad  // gep + load  : dst = mem[base + idx*elem]
 	vGEPStore // gep + store : mem[base + idx*elem] = value
 	vCmpBr    // scalar cmp + condbr : branch on compare without a visit
+	// vSite guards one fault site's instrumentation chain, lowered
+	// unchanged right after it (see lowerSite): when nothing could tell,
+	// it does the whole chain's work in one step and jumps past it;
+	// otherwise it falls through, and the chain runs as lowered.
+	vSite
 )
 
 // A move copies one value's lane words into a phi's register: the
@@ -100,6 +105,20 @@ type vinstr struct {
 	args   []int32
 
 	mask []int
+
+	site *siteChain
+}
+
+// siteChain is what a vSite guard knows of the chain it fronts: the
+// chain's instruction and vector-instruction counts, its lane count,
+// and whether an execution mask decides which lanes are live (then a
+// lane is live when bit signBit of its mask lane is set, the sign the
+// chain's icmp slt tests).
+type siteChain struct {
+	n, nvec uint64
+	lanes   uint64
+	masked  bool
+	signBit uint8
 }
 
 // fnCode is one compiled function body.
@@ -413,6 +432,13 @@ func (c *compiler) lowerBlock(b *ir.Block) bool {
 		if in.Op.IsTerminator() {
 			return c.lowerTerminator(b, in)
 		}
+		if n, ok := c.lowerSite(body[i:]); n > 0 {
+			if !ok {
+				return false
+			}
+			i += n - 1
+			continue
+		}
 		var next *ir.Instr
 		if i+1 < len(body) {
 			next = body[i+1]
@@ -435,13 +461,7 @@ func (c *compiler) lowerBlock(b *ir.Block) bool {
 // when the pair matches a superinstruction pattern. Returns whether
 // next was consumed.
 func (c *compiler) lowerInstr(b *ir.Block, in, next *ir.Instr) (bool, bool) {
-	v := vinstr{
-		irop: in.Op, pred: in.Pred,
-		in: in, vec: in.IsVectorInstr(), dst: -1,
-	}
-	if r, ok := c.regOf[in]; ok {
-		v.dst = r
-	}
+	v := c.newVinstr(in)
 
 	// Digram fusion: adjacent single-use producer/consumer pairs from
 	// the profiler's superinstruction candidate list. Fusing never
@@ -477,6 +497,19 @@ func (c *compiler) lowerInstr(b *ir.Block, in, next *ir.Instr) (bool, bool) {
 	}
 	c.emit(v)
 	return false, true
+}
+
+// newVinstr starts the lowering of in: its opcode, predicate, result
+// register (-1 when void) and accounting fields.
+func (c *compiler) newVinstr(in *ir.Instr) vinstr {
+	v := vinstr{
+		irop: in.Op, pred: in.Pred,
+		in: in, vec: in.IsVectorInstr(), dst: -1,
+	}
+	if r, ok := c.regOf[in]; ok {
+		v.dst = r
+	}
+	return v
 }
 
 // lowerPlain fills v for a single unfused instruction.
@@ -543,12 +576,7 @@ func (c *compiler) lowerPlain(v *vinstr, in *ir.Instr) bool {
 		// callees (-1 for defined functions, which route through Call).
 		v.c = -1
 		if v.callee.IsDecl {
-			ix, ok := c.declIx[v.callee]
-			if !ok {
-				ix = int32(len(c.declIx))
-				c.declIx[v.callee] = ix
-			}
-			v.c = ix
+			v.c = c.declIndex(v.callee)
 		}
 		n := in.NumOperands()
 		c.code.maxArgs = max(c.code.maxArgs, n)
@@ -568,6 +596,181 @@ func (c *compiler) lowerPlain(v *vinstr, in *ir.Instr) bool {
 		}
 		return false
 	}
+}
+
+// lowerSite lowers the fault site whose instrumentation starts body, if
+// one does: a vSite guard, then the chain's instructions one by one,
+// unfused, so the guard's fall-through runs exactly the code an
+// unguarded chain would. It returns the chain's length (0 when no site
+// starts here) and whether lowering succeeded.
+func (c *compiler) lowerSite(body []*ir.Instr) (int, bool) {
+	m := matchSite(body)
+	if m.n == 0 {
+		return 0, true
+	}
+	val, ok1 := c.ref(m.val)
+	dst, ok2 := c.regOf[body[m.n-1]]
+	if !ok1 || !ok2 {
+		return m.n, false
+	}
+	site := &siteChain{n: uint64(m.n), lanes: uint64(m.lanes)}
+	for _, in := range body[:m.n] {
+		if in.IsVectorInstr() {
+			site.nvec++
+		}
+	}
+	g := vinstr{op: vSite, a: val, dst: dst, callee: m.callee, site: site}
+	if m.mask != nil {
+		mask, ok := c.ref(m.mask)
+		if !ok {
+			return m.n, false
+		}
+		g.b = mask
+		site.masked = true
+		site.signBit = uint8(m.mask.Type().Elem.Bits - 1)
+	}
+	g.c = c.declIndex(m.callee)
+	pc := c.emit(g)
+	for _, in := range body[:m.n] {
+		v := c.newVinstr(in)
+		if !c.lowerPlain(&v, in) {
+			return m.n, false
+		}
+		c.emit(v)
+	}
+	c.code.code[pc].t0 = int32(len(c.code.code))
+	c.fused["site"]++
+	return m.n, true
+}
+
+// siteMatch is one fault site's instrumentation found by matchSite.
+type siteMatch struct {
+	n      int      // instructions in the chain; 0 when none matched
+	val    ir.Value // the site's value, which the chain returns unflipped
+	mask   ir.Value // the execution mask; nil when every lane is live
+	callee *ir.Func // the injection extern every call of the chain calls
+	lanes  int
+}
+
+// matchSite matches the instrumentation core.Instrument emits for one
+// fault site at the start of body. A scalar site is one call
+// @f(v, 1, id) of a declaration returning v's type. A vector site is a
+// chain of extractelement, call and insertelement per lane, lane 0
+// first, threading the vector through the inserts; each call's active
+// argument is the constant 1 or, when a mask decides, a lane's
+// zext(icmp slt (extractelement mask, lane), 0). Every value the chain
+// defines, its result excepted, must be used only by the chain, so a
+// guard that skips it leaves stale only registers nothing else reads.
+// An instruction that is neither a call nor an extractelement costs one
+// opcode test.
+func matchSite(body []*ir.Instr) siteMatch {
+	in := body[0]
+	switch in.Op {
+	case ir.OpCall:
+		if in.NumOperands() == 3 && injectCall(in, in.Operand(0), nil) {
+			return siteMatch{n: 1, val: in.Operand(0), callee: in.Callee, lanes: 1}
+		}
+	case ir.OpExtractElement:
+		return matchChain(body)
+	}
+	return siteMatch{}
+}
+
+// matchChain matches a vector site's per-lane chain (see matchSite).
+func matchChain(body []*ir.Instr) siteMatch {
+	var none siteMatch
+	val := body[0].Operand(0)
+	ty := val.Type()
+	if !ty.IsVector() {
+		return none
+	}
+	m := siteMatch{val: val, lanes: ty.Len}
+	cur, j := val, 0
+	for lane := 0; lane < ty.Len; lane++ {
+		if j+3 > len(body) {
+			return none
+		}
+		ext := body[j]
+		if ext.Op != ir.OpExtractElement || ext.Operand(0) != cur ||
+			!constIs(ext.Operand(1), int64(lane)) || ext.NumUses() != 1 {
+			return none
+		}
+		j++
+		var active ir.Value
+		if body[j].Op == ir.OpExtractElement {
+			if j+5 > len(body) {
+				return none
+			}
+			extm, cmp, act := body[j], body[j+1], body[j+2]
+			if lane == 0 {
+				m.mask = extm.Operand(0)
+				mt := m.mask.Type()
+				if !mt.IsVector() || mt.Len != ty.Len || !mt.Elem.IsInt() {
+					return none
+				}
+			}
+			if m.mask == nil || extm.Operand(0) != m.mask ||
+				!constIs(extm.Operand(1), int64(lane)) || extm.NumUses() != 1 ||
+				cmp.Op != ir.OpICmp || cmp.Pred != ir.IntSLT || cmp.Operand(0) != extm ||
+				!constIs(cmp.Operand(1), 0) || cmp.NumUses() != 1 ||
+				act.Op != ir.OpZExt || act.Operand(0) != cmp || act.NumUses() != 1 {
+				return none
+			}
+			active = act
+			j += 3
+		} else if m.mask != nil {
+			return none
+		}
+		call, ins := body[j], body[j+1]
+		if !injectCall(call, ext, active) || call.NumUses() != 1 ||
+			(m.callee != nil && call.Callee != m.callee) {
+			return none
+		}
+		m.callee = call.Callee
+		if ins.Op != ir.OpInsertElement || ins.Operand(0) != cur || ins.Operand(1) != call ||
+			!constIs(ins.Operand(2), int64(lane)) || (lane < ty.Len-1 && ins.NumUses() != 2) {
+			return none
+		}
+		cur = ins
+		j += 2
+	}
+	m.n = j
+	return m
+}
+
+// injectCall reports whether call is @f(val, active, id) for a
+// declaration f returning val's type, a constant id, and, when active
+// is nil, the constant 1 as its active argument.
+func injectCall(call *ir.Instr, val, active ir.Value) bool {
+	if call.Op != ir.OpCall || call.Callee == nil || !call.Callee.IsDecl ||
+		call.NumOperands() != 3 || call.Operand(0) != val || call.Ty != val.Type() {
+		return false
+	}
+	if _, ok := call.Operand(2).(*ir.Const); !ok {
+		return false
+	}
+	if active == nil {
+		return constIs(call.Operand(1), 1)
+	}
+	return call.Operand(1) == active
+}
+
+// constIs reports whether v is the scalar integer constant want.
+func constIs(v ir.Value, want int64) bool {
+	k, ok := v.(*ir.Const)
+	return ok && !k.Undef && k.Ty.IsInt() && len(k.Bits) == 1 &&
+		ir.SignExtend(k.Bits[0], k.Ty.Bits) == want
+}
+
+// declIndex returns the declaration callee f's dense, program-wide
+// extern index, assigning the next one on first use.
+func (c *compiler) declIndex(f *ir.Func) int32 {
+	ix, ok := c.declIx[f]
+	if !ok {
+		ix = int32(len(c.declIx))
+		c.declIx[f] = ix
+	}
+	return ix
 }
 
 // fuseGEP fills v as a fused gep+load / gep+store superinstruction.

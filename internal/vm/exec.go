@@ -343,7 +343,7 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 				// Declaration callee: dispatch through the machine's dense
 				// resolved-extern cache, skipping Call's map lookups. A nil
 				// resolution falls back to Call for its diagnostic trap.
-				if fn := m.externFor(it, v.c, v.callee); fn != nil {
+				if fn := m.externFor(it, v.c, v.callee).fn; fn != nil {
 					r, tr = fn(it, argv)
 				} else {
 					r, tr = it.Call(v.callee, argv)
@@ -480,6 +480,34 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 				runMoves(v.m1)
 				pc = v.t1
 			}
+
+		case vSite:
+			// A fault site's whole chain in one step, where nothing could
+			// tell: no observer watches its instructions, no budget check
+			// falls among them, and the injection runtime's bulk counter
+			// agrees that each live lane's call would return its value and
+			// only count it. Otherwise fall through: the chain lowered
+			// after the guard runs call by call.
+			s := v.site
+			if obs == nil && it.DynInstrs&1023+s.n < 1024 {
+				if count := m.externFor(it, v.c, v.callee).bulk; count != nil {
+					live := s.lanes
+					if s.masked {
+						live = 0
+						for _, w := range getOperand(regs, consts, v.b).Bits {
+							live += w >> s.signBit & 1
+						}
+					}
+					if count(live) {
+						copy(regs[v.dst].Bits, getOperand(regs, consts, v.a).Bits)
+						it.DynInstrs += s.n
+						it.DynVector += s.nvec
+						pc = v.t0
+						continue
+					}
+				}
+			}
+			pc++
 
 		default:
 			// Unknown opcode: compiler bug. Decline defensively so the

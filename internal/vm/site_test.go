@@ -1,0 +1,409 @@
+package vm
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"vulfi/internal/benchmarks"
+	"vulfi/internal/codegen"
+	"vulfi/internal/core"
+	"vulfi/internal/interp"
+	"vulfi/internal/ir"
+	"vulfi/internal/isa"
+	"vulfi/internal/passes"
+)
+
+// chainKernel builds main(n, pre) and instruments four fault sites in
+// its loop with core.Instrument: an unmasked 8-lane float site (an AVX
+// register), a masked 8-lane float site (the result of @blend, masked
+// by its second operand), a 4-lane integer site (an SSE register) and
+// a scalar site. The mask of loop iteration i makes lane j live when
+// (i+j) mod 5 < 2·(i mod 4): no lane, some lanes or every lane.
+//
+// Before the loop, pad straight-line adds and a prefix loop of pre+1
+// four-instruction iterations shift every later instruction's dynamic
+// index by pad + 4·pre, so sweeping pad over 0..3 and pre upwards puts
+// a 1,024-instruction budget boundary at every offset of the loop's
+// first iteration, and so inside every chain at every position. The
+// returned set holds the loop's chain instructions.
+func chainKernel(t *testing.T, pad int) (*ir.Module, *core.Instrumentation, map[*ir.Instr]bool) {
+	t.Helper()
+	f32x8, i32x8, i32x4 := ir.Vec(ir.F32, 8), ir.Vec(ir.I32, 8), ir.Vec(ir.I32, 4)
+	mod := ir.NewModule("chains")
+	blend := ir.NewDecl("blend", f32x8, f32x8, i32x8)
+	outF := ir.NewDecl("vulfi.out.f32", ir.Void, f32x8)
+	outV := ir.NewDecl("vulfi.out.v4i32", ir.Void, i32x4)
+	mod.AddFunc(blend)
+	mod.AddFunc(outF)
+	mod.AddFunc(outV)
+
+	f := ir.NewFunc("main", ir.I32, []*ir.Type{ir.I32, ir.I32}, []string{"n", "pre"})
+	mod.AddFunc(f)
+	n, pre := f.Params[0], f.Params[1]
+	entry, prefix := f.NewBlock("entry"), f.NewBlock("prefix")
+	loop, exit := f.NewBlock("loop"), f.NewBlock("exit")
+
+	be := ir.NewBuilder(entry)
+	for k := 0; k < pad; k++ {
+		be.Add(pre, ir.ConstInt(ir.I32, int64(k)), fmt.Sprintf("pad%d", k))
+	}
+	be.Br(prefix)
+
+	bp := ir.NewBuilder(prefix)
+	p := bp.Phi(ir.I32, "p")
+	pn := bp.Add(p, ir.ConstInt(ir.I32, 1), "pn")
+	bp.CondBr(bp.ICmp(ir.IntSLE, pn, pre, "pc"), prefix, loop)
+	ir.AddIncoming(p, ir.ConstInt(ir.I32, 0), entry)
+	ir.AddIncoming(p, pn, prefix)
+
+	lanes := func(ty *ir.Type, f func(j int) uint64) *ir.Const {
+		v := make([]uint64, ty.Len)
+		for j := range v {
+			v[j] = f(j)
+		}
+		return ir.ConstVec(ty, v)
+	}
+	b := ir.NewBuilder(loop)
+	i := b.Phi(ir.I32, "i")
+	acc := b.Phi(f32x8, "acc")
+	accv := b.Phi(i32x4, "accv")
+	accs := b.Phi(ir.I32, "accs")
+	fi := b.Cast(ir.OpSIToFP, i, ir.F32, "fi")
+	a := b.FMul(b.Broadcast(fi, 8, "bf"), lanes(f32x8, func(j int) uint64 {
+		return floatBits32(1.5 + float32(j))
+	}), "a")
+	lim := b.Mul(b.SRem(i, ir.ConstInt(ir.I32, 4), "i4"), ir.ConstInt(ir.I32, 2), "lim")
+	st := b.Add(b.Broadcast(i, 8, "bi"), lanes(i32x8, func(j int) uint64 { return uint64(j) }), "st")
+	r := b.SRem(st, lanes(i32x8, func(int) uint64 { return 5 }), "r")
+	live := b.ICmp(ir.IntSLT, r, b.Broadcast(lim, 8, "blim"), "live")
+	mask := b.Cast(ir.OpSExt, live, i32x8, "mask")
+	bl := b.Call(blend, "bl", a, mask)
+	accN := b.FAdd(acc, bl, "accn")
+	s := b.Mul(b.Broadcast(i, 4, "bi4"), lanes(i32x4, func(j int) uint64 { return uint64(j + 1) }), "s")
+	accvN := b.Add(accv, s, "accvn")
+	k := b.Add(i, ir.ConstInt(ir.I32, 3), "k")
+	accsN := b.Add(accs, k, "accsn")
+	iN := b.Add(i, ir.ConstInt(ir.I32, 1), "in")
+	b.CondBr(b.ICmp(ir.IntSLT, iN, n, "c"), loop, exit)
+	ir.AddIncoming(i, ir.ConstInt(ir.I32, 0), prefix)
+	ir.AddIncoming(i, iN, loop)
+	ir.AddIncoming(acc, ir.ConstZero(f32x8), prefix)
+	ir.AddIncoming(acc, accN, loop)
+	ir.AddIncoming(accv, ir.ConstZero(i32x4), prefix)
+	ir.AddIncoming(accv, accvN, loop)
+	ir.AddIncoming(accs, ir.ConstInt(ir.I32, 0), prefix)
+	ir.AddIncoming(accs, accsN, loop)
+
+	bx := ir.NewBuilder(exit)
+	bx.Call(outF, "", accN)
+	bx.Call(outV, "", accvN)
+	bx.Ret(accsN)
+
+	chain := map[*ir.Instr]bool{}
+	for _, in := range loop.Instrs {
+		chain[in] = true
+	}
+	inst, err := core.Instrument(mod, []*core.Site{
+		{ID: 0, Instr: a, ValueOperand: -1, MaskOperand: -1},
+		{ID: 1, Instr: bl, ValueOperand: -1, MaskOperand: 1},
+		{ID: 2, Instr: s, ValueOperand: -1, MaskOperand: -1},
+		{ID: 3, Instr: k, ValueOperand: -1, MaskOperand: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range loop.Instrs {
+		chain[in] = !chain[in]
+	}
+	for in, ok := range chain {
+		if !ok {
+			delete(chain, in)
+		}
+	}
+	return mod, inst, chain
+}
+
+// blendImpl keeps each lane of its first operand whose mask lane has
+// its sign bit set, and zeroes the others.
+func blendImpl(_ *interp.Interp, args []interp.Value) (interp.Value, *interp.Trap) {
+	out := args[0].Clone()
+	for j, m := range args[1].Bits {
+		if m>>31&1 == 0 {
+			out.Bits[j] = 0
+		}
+	}
+	return out, nil
+}
+
+// chainRun is everything observable about one run of a chain kernel:
+// the run itself, the plan after it, the pulse schedule and observer
+// stream, and (vm only) how many chains the bulk path counted.
+type chainRun struct {
+	runOutcome
+	sites    uint64
+	injected bool
+	record   core.InjectionRecord
+	visits   []uint64
+	pulses   []uint64
+	events   []string
+	bulk     int
+}
+
+// chainCase configures one run: the plan to attach, interpreter
+// options, whether to record the observer stream, and a hook run after
+// the runtime is attached.
+type chainCase struct {
+	plan    core.Plan
+	budget  uint64
+	observe bool
+	after   func(it *interp.Interp)
+}
+
+// runChains runs main(n, pre) of mod on the tree (prog nil) or the vm.
+func runChains(t *testing.T, mod *ir.Module, prog *Program, c chainCase, n, pre int64) chainRun {
+	t.Helper()
+	var r chainRun
+	var rec capRecorder
+	opts := interp.Options{
+		Budget: c.budget,
+		Pulse:  func(d uint64) { r.pulses = append(r.pulses, d) },
+	}
+	if c.observe {
+		opts.Observer = &rec
+	}
+	it, err := interp.New(mod, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog != nil {
+		Attach(it, prog)
+	}
+	it.RegisterExtern("blend", blendImpl)
+	plan := c.plan
+	if plan.Visits != nil {
+		plan.Visits = make([]uint64, len(plan.Visits))
+	}
+	core.AttachRuntime(it, &plan)
+	// Count the chains the bulk path takes, through the plan's own
+	// counter.
+	for _, f := range mod.Funcs {
+		if orig := it.ResolveBulkCounter(f); orig != nil {
+			it.RegisterBulkCounter(f.Nam, func(n uint64) bool {
+				ok := orig(n)
+				if ok {
+					r.bulk++
+				}
+				return ok
+			})
+		}
+	}
+	if c.after != nil {
+		c.after(it)
+	}
+	v, tr := it.Run("main", interp.IntValue(ir.I32, n), interp.IntValue(ir.I32, pre))
+	r.trap, r.dyn, r.vec, r.output = tr, it.DynInstrs, it.DynVector, it.Output.String()
+	if v.Ty != nil {
+		r.val = v.String()
+	}
+	r.sites, r.injected, r.record, r.visits = plan.DynSites, plan.Injected, plan.Record, plan.Visits
+	r.events = rec.events
+	return r
+}
+
+// sameChainRun asserts that the tree and vm runs are indistinguishable.
+func sameChainRun(t *testing.T, what string, tree, vm chainRun) {
+	t.Helper()
+	assertSameOutcome(t, tree.runOutcome, vm.runOutcome)
+	if tree.sites != vm.sites || tree.injected != vm.injected || tree.record != vm.record {
+		t.Errorf("%s: plan: tree %d sites, injected %v %v; vm %d sites, injected %v %v", what,
+			tree.sites, tree.injected, tree.record, vm.sites, vm.injected, vm.record)
+	}
+	if !slices.Equal(tree.visits, vm.visits) {
+		t.Errorf("%s: visits: tree %v, vm %v", what, tree.visits, vm.visits)
+	}
+	if !slices.Equal(tree.pulses, vm.pulses) {
+		t.Errorf("%s: pulses: tree %d, vm %d, first difference at %d", what,
+			len(tree.pulses), len(vm.pulses), firstDiff(tree.pulses, vm.pulses))
+	}
+	if !slices.Equal(tree.events, vm.events) {
+		t.Errorf("%s: observer streams: tree %d events, vm %d, first difference at %d", what,
+			len(tree.events), len(vm.events), firstDiff(tree.events, vm.events))
+	}
+	if t.Failed() {
+		t.Fatalf("%s: the backends differ", what)
+	}
+}
+
+// firstDiff returns the first index at which a and b differ.
+func firstDiff[T comparable](a, b []T) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// TestSiteChainTargets puts the fault at every live lane of every chain
+// visit, at two bit seeds (the second flips a high bit), and around
+// them, and requires both backends to agree on the whole run. Masked-off
+// lanes are no dynamic site, so a target never lands on one; the chains
+// around them must count past them identically. Every site must have a
+// guard and the golden run must take the bulk path, or the rest proves
+// nothing.
+func TestSiteChainTargets(t *testing.T) {
+	mod, inst, _ := chainKernel(t, 0)
+	prog := Compile(mod)
+	if got := prog.Fused("site"); got != len(inst.Sites) {
+		t.Fatalf("%d fused sites, want %d", got, len(inst.Sites))
+	}
+	const n = 9
+	golden := chainCase{plan: core.Plan{Mode: core.CountOnly}}
+	tree := runChains(t, mod, nil, golden, n, 0)
+	vm := runChains(t, mod, prog, golden, n, 0)
+	sameChainRun(t, "golden", tree, vm)
+	if vm.bulk == 0 {
+		t.Fatal("the golden run counted no chain in bulk")
+	}
+	for target := uint64(0); target <= tree.sites+1; target++ {
+		for _, seed := range []uint64{5, 30 | 3<<24} {
+			c := chainCase{plan: core.Plan{Mode: core.InjectOnce, TargetDyn: target, BitSeed: seed}}
+			what := fmt.Sprintf("target %d seed %#x", target, seed)
+			tree, vm := runChains(t, mod, nil, c, n, 0), runChains(t, mod, prog, c, n, 0)
+			sameChainRun(t, what, tree, vm)
+			if hit := target >= 1 && target <= tree.sites; tree.injected != hit {
+				t.Fatalf("%s: injected %v", what, tree.injected)
+			}
+		}
+	}
+}
+
+// TestSiteChainBudgetBoundaries sweeps a budget boundary over every
+// offset of the loop's first iteration (see chainKernel) and requires
+// identical pulse schedules, counts and results on both backends, in a
+// golden run, a faulty run, and under a budget of 1,023 instructions,
+// which traps at the boundary at 1,024. Every chain instruction must be
+// where some of those traps fired, so the boundary fell at every
+// position of every chain.
+func TestSiteChainBudgetBoundaries(t *testing.T) {
+	const n = 3
+	var chain map[*ir.Instr]bool
+	trapped := map[string]bool{}
+	for pad := 0; pad < 4; pad++ {
+		mod, _, ch := chainKernel(t, pad)
+		chain = ch
+		prog := Compile(mod)
+		for pre := int64(0); pre < 256; pre++ {
+			for _, c := range []chainCase{
+				{plan: core.Plan{Mode: core.CountOnly}},
+				{plan: core.Plan{Mode: core.InjectOnce, TargetDyn: 11, BitSeed: 3}},
+				{plan: core.Plan{Mode: core.CountOnly}, budget: 1023},
+			} {
+				what := fmt.Sprintf("pad %d pre %d target %d budget %d", pad, pre, c.plan.TargetDyn, c.budget)
+				tree := runChains(t, mod, nil, c, n, pre)
+				sameChainRun(t, what, tree, runChains(t, mod, prog, c, n, pre))
+				if tree.trap != nil {
+					trapped[tree.trap.Instr] = true
+				}
+			}
+		}
+	}
+	// The kernels differ only in their pads, so a chain instruction reads
+	// the same in each.
+	for in := range chain {
+		if !trapped[in.String()] {
+			t.Errorf("no budget trap fired at %s", in)
+		}
+	}
+}
+
+// TestSiteChainFallsThrough covers the runs the bulk path must leave to
+// the chain: an observer attached (identical event streams), Plan.Visits
+// set (identical per-lane-site visits), and the injectFault* externs
+// registered again after AttachRuntime, which drops the plan's counters.
+// In each, the vm must count no chain in bulk.
+func TestSiteChainFallsThrough(t *testing.T) {
+	mod, inst, _ := chainKernel(t, 0)
+	prog := Compile(mod)
+	const n = 9
+	faulty := core.Plan{Mode: core.InjectOnce, TargetDyn: 40, BitSeed: 17}
+	visits := core.Plan{Mode: core.CountOnly, Visits: make([]uint64, len(inst.LaneSites))}
+	var calls []string
+	reregister := func(it *interp.Interp) {
+		for _, f := range it.Mod.Funcs {
+			if f.IsDecl && strings.HasPrefix(f.Nam, "injectFault") {
+				it.RegisterExtern(f.Nam, func(it *interp.Interp, args []interp.Value) (interp.Value, *interp.Trap) {
+					if args[1].Int() != 0 {
+						calls = append(calls, fmt.Sprint(args[2].Int()))
+					}
+					return args[0], nil
+				})
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		c    chainCase
+	}{
+		{"observed golden", chainCase{plan: core.Plan{Mode: core.CountOnly}, observe: true}},
+		{"observed faulty", chainCase{plan: faulty, observe: true}},
+		{"visits", chainCase{plan: visits}},
+		{"re-registered", chainCase{plan: faulty, after: reregister}},
+	} {
+		calls = nil
+		tree := runChains(t, mod, nil, tc.c, n, 0)
+		treeCalls := calls
+		calls = nil
+		vm := runChains(t, mod, prog, tc.c, n, 0)
+		sameChainRun(t, tc.name, tree, vm)
+		if vm.bulk != 0 {
+			t.Errorf("%s: the vm counted %d chains in bulk", tc.name, vm.bulk)
+		}
+		if !slices.Equal(treeCalls, calls) {
+			t.Errorf("%s: extern calls: tree %v, vm %v", tc.name, treeCalls, calls)
+		}
+	}
+	if len(calls) == 0 {
+		t.Fatal("the re-registered extern was never called")
+	}
+}
+
+// TestEverySiteFuses compiles every benchmark × ISA × category cell as
+// a campaign does by default and requires one vSite guard per selected
+// fault site. A change to core.Instrument's emission order that the
+// matcher no longer recognises would drop the bulk path while every
+// differential test stays green; this test is what notices. The
+// ablation modes are not default cells and are not counted here: the
+// whole-register ablation's single vector-typed call may stay unfused
+// (it matches as a scalar site today), and the mask-oblivious chains
+// are the unmasked shape.
+func TestEverySiteFuses(t *testing.T) {
+	cells := 0
+	for _, b := range benchmarks.All() {
+		for _, target := range isa.Extended {
+			for _, cat := range passes.AllCategories {
+				res, err := codegen.CompileSource(b.Source, target, b.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inst := &core.Instrumentation{}
+				pm := &passes.Manager{Verify: true}
+				pm.Add(&core.InstrumentPass{Category: cat, Out: inst})
+				if err := pm.Run(res.Module); err != nil {
+					t.Fatalf("%s/%s/%s: %v", b.Name, target.Name, cat, err)
+				}
+				if got, want := Compile(res.Module).Fused("site"), len(inst.Sites); got != want {
+					t.Errorf("%s/%s/%s: %d fused sites, want %d", b.Name, target.Name, cat, got, want)
+				}
+				cells++
+			}
+		}
+	}
+	if cells != 117 {
+		t.Fatalf("covered %d cells, want 117", cells)
+	}
+}

@@ -3,8 +3,9 @@
 // branch targets resolved at compile time, phi nodes eliminated into
 // parallel moves on edges, and fused superinstructions for the hot
 // digram patterns surfaced by the execution profiler (lane address
-// computation + load/store, scalar mask test + branch) — and executes
-// that form as a dense dispatch loop over recycled register frames.
+// computation + load/store, scalar mask test + branch) and a guard per
+// fault site's injection chain — and executes that form as a dense
+// dispatch loop over recycled register frames.
 //
 // The backend is attached to an interpreter through the interp.Engine
 // hook and executes against the interpreter's own observable state, so
@@ -12,12 +13,18 @@
 // outcomes, identical DynInstrs/DynVector accounting (phis and
 // terminators included), the identical budget-check schedule, identical
 // trap kinds/messages/provenance, and an identical interp.Observer event
-// stream. Injection semantics are inherited for free: the
+// stream. Injection semantics are inherited, not reimplemented: the
 // instrumentation chain calls the injectFault* externs through the
 // shared call protocol, so LaneSiteID attribution, dynamic site
-// counting and bit flips behave byte-identically. A function the
-// compiler cannot lower is simply declined at call time and tree-walked
-// instead.
+// counting and bit flips behave byte-identically. The one shortcut is
+// the vSite guard the compiler puts in front of each fault site's
+// chain: where no observer watches, no budget check falls inside the
+// chain, and the bulk counter registered beside the extern (see
+// interp.BulkCounter) agrees that every live lane's call would only
+// count, the guard counts the live lanes in one step, accounts the
+// chain's instructions and jumps past it; otherwise the chain runs call
+// by call. A function the compiler cannot lower is simply declined at
+// call time and tree-walked instead.
 //
 // The speedup comes from dispatch, not semantics: dense register frames
 // replace the tree-walker's per-frame value map, operands are fetched
@@ -92,7 +99,8 @@ func (p *Program) Compiled(f *ir.Func) bool { return p.fns[f] != nil }
 func (p *Program) NumCompiled() int { return len(p.fns) }
 
 // Fused returns the number of fused superinstructions emitted for the
-// named pattern ("gep+load", "gep+store", "cmp+br").
+// named pattern ("gep+load", "gep+store", "cmp+br"), or, for "site",
+// the number of fault sites whose instrumentation got a vSite guard.
 func (p *Program) Fused(pattern string) int { return p.fused[pattern] }
 
 // Machine executes one Program against one interpreter instance. It
@@ -114,9 +122,10 @@ type Machine struct {
 	// the destination register before any other frame runs.
 	borrow bool
 
-	// ext caches resolved extern implementations by the program's dense
-	// declaration index, valid for one interpreter registration epoch.
-	ext      []interp.ExternFn
+	// ext caches resolved extern implementations, with the bulk counters
+	// registered beside them, by the program's dense declaration index,
+	// valid for one interpreter registration epoch.
+	ext      []extern
 	extEpoch uint64
 
 	// hook, when set, is the run's Recorder or Join (see SetRecorder
@@ -147,29 +156,36 @@ func newFrame(code *fnCode) *frame {
 	return fr
 }
 
-// externFor returns the cached extern implementation for the dense decl
-// index ix, resolving through it on a miss and invalidating the whole
-// cache when the interpreter's registration epoch moved. Returns nil
-// for unresolvable callees (the caller falls back to it.Call, whose
+// extern is one resolved declaration callee: its implementation and
+// the bulk counter registered beside it (nil when there is none).
+type extern struct {
+	fn   interp.ExternFn
+	bulk interp.BulkCounter
+}
+
+// externFor returns the cached extern for the dense decl index ix,
+// resolving through it on a miss and invalidating the whole cache when
+// the interpreter's registration epoch moved. The fn of the result is
+// nil for unresolvable callees (the caller falls back to it.Call, whose
 // trap carries the authoritative diagnostic).
-func (m *Machine) externFor(it *interp.Interp, ix int32, f *ir.Func) interp.ExternFn {
+func (m *Machine) externFor(it *interp.Interp, ix int32, f *ir.Func) extern {
 	if ep := it.ExternEpoch(); ep != m.extEpoch || m.ext == nil {
 		if m.ext == nil {
-			m.ext = make([]interp.ExternFn, len(m.prog.declIx))
+			m.ext = make([]extern, len(m.prog.declIx))
 		} else {
 			clear(m.ext)
 		}
 		m.extEpoch = ep
 	}
-	if fn := m.ext[ix]; fn != nil {
-		return fn
+	if e := m.ext[ix]; e.fn != nil {
+		return e
 	}
 	fn, ok := it.ResolveExtern(f)
 	if !ok {
-		return nil
+		return extern{}
 	}
-	m.ext[ix] = fn
-	return fn
+	m.ext[ix] = extern{fn: fn, bulk: it.ResolveBulkCounter(f)}
+	return m.ext[ix]
 }
 
 // NewMachine returns a Machine executing prog.
