@@ -279,9 +279,16 @@ func ParseBackend(name string) (string, error) {
 
 // Total returns the job's experiment count after applying the paper
 // defaults RunStudy would apply; for a shard spec it is the shard's
-// range size, since only those indices execute.
+// range size, since only those indices execute. It is 0 when
+// campaign.Config.Validate rejects the schedule or the shard range (an
+// oversized schedule; an empty, inverted, negative or out-of-schedule
+// shard range), because such a job runs no experiment; so it is never
+// negative.
 func (s Spec) Total() int {
 	if s.ShardEnd > 0 {
+		if s.ShardStart < 0 || s.ShardStart >= s.ShardEnd || s.ShardEnd > s.ScheduleTotal() {
+			return 0
+		}
 		return s.ShardEnd - s.ShardStart
 	}
 	return s.ScheduleTotal()
@@ -289,7 +296,8 @@ func (s Spec) Total() int {
 
 // ScheduleTotal returns the full schedule size Campaigns × Experiments
 // after defaults, ignoring any shard range — the index space a
-// coordinator plans shards over.
+// coordinator plans shards over. A schedule over
+// campaign.MaxExperiments, which Validate rejects, gives 0.
 func (s Spec) ScheduleTotal() int {
 	e, c := s.Experiments, s.Campaigns
 	if e <= 0 {
@@ -297,6 +305,11 @@ func (s Spec) ScheduleTotal() int {
 	}
 	if c <= 0 {
 		c = 20
+	}
+	// Divide rather than multiply, as Validate does, so an overflowing
+	// product is caught.
+	if c > campaign.MaxExperiments/e {
+		return 0
 	}
 	return e * c
 }

@@ -1,9 +1,12 @@
 package api
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"vulfi/internal/campaign"
 )
 
 // TestEverySpecFieldReachesConfig: zeroing any one wire field of a
@@ -120,6 +123,36 @@ func TestSpecConfigParseErrors(t *testing.T) {
 		}
 		if !strings.Contains(strings.ToLower(err.Error()), strings.ToLower(tc.want)) {
 			t.Errorf("error %q does not mention %s", err, tc.want)
+		}
+	}
+}
+
+// TestSpecTotalsBounded: a spec whose schedule or shard range
+// campaign.Config.Validate rejects runs no experiment, so its totals
+// are 0 rather than an overflowed or negative count.
+func TestSpecTotalsBounded(t *testing.T) {
+	const max = campaign.MaxExperiments
+	for _, tc := range []struct {
+		name            string
+		spec            Spec
+		total, schedule int
+	}{
+		{"overflowing product", Spec{Experiments: 3037000500, Campaigns: 3037000500}, 0, 0},
+		{"one past the bound", Spec{Experiments: max + 1, Campaigns: 1}, 0, 0},
+		{"one past the bound, split", Spec{Experiments: 1 << 10, Campaigns: 1<<10 + 1}, 0, 0},
+		{"exactly the bound", Spec{Experiments: 1 << 10, Campaigns: 1 << 10}, max, max},
+		{"shard of an oversized schedule", Spec{Experiments: max, Campaigns: 2, ShardStart: 0, ShardEnd: 10}, 0, 0},
+		{"inverted shard range", Spec{Experiments: 10, Campaigns: 3, ShardStart: 12, ShardEnd: 5}, 0, 30},
+		{"empty shard range", Spec{Experiments: 10, Campaigns: 3, ShardStart: 5, ShardEnd: 5}, 0, 30},
+		{"negative shard start", Spec{Experiments: 10, Campaigns: 3, ShardStart: math.MinInt, ShardEnd: 5}, 0, 30},
+		{"shard past the schedule", Spec{Experiments: 10, Campaigns: 3, ShardStart: 5, ShardEnd: 31}, 0, 30},
+		{"shard at the schedule's end", Spec{Experiments: 10, Campaigns: 3, ShardStart: 5, ShardEnd: 30}, 25, 30},
+	} {
+		if got := tc.spec.Total(); got != tc.total {
+			t.Errorf("%s: Total() = %d, want %d", tc.name, got, tc.total)
+		}
+		if got := tc.spec.ScheduleTotal(); got != tc.schedule {
+			t.Errorf("%s: ScheduleTotal() = %d, want %d", tc.name, got, tc.schedule)
 		}
 	}
 }

@@ -71,7 +71,9 @@ func (it *Interp) ExternEpoch() uint64 { return it.externEpoch }
 // loops (execInstr reaches the same loops through its allocating
 // wrappers) into a caller-provided result value whose Bits already hold
 // one word per lane, so a backend that routes its arithmetic through
-// them shares bit-exact semantics by construction. Every lane is
+// them shares bit-exact semantics by construction. Each call picks one
+// loop from its opcode, predicate and lane kind, then runs it over the
+// lanes. Every lane is
 // written on the success path, so the storage may be reused (e.g. a
 // register's own words in a reused frame, rewritten each time its
 // instruction executes) without stale data leaking between executions.

@@ -607,59 +607,157 @@ func intBin(op ir.Op, a, b Value) (Value, *Trap) {
 	return out, nil
 }
 
+// The lane kernels below (intBinInto, floatBinInto, compareInto,
+// castInto) pick their loop once per call, from the opcode, predicate
+// and lane kind, and each loop computes one lane expression over every
+// lane in order. Lane words are read as stored: integer operands are
+// sign-extended from their width where a signed operation needs it, and
+// f32 lanes widen to float64, compute there and round once to float32.
+
+// f32 widens an f32 lane word to float64, f64 reads an f64 lane word,
+// and f32bits rounds f to an f32 lane word.
+func f32(w uint64) float64     { return float64(math.Float32frombits(uint32(w))) }
+func f64(w uint64) float64     { return math.Float64frombits(w) }
+func f32bits(f float64) uint64 { return uint64(math.Float32bits(float32(f))) }
+
+// fadd and fmul return x+y and x*y with x86's NaN rule spelled out: a
+// NaN result takes the first NaN operand, quieted. x86 arithmetic
+// follows that rule, but Go leaves the operand order of a commutative
+// operation to the compiler, so the payload of a sum or product of two
+// NaNs would otherwise depend on code generation.
+func fadd(x, y float64) float64 {
+	r := x + y
+	if r != r {
+		return firstNaN(x, y, r)
+	}
+	return r
+}
+
+func fmul(x, y float64) float64 {
+	r := x * y
+	if r != r {
+		return firstNaN(x, y, r)
+	}
+	return r
+}
+
+// firstNaN returns the first of x and y that is NaN, quieted, or r when
+// neither is.
+func firstNaN(x, y, r float64) float64 {
+	const quiet = 1 << 51
+	switch {
+	case x != x:
+		return math.Float64frombits(math.Float64bits(x) | quiet)
+	case y != y:
+		return math.Float64frombits(math.Float64bits(y) | quiet)
+	}
+	return r
+}
+
+// b2u returns 1 for true and 0 for false: an i1 lane word.
+func b2u(c bool) uint64 {
+	if c {
+		return 1
+	}
+	return 0
+}
+
 // intBinInto computes a lane-wise integer binary op into out, whose
 // Bits must already hold one word per lane. Every lane is written (no
-// stale data survives), so out may come from recycled storage.
+// stale data survives), so out may come from recycled storage; a trap
+// stops at the first trapping lane, with the lanes before it written.
 func intBinInto(out Value, op ir.Op, a, b Value) *Trap {
 	bits := a.Ty.ScalarBits()
-	for i := range a.Bits {
-		x, y := a.Bits[i], b.Bits[i]
-		sx, sy := ir.SignExtend(x, bits), ir.SignExtend(y, bits)
-		var r uint64
-		switch op {
-		case ir.OpAdd:
-			r = x + y
-		case ir.OpSub:
-			r = x - y
-		case ir.OpMul:
-			r = x * y
-		case ir.OpSDiv, ir.OpSRem:
-			if sy == 0 {
-				return trapf(TrapDivZero, "%s by zero", op)
-			}
-			if sx == minIntFor(bits) && sy == -1 {
-				return trapf(TrapDivOverflow, "%d %s -1", sx, op)
-			}
-			if op == ir.OpSDiv {
-				r = uint64(sx / sy)
-			} else {
-				r = uint64(sx % sy)
-			}
-		case ir.OpUDiv, ir.OpURem:
-			if y == 0 {
-				return trapf(TrapDivZero, "%s by zero", op)
-			}
-			if op == ir.OpUDiv {
-				r = x / y
-			} else {
-				r = x % y
-			}
-		case ir.OpAnd:
-			r = x & y
-		case ir.OpOr:
-			r = x | y
-		case ir.OpXor:
-			r = x ^ y
-		case ir.OpShl:
-			r = x << (y % uint64(bits))
-		case ir.OpLShr:
-			r = x >> (y % uint64(bits))
-		case ir.OpAShr:
-			r = uint64(sx >> (y % uint64(bits)))
+	x := a.Bits
+	y, o := b.Bits[:len(x)], out.Bits[:len(x)]
+	// m is the width's mask; sh sign-extends a lane from its width:
+	// int64(w<<sh)>>sh equals ir.SignExtend(w, bits). Integer widths are
+	// powers of two, so a shift count modulo the width is the count
+	// masked by cm.
+	m := ir.TruncateToWidth(^uint64(0), bits)
+	sh, cm := uint(64-bits), uint64(bits-1)
+	switch op {
+	case ir.OpAdd:
+		for i := range o {
+			o[i] = (x[i] + y[i]) & m
 		}
-		out.Bits[i] = ir.TruncateToWidth(r, bits)
+	case ir.OpSub:
+		for i := range o {
+			o[i] = (x[i] - y[i]) & m
+		}
+	case ir.OpMul:
+		for i := range o {
+			o[i] = (x[i] * y[i]) & m
+		}
+	case ir.OpSDiv:
+		lo := minIntFor(bits)
+		for i := range o {
+			sx, sy := int64(x[i]<<sh)>>sh, int64(y[i]<<sh)>>sh
+			if sy == 0 || sx == lo && sy == -1 {
+				return sdivTrap(op, sx, sy)
+			}
+			o[i] = uint64(sx/sy) & m
+		}
+	case ir.OpSRem:
+		lo := minIntFor(bits)
+		for i := range o {
+			sx, sy := int64(x[i]<<sh)>>sh, int64(y[i]<<sh)>>sh
+			if sy == 0 || sx == lo && sy == -1 {
+				return sdivTrap(op, sx, sy)
+			}
+			o[i] = uint64(sx%sy) & m
+		}
+	case ir.OpUDiv:
+		for i := range o {
+			if y[i] == 0 {
+				return trapf(TrapDivZero, "%s by zero", op)
+			}
+			o[i] = (x[i] / y[i]) & m
+		}
+	case ir.OpURem:
+		for i := range o {
+			if y[i] == 0 {
+				return trapf(TrapDivZero, "%s by zero", op)
+			}
+			o[i] = (x[i] % y[i]) & m
+		}
+	case ir.OpAnd:
+		for i := range o {
+			o[i] = (x[i] & y[i]) & m
+		}
+	case ir.OpOr:
+		for i := range o {
+			o[i] = (x[i] | y[i]) & m
+		}
+	case ir.OpXor:
+		for i := range o {
+			o[i] = (x[i] ^ y[i]) & m
+		}
+	case ir.OpShl:
+		for i := range o {
+			o[i] = (x[i] << (y[i] & cm)) & m
+		}
+	case ir.OpLShr:
+		for i := range o {
+			o[i] = (x[i] >> (y[i] & cm)) & m
+		}
+	case ir.OpAShr:
+		for i := range o {
+			o[i] = uint64((int64(x[i]<<sh)>>sh)>>(y[i]&cm)) & m
+		}
+	default:
+		clear(o)
 	}
 	return nil
+}
+
+// sdivTrap is the x86 fault of a signed division lane: a zero divisor,
+// or the width's minimum divided by -1.
+func sdivTrap(op ir.Op, sx, sy int64) *Trap {
+	if sy == 0 {
+		return trapf(TrapDivZero, "%s by zero", op)
+	}
+	return trapf(TrapDivOverflow, "%d %s -1", sx, op)
 }
 
 func minIntFor(bits int) int64 {
@@ -676,27 +774,60 @@ func floatBin(op ir.Op, a, b Value) Value {
 }
 
 // floatBinInto computes a lane-wise float binary op into out; every
-// lane is written.
+// lane is written. Division never traps (IEEE: ±Inf or NaN).
 func floatBinInto(out Value, op ir.Op, a, b Value) {
-	for i := range a.Bits {
-		x, y := a.LaneFloat(i), b.LaneFloat(i)
-		var r float64
+	x := a.Bits
+	y, o := b.Bits[:len(x)], out.Bits[:len(x)]
+	if a.Ty.Scalar() == ir.F32 {
 		switch op {
 		case ir.OpFAdd:
-			r = x + y
+			for i := range o {
+				o[i] = f32bits(fadd(f32(x[i]), f32(y[i])))
+			}
 		case ir.OpFSub:
-			r = x - y
+			for i := range o {
+				o[i] = f32bits(f32(x[i]) - f32(y[i]))
+			}
 		case ir.OpFMul:
-			r = x * y
+			for i := range o {
+				o[i] = f32bits(fmul(f32(x[i]), f32(y[i])))
+			}
 		case ir.OpFDiv:
-			r = x / y // IEEE: ±Inf/NaN, no trap
+			for i := range o {
+				o[i] = f32bits(f32(x[i]) / f32(y[i]))
+			}
 		case ir.OpFRem:
-			r = math.Mod(x, y)
+			for i := range o {
+				o[i] = f32bits(math.Mod(f32(x[i]), f32(y[i])))
+			}
+		default:
+			clear(o)
 		}
-		if a.Ty.Scalar() == ir.F32 {
-			r = float64(float32(r))
+		return
+	}
+	switch op {
+	case ir.OpFAdd:
+		for i := range o {
+			o[i] = math.Float64bits(fadd(f64(x[i]), f64(y[i])))
 		}
-		out.SetLaneFloat(i, r)
+	case ir.OpFSub:
+		for i := range o {
+			o[i] = math.Float64bits(f64(x[i]) - f64(y[i]))
+		}
+	case ir.OpFMul:
+		for i := range o {
+			o[i] = math.Float64bits(fmul(f64(x[i]), f64(y[i])))
+		}
+	case ir.OpFDiv:
+		for i := range o {
+			o[i] = math.Float64bits(f64(x[i]) / f64(y[i]))
+		}
+	case ir.OpFRem:
+		for i := range o {
+			o[i] = math.Float64bits(math.Mod(f64(x[i]), f64(y[i])))
+		}
+	default:
+		clear(o)
 	}
 }
 
@@ -712,61 +843,127 @@ func compare(op ir.Op, pred ir.Pred, a, b Value) Value {
 }
 
 // compareInto computes a lane-wise icmp/fcmp into out (i1 lanes); every
-// lane is written.
+// lane is written. A predicate of the other comparison's family holds
+// on no lane.
 func compareInto(out Value, op ir.Op, pred ir.Pred, a, b Value) {
-	n := a.Lanes()
-	bits := a.Ty.ScalarBits()
-	for i := 0; i < n; i++ {
-		var res bool
-		if op == ir.OpICmp {
-			sx, sy := ir.SignExtend(a.Bits[i], bits), ir.SignExtend(b.Bits[i], bits)
-			ux, uy := a.Bits[i], b.Bits[i]
-			switch pred {
-			case ir.IntEQ:
-				res = ux == uy
-			case ir.IntNE:
-				res = ux != uy
-			case ir.IntSLT:
-				res = sx < sy
-			case ir.IntSLE:
-				res = sx <= sy
-			case ir.IntSGT:
-				res = sx > sy
-			case ir.IntSGE:
-				res = sx >= sy
-			case ir.IntULT:
-				res = ux < uy
-			case ir.IntULE:
-				res = ux <= uy
-			case ir.IntUGT:
-				res = ux > uy
-			case ir.IntUGE:
-				res = ux >= uy
+	x := a.Bits
+	y, o := b.Bits[:len(x)], out.Bits[:len(x)]
+	if op == ir.OpICmp {
+		sh := uint(64 - a.Ty.ScalarBits())
+		switch pred {
+		case ir.IntEQ:
+			for i := range o {
+				o[i] = b2u(x[i] == y[i])
 			}
-		} else {
-			x, y := a.LaneFloat(i), b.LaneFloat(i)
-			switch pred {
-			case ir.FloatOEQ:
-				res = x == y
-			case ir.FloatONE:
-				res = x != y && !math.IsNaN(x) && !math.IsNaN(y)
-			case ir.FloatUNE:
-				res = x != y
-			case ir.FloatOLT:
-				res = x < y
-			case ir.FloatOLE:
-				res = x <= y
-			case ir.FloatOGT:
-				res = x > y
-			case ir.FloatOGE:
-				res = x >= y
+		case ir.IntNE:
+			for i := range o {
+				o[i] = b2u(x[i] != y[i])
 			}
+		case ir.IntSLT:
+			for i := range o {
+				o[i] = b2u(int64(x[i]<<sh)>>sh < int64(y[i]<<sh)>>sh)
+			}
+		case ir.IntSLE:
+			for i := range o {
+				o[i] = b2u(int64(x[i]<<sh)>>sh <= int64(y[i]<<sh)>>sh)
+			}
+		case ir.IntSGT:
+			for i := range o {
+				o[i] = b2u(int64(x[i]<<sh)>>sh > int64(y[i]<<sh)>>sh)
+			}
+		case ir.IntSGE:
+			for i := range o {
+				o[i] = b2u(int64(x[i]<<sh)>>sh >= int64(y[i]<<sh)>>sh)
+			}
+		case ir.IntULT:
+			for i := range o {
+				o[i] = b2u(x[i] < y[i])
+			}
+		case ir.IntULE:
+			for i := range o {
+				o[i] = b2u(x[i] <= y[i])
+			}
+		case ir.IntUGT:
+			for i := range o {
+				o[i] = b2u(x[i] > y[i])
+			}
+		case ir.IntUGE:
+			for i := range o {
+				o[i] = b2u(x[i] >= y[i])
+			}
+		default:
+			clear(o)
 		}
-		if res {
-			out.Bits[i] = 1
-		} else {
-			out.Bits[i] = 0
+		return
+	}
+	if a.Ty.Scalar() == ir.F32 {
+		switch pred {
+		case ir.FloatOEQ:
+			for i := range o {
+				o[i] = b2u(f32(x[i]) == f32(y[i]))
+			}
+		case ir.FloatONE:
+			for i := range o {
+				p, q := f32(x[i]), f32(y[i])
+				o[i] = b2u(p != q && !math.IsNaN(p) && !math.IsNaN(q))
+			}
+		case ir.FloatUNE:
+			for i := range o {
+				o[i] = b2u(f32(x[i]) != f32(y[i]))
+			}
+		case ir.FloatOLT:
+			for i := range o {
+				o[i] = b2u(f32(x[i]) < f32(y[i]))
+			}
+		case ir.FloatOLE:
+			for i := range o {
+				o[i] = b2u(f32(x[i]) <= f32(y[i]))
+			}
+		case ir.FloatOGT:
+			for i := range o {
+				o[i] = b2u(f32(x[i]) > f32(y[i]))
+			}
+		case ir.FloatOGE:
+			for i := range o {
+				o[i] = b2u(f32(x[i]) >= f32(y[i]))
+			}
+		default:
+			clear(o)
 		}
+		return
+	}
+	switch pred {
+	case ir.FloatOEQ:
+		for i := range o {
+			o[i] = b2u(f64(x[i]) == f64(y[i]))
+		}
+	case ir.FloatONE:
+		for i := range o {
+			p, q := f64(x[i]), f64(y[i])
+			o[i] = b2u(p != q && !math.IsNaN(p) && !math.IsNaN(q))
+		}
+	case ir.FloatUNE:
+		for i := range o {
+			o[i] = b2u(f64(x[i]) != f64(y[i]))
+		}
+	case ir.FloatOLT:
+		for i := range o {
+			o[i] = b2u(f64(x[i]) < f64(y[i]))
+		}
+	case ir.FloatOLE:
+		for i := range o {
+			o[i] = b2u(f64(x[i]) <= f64(y[i]))
+		}
+	case ir.FloatOGT:
+		for i := range o {
+			o[i] = b2u(f64(x[i]) > f64(y[i]))
+		}
+	case ir.FloatOGE:
+		for i := range o {
+			o[i] = b2u(f64(x[i]) >= f64(y[i]))
+		}
+	default:
+		clear(o)
 	}
 }
 
@@ -812,52 +1009,85 @@ func castVal(op ir.Op, v Value, to *ir.Type) Value {
 // castInto computes a cast into out; every lane is written.
 func castInto(out Value, op ir.Op, v Value, to *ir.Type) {
 	fromS, toS := v.Ty.Scalar(), to.Scalar()
-	for i := range v.Bits {
-		switch op {
-		case ir.OpTrunc:
-			out.Bits[i] = ir.TruncateToWidth(v.Bits[i], toS.Bits)
-		case ir.OpZExt:
-			out.Bits[i] = v.Bits[i]
-		case ir.OpSExt:
-			out.Bits[i] = ir.TruncateToWidth(uint64(ir.SignExtend(v.Bits[i], fromS.Bits)), toS.Bits)
-		case ir.OpFPTrunc:
-			out.Bits[i] = uint64(math.Float32bits(float32(math.Float64frombits(v.Bits[i]))))
-		case ir.OpFPExt:
-			out.Bits[i] = math.Float64bits(float64(math.Float32frombits(uint32(v.Bits[i]))))
-		case ir.OpSIToFP:
-			f := float64(ir.SignExtend(v.Bits[i], fromS.Bits))
-			if toS == ir.F32 {
-				out.Bits[i] = uint64(math.Float32bits(float32(f)))
-			} else {
-				out.Bits[i] = math.Float64bits(f)
+	x := v.Bits
+	o := out.Bits[:len(x)]
+	switch op {
+	case ir.OpTrunc:
+		m := ir.TruncateToWidth(^uint64(0), toS.Bits)
+		for i := range o {
+			o[i] = x[i] & m
+		}
+	case ir.OpZExt:
+		copy(o, x)
+	case ir.OpSExt:
+		sh, m := uint(64-fromS.Bits), ir.TruncateToWidth(^uint64(0), toS.Bits)
+		for i := range o {
+			o[i] = uint64(int64(x[i]<<sh)>>sh) & m
+		}
+	case ir.OpFPTrunc:
+		for i := range o {
+			o[i] = f32bits(f64(x[i]))
+		}
+	case ir.OpFPExt:
+		for i := range o {
+			o[i] = math.Float64bits(f32(x[i]))
+		}
+	case ir.OpSIToFP:
+		sh := uint(64 - fromS.Bits)
+		if toS == ir.F32 {
+			for i := range o {
+				o[i] = f32bits(float64(int64(x[i]<<sh) >> sh))
 			}
-		case ir.OpFPToSI:
-			var f float64
-			if fromS == ir.F32 {
-				f = float64(math.Float32frombits(uint32(v.Bits[i])))
-			} else {
-				f = math.Float64frombits(v.Bits[i])
+		} else {
+			for i := range o {
+				o[i] = math.Float64bits(float64(int64(x[i]<<sh) >> sh))
 			}
-			out.Bits[i] = ir.TruncateToWidth(uint64(clampToInt(f)), toS.Bits)
-		case ir.OpBitcast, ir.OpPtrToInt, ir.OpIntToPtr:
-			out.Bits[i] = ir.TruncateToWidth(v.Bits[i], toS.ScalarBits())
+		}
+	case ir.OpFPToSI:
+		m := ir.TruncateToWidth(^uint64(0), toS.Bits)
+		switch {
+		case fromS == ir.F32 && toS.Bits > 32:
+			for i := range o {
+				o[i] = cvtt64(f32(x[i]))
+			}
+		case fromS == ir.F32:
+			for i := range o {
+				o[i] = cvtt32(f32(x[i])) & m
+			}
+		case toS.Bits > 32:
+			for i := range o {
+				o[i] = cvtt64(f64(x[i]))
+			}
+		default:
+			for i := range o {
+				o[i] = cvtt32(f64(x[i])) & m
+			}
+		}
+	case ir.OpBitcast, ir.OpPtrToInt, ir.OpIntToPtr:
+		m := ir.TruncateToWidth(^uint64(0), toS.ScalarBits())
+		for i := range o {
+			o[i] = x[i] & m
 		}
 	}
 }
 
-// clampToInt converts like x86 cvttss2si: NaN/overflow produce the
-// "integer indefinite" value (min int64) rather than UB.
-func clampToInt(f float64) int64 {
-	if math.IsNaN(f) {
-		return math.MinInt64
+// cvtt64 and cvtt32 convert f toward zero like x86's cvttsd2si with a
+// 64-bit and a 32-bit destination: NaN, or a value whose truncation
+// falls outside the destination, gives the "integer indefinite" value,
+// the destination's minimum. fptosi to i64 uses the 64-bit form; to i32
+// and narrower the 32-bit form, whose result is then truncated.
+func cvtt64(f float64) uint64 {
+	if f >= -0x1p63 && f < 0x1p63 {
+		return uint64(int64(f))
 	}
-	if f >= math.MaxInt64 {
-		return math.MaxInt64
+	return 1 << 63
+}
+
+func cvtt32(f float64) uint64 {
+	if f > -0x1p31-1 && f < 0x1p31 {
+		return uint64(int64(f))
 	}
-	if f <= math.MinInt64 {
-		return math.MinInt64
-	}
-	return int64(f)
+	return 0xffff_ffff_8000_0000 // int64(math.MinInt32)
 }
 
 // DumpState formats a deterministic execution summary: the headline

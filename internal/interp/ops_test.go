@@ -239,10 +239,34 @@ func TestCasts(t *testing.T) {
 			t.Errorf("%s(%v) -> %v wrong", c.op, c.in, got)
 		}
 	}
-	// NaN/overflow conversions clamp like cvttss2si rather than UB.
-	nan := castVal(ir.OpFPToSI, FloatValue(ir.F32, math.NaN()), ir.I64)
-	if nan.Int() != math.MinInt64 {
-		t.Errorf("NaN fptosi = %d", nan.Int())
+	// fptosi converts like cvttss2si: NaN, or a truncation outside the
+	// destination, gives the "integer indefinite" value, the minimum of
+	// an i64 destination, or of i32 for i32 and narrower.
+	const i32Min, i64Min = math.MinInt32, math.MinInt64
+	for _, c := range []struct {
+		in   float32
+		to   *ir.Type
+		want int64
+	}{
+		{float32(math.NaN()), ir.I32, i32Min},
+		{float32(math.NaN()), ir.I64, i64Min},
+		{3e9, ir.I32, i32Min},
+		{3e9, ir.I64, 3_000_000_000},
+		{-3e9, ir.I32, i32Min},
+		{-3e9, ir.I64, -3_000_000_000},
+		{1e19, ir.I32, i32Min},
+		{1e19, ir.I64, i64Min},
+		{-1e19, ir.I32, i32Min},
+		{-1e19, ir.I64, i64Min},
+		{2147483520, ir.I32, 2147483520}, // the largest f32 below 2^31
+		{2147483520, ir.I64, 2147483520},
+		{-2147483648, ir.I32, i32Min},
+		{-2147483648, ir.I64, -2147483648},
+	} {
+		got := castVal(ir.OpFPToSI, FloatValue(ir.F32, float64(c.in)), c.to)
+		if want := ir.TruncateToWidth(uint64(c.want), c.to.Bits); got.Bits[0] != want {
+			t.Errorf("fptosi float %g to %s = %#x, want %#x", c.in, c.to, got.Bits[0], want)
+		}
 	}
 }
 

@@ -250,7 +250,8 @@ func TestSubmitOversizedRejected(t *testing.T) {
 
 // TestReplayOversizedFails: a journal that already holds the oversized
 // spec, written by a daemon that accepted it, fails that job with the
-// Validate error on restart instead of running it.
+// Validate error on restart instead of running it, and its status
+// reports a total of 0, not an overflowed product.
 func TestReplayOversizedFails(t *testing.T) {
 	dir := t.TempDir()
 	line := `{"t":"submit","id":"jhuge","spec":` + hugeSpec + "}\n"
@@ -262,5 +263,8 @@ func TestReplayOversizedFails(t *testing.T) {
 	st := waitState(t, s, "jhuge", StateFailed)
 	if !strings.Contains(st.Error, "Campaigns × Experiments") {
 		t.Fatalf("job failed with %q, want the schedule bound", st.Error)
+	}
+	if st.Total != 0 {
+		t.Fatalf("the failed job reports total %d, want 0", st.Total)
 	}
 }

@@ -50,6 +50,12 @@ const (
 	// it does the whole chain's work in one step and jumps past it;
 	// otherwise it falls through, and the chain runs as lowered.
 	vSite
+	// vBcast guards a Figure 9 broadcast pair, the insert and the
+	// shuffle lowered unchanged right after it (see lowerBcast): under
+	// the fused-pair rule it writes the scalar into every lane of the
+	// shuffle's register and jumps past the pair; otherwise it falls
+	// through to the pair.
+	vBcast
 )
 
 // A move copies one value's lane words into a phi's register: the
@@ -226,6 +232,7 @@ func compileFunc(f *ir.Func, fused map[string]int, declIx map[*ir.Func]int32) (*
 	}
 	c.scratch = c.newReg(widest)
 
+	c.code.code = make([]vinstr, 0, codeBound(f))
 	for _, b := range f.Blocks {
 		c.starts[b] = int32(len(c.code.code))
 		if !c.lowerBlock(b) {
@@ -247,6 +254,28 @@ func compileFunc(f *ir.Func, fused map[string]int, declIx map[*ir.Func]int32) (*
 		c.code.live = c.liveAtPhis()
 	}
 	return &c.code, true
+}
+
+// codeBound bounds the number of vinstrs compileFunc emits for f, so
+// fnCode.code is allocated once. Each instruction lowers to at most one
+// vinstr (a block's phis share one vPhiGroup, a fused pair one opcode),
+// and the guards come on top: one per fault site, matched as lowerBlock
+// matches them, and at most one per insert into lane 0 of undef, the
+// first half of a broadcast pair.
+func codeBound(f *ir.Func) int {
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Instrs)
+		for i := 0; i < len(b.Instrs); i++ {
+			if m := matchSite(b.Instrs[i:]); m.n > 0 {
+				n++
+				i += m.n - 1
+			} else if in := b.Instrs[i]; in.Op == ir.OpInsertElement && bcastInit(in) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // liveAtPhis computes fnCode.live by a backward liveness pass over the
@@ -488,6 +517,8 @@ func (c *compiler) lowerInstr(b *ir.Block, in, next *ir.Instr) (bool, bool) {
 				c.emit(v)
 				return true, true
 			}
+		case in.Op == ir.OpInsertElement && bcastInit(in) && isBcast(next, in):
+			return true, c.lowerBcast(in, next)
 		}
 	}
 
@@ -771,6 +802,52 @@ func (c *compiler) declIndex(f *ir.Func) int32 {
 		c.declIx[f] = ix
 	}
 	return ix
+}
+
+// bcastInit reports whether in, an insertelement, writes lane 0 of an
+// undef vector: the first half of Figure 9's broadcast.
+func bcastInit(in *ir.Instr) bool {
+	k, ok := in.Operand(0).(*ir.Const)
+	return ok && k.Undef && constIs(in.Operand(2), 0)
+}
+
+// isBcast reports whether shuf completes the broadcast that init
+// starts: a shufflevector of init whose mask selects lane 0 into every
+// lane.
+func isBcast(shuf, init *ir.Instr) bool {
+	if shuf.Op != ir.OpShuffleVector || shuf.Operand(0) != init {
+		return false
+	}
+	for _, mi := range shuf.ShuffleMask {
+		if mi != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// lowerBcast lowers a broadcast pair, init used only by shuf, as a
+// vBcast guard followed by both instructions lowered unchanged, which
+// are the guard's replay path.
+func (c *compiler) lowerBcast(init, shuf *ir.Instr) bool {
+	scalar, ok := c.ref(init.Operand(1))
+	if !ok {
+		return false
+	}
+	pc := c.emit(vinstr{
+		op: vBcast, a: scalar, dst: c.regOf[shuf],
+		in: init, vec: init.IsVectorInstr(), in2: shuf, vec2: shuf.IsVectorInstr(),
+	})
+	for _, in := range []*ir.Instr{init, shuf} {
+		v := c.newVinstr(in)
+		if !c.lowerPlain(&v, in) {
+			return false
+		}
+		c.emit(v)
+	}
+	c.code.code[pc].t0 = int32(len(c.code.code))
+	c.fused["bcast"]++
+	return true
 }
 
 // fuseGEP fills v as a fused gep+load / gep+store superinstruction.

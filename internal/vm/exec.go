@@ -509,6 +509,21 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 			}
 			pc++
 
+		case vBcast:
+			// Figure 9's broadcast: the shuffle reads only lane 0 of the
+			// insert, which is the scalar. The insert's own register is read
+			// by nothing else, so the fused path leaves it as it is.
+			if fuse(v) {
+				w := getOperand(regs, consts, v.a).Bits[0]
+				r := regs[v.dst].Bits
+				for i := range r {
+					r[i] = w
+				}
+				pc = v.t0
+				continue
+			}
+			pc++
+
 		default:
 			// Unknown opcode: compiler bug. Decline defensively so the
 			// tree-walker provides the authoritative behavior.

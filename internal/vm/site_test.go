@@ -286,16 +286,18 @@ func TestSiteChainTargets(t *testing.T) {
 // offset of the loop's first iteration (see chainKernel) and requires
 // identical pulse schedules, counts and results on both backends, in a
 // golden run, a faulty run, and under a budget of 1,023 instructions,
-// which traps at the boundary at 1,024. Every chain instruction must be
-// where some of those traps fired, so the boundary fell at every
-// position of every chain.
+// which traps at the boundary at 1,024. Every chain instruction, and
+// the insert and the shuffle of every broadcast pair, must be where
+// some of those traps fired, so the boundary fell at every position of
+// every chain and every pair.
 func TestSiteChainBudgetBoundaries(t *testing.T) {
 	const n = 3
 	var chain map[*ir.Instr]bool
+	var bcasts []*ir.Instr
 	trapped := map[string]bool{}
 	for pad := 0; pad < 4; pad++ {
 		mod, _, ch := chainKernel(t, pad)
-		chain = ch
+		chain, bcasts = ch, broadcastPairs(mod)
 		prog := Compile(mod)
 		for pre := int64(0); pre < 256; pre++ {
 			for _, c := range []chainCase{
@@ -315,6 +317,14 @@ func TestSiteChainBudgetBoundaries(t *testing.T) {
 	// The kernels differ only in their pads, so a chain instruction reads
 	// the same in each.
 	for in := range chain {
+		if !trapped[in.String()] {
+			t.Errorf("no budget trap fired at %s", in)
+		}
+	}
+	if len(bcasts) != 8 {
+		t.Fatalf("%d broadcast instructions, want the 4 pairs' 8", len(bcasts))
+	}
+	for _, in := range bcasts {
 		if !trapped[in.String()] {
 			t.Errorf("no budget trap fired at %s", in)
 		}
@@ -372,16 +382,11 @@ func TestSiteChainFallsThrough(t *testing.T) {
 	}
 }
 
-// TestEverySiteFuses compiles every benchmark × ISA × category cell as
-// a campaign does by default and requires one vSite guard per selected
-// fault site. A change to core.Instrument's emission order that the
-// matcher no longer recognises would drop the bulk path while every
-// differential test stays green; this test is what notices. The
-// ablation modes are not default cells and are not counted here: the
-// whole-register ablation's single vector-typed call may stay unfused
-// (it matches as a scalar site today), and the mask-oblivious chains
-// are the unmasked shape.
-func TestEverySiteFuses(t *testing.T) {
+// eachCell compiles and instruments every benchmark × ISA × category
+// cell as a campaign does by default and calls fn on each; it requires
+// all 117.
+func eachCell(t *testing.T, fn func(cell string, mod *ir.Module, inst *core.Instrumentation)) {
+	t.Helper()
 	cells := 0
 	for _, b := range benchmarks.All() {
 		for _, target := range isa.Extended {
@@ -393,12 +398,11 @@ func TestEverySiteFuses(t *testing.T) {
 				inst := &core.Instrumentation{}
 				pm := &passes.Manager{Verify: true}
 				pm.Add(&core.InstrumentPass{Category: cat, Out: inst})
+				cell := fmt.Sprintf("%s/%s/%s", b.Name, target.Name, cat)
 				if err := pm.Run(res.Module); err != nil {
-					t.Fatalf("%s/%s/%s: %v", b.Name, target.Name, cat, err)
+					t.Fatalf("%s: %v", cell, err)
 				}
-				if got, want := Compile(res.Module).Fused("site"), len(inst.Sites); got != want {
-					t.Errorf("%s/%s/%s: %d fused sites, want %d", b.Name, target.Name, cat, got, want)
-				}
+				fn(cell, res.Module, inst)
 				cells++
 			}
 		}
@@ -406,4 +410,74 @@ func TestEverySiteFuses(t *testing.T) {
 	if cells != 117 {
 		t.Fatalf("covered %d cells, want 117", cells)
 	}
+}
+
+// broadcastPairs returns the instructions of mod's fusable Figure 9
+// broadcasts, insert then shuffle: an insertelement into lane 0 of an
+// undef vector whose one use is the shufflevector right after it, with
+// an all-zero mask. When the insert is itself a fault site, its
+// injection chain sits between the two and the shuffle reads the
+// chain's result, so the pair is not adjacent: it is not counted here,
+// and the compiler leaves it unfused.
+func broadcastPairs(mod *ir.Module) []*ir.Instr {
+	var pairs []*ir.Instr
+	for _, f := range mod.Funcs {
+		for _, b := range f.Blocks {
+			for i := 0; i+1 < len(b.Instrs); i++ {
+				ins, shuf := b.Instrs[i], b.Instrs[i+1]
+				if ins.Op != ir.OpInsertElement || ins.NumUses() != 1 ||
+					shuf.Op != ir.OpShuffleVector || shuf.Operand(0) != ins {
+					continue
+				}
+				vec, ok1 := ins.Operand(0).(*ir.Const)
+				lane, ok2 := ins.Operand(2).(*ir.Const)
+				if !ok1 || !vec.Undef || !ok2 || lane.Int() != 0 ||
+					slices.ContainsFunc(shuf.ShuffleMask, func(m int) bool { return m != 0 }) {
+					continue
+				}
+				pairs = append(pairs, ins, shuf)
+			}
+		}
+	}
+	return pairs
+}
+
+// TestEverySiteFuses requires, in every default cell, one vSite guard
+// per selected fault site and one vBcast per fusable broadcast pair. A
+// change to core.Instrument's emission order (or to codegen's
+// broadcasts) that the matcher no longer recognises would drop the fast
+// path while every differential test stays green; this test is what
+// notices. The ablation modes are not default cells and are not counted
+// here: the whole-register ablation's single vector-typed call may stay
+// unfused (it matches as a scalar site today), and the mask-oblivious
+// chains are the unmasked shape.
+func TestEverySiteFuses(t *testing.T) {
+	bcasts := 0
+	eachCell(t, func(cell string, mod *ir.Module, inst *core.Instrumentation) {
+		prog := Compile(mod)
+		if got, want := prog.Fused("site"), len(inst.Sites); got != want {
+			t.Errorf("%s: %d fused sites, want %d", cell, got, want)
+		}
+		if got, want := prog.Fused("bcast"), len(broadcastPairs(mod))/2; got != want {
+			t.Errorf("%s: %d fused broadcasts, want %d", cell, got, want)
+		}
+		bcasts += prog.Fused("bcast")
+	})
+	if bcasts == 0 {
+		t.Fatal("no cell has a broadcast pair")
+	}
+}
+
+// TestCodeSizedOnce requires every compiled function's code to fit the
+// capacity codeBound gave it, in every default cell: an append past it
+// would have reallocated the slice (and grown its capacity).
+func TestCodeSizedOnce(t *testing.T) {
+	eachCell(t, func(cell string, mod *ir.Module, _ *core.Instrumentation) {
+		for f, code := range Compile(mod).fns {
+			if got, want := cap(code.code), codeBound(f); got != want {
+				t.Errorf("%s: @%s: code capacity %d, want codeBound's %d (%d emitted)",
+					cell, f.Nam, got, want, len(code.code))
+			}
+		}
+	})
 }

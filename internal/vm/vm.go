@@ -3,9 +3,11 @@
 // branch targets resolved at compile time, phi nodes eliminated into
 // parallel moves on edges, and fused superinstructions for the hot
 // digram patterns surfaced by the execution profiler (lane address
-// computation + load/store, scalar mask test + branch) and a guard per
-// fault site's injection chain — and executes that form as a dense
-// dispatch loop over recycled register frames.
+// computation + load/store, scalar mask test + branch), a guard per
+// fault site's injection chain, and a guard per Figure 9 broadcast
+// (insertelement into lane 0 of undef, then an all-zero shufflevector)
+// — and executes that form as a dense dispatch loop over recycled
+// register frames.
 //
 // The backend is attached to an interpreter through the interp.Engine
 // hook and executes against the interpreter's own observable state, so
@@ -23,15 +25,18 @@
 // interp.BulkCounter) agrees that every live lane's call would only
 // count, the guard counts the live lanes in one step, accounts the
 // chain's instructions and jumps past it; otherwise the chain runs call
-// by call. A function the compiler cannot lower is simply declined at
-// call time and tree-walked instead.
+// by call. The vBcast guard in front of each broadcast pair follows the
+// fused-pair rule (no observer, clear of a budget boundary) and then
+// writes the scalar into every lane of the shuffle's register; otherwise
+// the insert and the shuffle run as lowered. A function the compiler
+// cannot lower is simply declined at call time and tree-walked instead.
 //
 // The speedup comes from dispatch, not semantics: dense register frames
 // replace the tree-walker's per-frame value map, operands are fetched
 // by precomputed slot index instead of interface type switches, branch
 // targets are program-counter jumps, and all arithmetic routes through
-// the interp package's exported operation kernels so the two backends
-// cannot drift bit-wise.
+// the interp package's exported operation kernels, which pick one lane
+// loop per call, so the two backends cannot drift bit-wise.
 //
 // Registers own their storage: each value-producing register owns its
 // lane words in a frame the Machine reuses call after call, and each
@@ -100,7 +105,8 @@ func (p *Program) NumCompiled() int { return len(p.fns) }
 
 // Fused returns the number of fused superinstructions emitted for the
 // named pattern ("gep+load", "gep+store", "cmp+br"), or, for "site",
-// the number of fault sites whose instrumentation got a vSite guard.
+// the number of fault sites whose instrumentation got a vSite guard,
+// and, for "bcast", the number of broadcast pairs that got a vBcast.
 func (p *Program) Fused(pattern string) int { return p.fused[pattern] }
 
 // Machine executes one Program against one interpreter instance. It
