@@ -12,6 +12,9 @@ import (
 
 // ExternFn implements an external function (LLVM intrinsic or runtime API
 // call). It receives the interpreter so it can touch memory and counters.
+// It must not write the words of its arguments: they may be an IR
+// constant's, a value other instructions read, or a vm register (see
+// Value). It may return an argument unchanged.
 type ExternFn func(it *Interp, args []Value) (Value, *Trap)
 
 // Options configure an interpreter instance.
@@ -218,7 +221,9 @@ func (it *Interp) Run(name string, args ...Value) (Value, *Trap) {
 	return it.Call(f, args)
 }
 
-// Call executes f with args.
+// Call executes f with args. A result returned to Go code (the
+// outermost call of a run) is the caller's to keep and write; a nested
+// call's result obeys Value's rule.
 func (it *Interp) Call(f *ir.Func, args []Value) (Value, *Trap) {
 	if f.IsDecl {
 		fn, ok := it.resolveExtern(f)
@@ -248,7 +253,7 @@ func (it *Interp) Call(f *ir.Func, args []Value) (Value, *Trap) {
 			return v, etr
 		}
 	}
-	fr = it.getFrame(args)
+	fr = it.getFrame(f, args)
 
 	cur := f.Entry()
 	var prev *ir.Block
@@ -266,7 +271,7 @@ func (it *Interp) Call(f *ir.Func, args []Value) (Value, *Trap) {
 				tmp[i] = v
 			}
 			for i, phi := range phis {
-				fr.vals[phi] = tmp[i]
+				fr.vals[phi.Slot()] = tmp[i]
 				it.account(phi)
 				if it.obs != nil {
 					it.obs.Retire(phi, it.DynInstrs, tmp[i])
@@ -301,10 +306,15 @@ func (it *Interp) Call(f *ir.Func, args []Value) (Value, *Trap) {
 				}
 				goto nextBlock
 			case ir.OpRet:
-				if len(in.Operands()) == 0 {
+				if in.NumOperands() == 0 {
 					return Value{}, nil
 				}
 				v, tr := it.eval(fr, in.Operand(0))
+				if tr == nil && it.depth == 1 {
+					// The one value that leaves for Go code, which may
+					// write it: its words may be an IR constant's.
+					v = v.Clone()
+				}
 				return v, it.locate(tr, in)
 			case ir.OpUnreachable:
 				return Value{}, it.locate(trapf(TrapHalt, "reached unreachable in @%s", f.Nam), in)
@@ -314,7 +324,7 @@ func (it *Interp) Call(f *ir.Func, args []Value) (Value, *Trap) {
 					return Value{}, it.locate(tr, in)
 				}
 				if !in.Ty.IsVoid() {
-					fr.vals[in] = v
+					fr.vals[in.Slot()] = v
 				}
 				if it.obs != nil {
 					it.obs.Retire(in, it.DynInstrs, v)
@@ -326,21 +336,34 @@ func (it *Interp) Call(f *ir.Func, args []Value) (Value, *Trap) {
 	}
 }
 
+// frame is one activation's storage. vals holds each instruction's
+// result at its slot (ir.Instr.Slot), one entry per slot of the
+// function: ir.Verify checks that every instruction of a function has
+// a slot below its NumSlots. A zero Value (Ty == nil) marks a slot not
+// yet defined in this activation.
 type frame struct {
-	vals   map[*ir.Instr]Value
+	vals   []Value
 	params []Value
 }
 
-// getFrame pops a recycled call frame (or builds one) with args copied
-// into its params.
-func (it *Interp) getFrame(args []Value) *frame {
+// getFrame pops a recycled call frame (or builds one) with a slot for
+// each of f's instructions and args copied into its params. Every
+// pooled frame holds zero Values up to its capacity (putFrame clears
+// what a call wrote), so a frame last used by a larger or smaller
+// function starts empty.
+func (it *Interp) getFrame(f *ir.Func, args []Value) *frame {
 	var fr *frame
 	if n := len(it.frames); n > 0 {
 		fr = it.frames[n-1]
 		it.frames[n-1] = nil
 		it.frames = it.frames[:n-1]
 	} else {
-		fr = &frame{vals: make(map[*ir.Instr]Value, 64)}
+		fr = &frame{}
+	}
+	if n := f.NumSlots(); cap(fr.vals) >= n {
+		fr.vals = fr.vals[:n]
+	} else {
+		fr.vals = make([]Value, n)
 	}
 	fr.params = append(fr.params[:0], args...)
 	return fr
@@ -435,19 +458,20 @@ func (it *Interp) phiIncoming(fr *frame, phi *ir.Instr, prev *ir.Block) (Value, 
 	return Value{}, trapf(TrapHalt, "phi %%%s: no incoming for block %v", phi.Nam, prev)
 }
 
-// eval resolves an operand to its runtime value.
+// eval resolves an operand to its runtime value. A constant's value is
+// the constant's own words, read in place: no path writes a Value's
+// words once it is produced (see Value).
 func (it *Interp) eval(fr *frame, v ir.Value) (Value, *Trap) {
 	switch x := v.(type) {
+	case *ir.Instr:
+		if s := x.Slot(); uint(s) < uint(len(fr.vals)) && fr.vals[s].Ty != nil {
+			return fr.vals[s], nil
+		}
+		return Value{}, trapf(TrapHalt, "use of undefined value %%%s", x.Nam)
 	case *ir.Const:
-		return ConstValue(x), nil
+		return Value{Ty: x.Ty, Bits: x.Bits}, nil
 	case *ir.Param:
 		return fr.params[x.Index], nil
-	case *ir.Instr:
-		val, ok := fr.vals[x]
-		if !ok {
-			return Value{}, trapf(TrapHalt, "use of undefined value %%%s", x.Nam)
-		}
-		return val, nil
 	case *ir.Global:
 		return PtrValue(x.Type(), it.globals[x]), nil
 	}
@@ -467,41 +491,47 @@ func (it *Interp) evalN(fr *frame, in *ir.Instr) ([]Value, *Trap) {
 	return out, nil
 }
 
+// evalTo resolves in's first len(ops) operands into ops, for the
+// fixed-arity opcodes, whose operands fit a stack array.
+func (it *Interp) evalTo(fr *frame, in *ir.Instr, ops []Value) *Trap {
+	for i := range ops {
+		v, tr := it.eval(fr, in.Operand(i))
+		if tr != nil {
+			return tr
+		}
+		ops[i] = v
+	}
+	return nil
+}
+
 func (it *Interp) execInstr(fr *frame, in *ir.Instr) (Value, *Trap) {
+	var buf [3]Value
 	switch in.Op {
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpSDiv, ir.OpSRem, ir.OpUDiv,
 		ir.OpURem, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpLShr, ir.OpAShr:
-		ops, tr := it.evalN(fr, in)
-		if tr != nil {
+		ops := buf[:2]
+		if tr := it.evalTo(fr, in, ops); tr != nil {
 			return Value{}, tr
 		}
-		v, tr := intBin(in.Op, ops[0], ops[1])
-		it.putOps(ops)
-		return v, tr
+		return intBin(in.Op, ops[0], ops[1])
 	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFRem:
-		ops, tr := it.evalN(fr, in)
-		if tr != nil {
+		ops := buf[:2]
+		if tr := it.evalTo(fr, in, ops); tr != nil {
 			return Value{}, tr
 		}
-		v := floatBin(in.Op, ops[0], ops[1])
-		it.putOps(ops)
-		return v, nil
+		return floatBin(in.Op, ops[0], ops[1]), nil
 	case ir.OpICmp, ir.OpFCmp:
-		ops, tr := it.evalN(fr, in)
-		if tr != nil {
+		ops := buf[:2]
+		if tr := it.evalTo(fr, in, ops); tr != nil {
 			return Value{}, tr
 		}
-		v := compare(in.Op, in.Pred, ops[0], ops[1])
-		it.putOps(ops)
-		return v, nil
+		return compare(in.Op, in.Pred, ops[0], ops[1]), nil
 	case ir.OpSelect:
-		ops, tr := it.evalN(fr, in)
-		if tr != nil {
+		ops := buf[:3]
+		if tr := it.evalTo(fr, in, ops); tr != nil {
 			return Value{}, tr
 		}
-		v := selectVal(ops[0], ops[1], ops[2])
-		it.putOps(ops)
-		return v, nil
+		return selectVal(ops[0], ops[1], ops[2]), nil
 	case ir.OpAlloca:
 		addr, tr := it.Mem.Alloc(uint64(in.AllocElem.ByteSize() * in.AllocCount))
 		if tr != nil {
@@ -515,25 +545,22 @@ func (it *Interp) execInstr(fr *frame, in *ir.Instr) (Value, *Trap) {
 		}
 		return it.Mem.Load(in.Ty, p.Uint())
 	case ir.OpStore:
-		ops, tr := it.evalN(fr, in)
-		if tr != nil {
+		ops := buf[:2]
+		if tr := it.evalTo(fr, in, ops); tr != nil {
 			return Value{}, tr
 		}
-		str := it.Mem.Store(ops[0], ops[1].Uint())
-		it.putOps(ops)
-		return Value{}, str
+		return Value{}, it.Mem.Store(ops[0], ops[1].Uint())
 	case ir.OpGEP:
-		ops, tr := it.evalN(fr, in)
-		if tr != nil {
+		ops := buf[:2]
+		if tr := it.evalTo(fr, in, ops); tr != nil {
 			return Value{}, tr
 		}
 		elem := in.Ty.Elem
 		addr := ops[0].Uint() + uint64(ops[1].Int())*uint64(elem.ByteSize())
-		it.putOps(ops)
 		return PtrValue(in.Ty, addr), nil
 	case ir.OpExtractElement:
-		ops, tr := it.evalN(fr, in)
-		if tr != nil {
+		ops := buf[:2]
+		if tr := it.evalTo(fr, in, ops); tr != nil {
 			return Value{}, tr
 		}
 		idx := int(ops[1].Int())
@@ -541,12 +568,10 @@ func (it *Interp) execInstr(fr *frame, in *ir.Instr) (Value, *Trap) {
 			return Value{}, trapf(TrapBadIndex, "extractelement lane %d of %d",
 				idx, len(ops[0].Bits))
 		}
-		v := Scalar(in.Ty, ops[0].Bits[idx])
-		it.putOps(ops)
-		return v, nil
+		return Scalar(in.Ty, ops[0].Bits[idx]), nil
 	case ir.OpInsertElement:
-		ops, tr := it.evalN(fr, in)
-		if tr != nil {
+		ops := buf[:3]
+		if tr := it.evalTo(fr, in, ops); tr != nil {
 			return Value{}, tr
 		}
 		idx := int(ops[2].Int())
@@ -556,11 +581,10 @@ func (it *Interp) execInstr(fr *frame, in *ir.Instr) (Value, *Trap) {
 		}
 		out := ops[0].Clone()
 		out.Bits[idx] = ops[1].Bits[0]
-		it.putOps(ops)
 		return out, nil
 	case ir.OpShuffleVector:
-		ops, tr := it.evalN(fr, in)
-		if tr != nil {
+		ops := buf[:2]
+		if tr := it.evalTo(fr, in, ops); tr != nil {
 			return Value{}, tr
 		}
 		n := ops[0].Lanes()
@@ -575,7 +599,6 @@ func (it *Interp) execInstr(fr *frame, in *ir.Instr) (Value, *Trap) {
 				out.Bits[i] = ops[1].Bits[mi-n]
 			}
 		}
-		it.putOps(ops)
 		return out, nil
 	case ir.OpPhi:
 		return Value{}, trapf(TrapHalt, "phi executed outside block entry")

@@ -22,8 +22,9 @@ import "vulfi/internal/ir"
 // Both methods sit on the interpreter's innermost loop and must be
 // cheap. An implementation must not retain v or its Bits slice beyond
 // the call — copy what it keeps; the bytecode backend recycles result
-// storage. With no observer attached the hot path pays one nil check
-// per instruction.
+// storage — and must never write v's words, which may be an IR
+// constant's or another instruction's (see Value). With no observer
+// attached the hot path pays one nil check per instruction.
 type Observer interface {
 	Account(in *ir.Instr)
 	Retire(in *ir.Instr, dyn uint64, v Value)

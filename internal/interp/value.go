@@ -20,6 +20,14 @@ import (
 // Integers are stored truncated to their width; float32 as Float32bits;
 // float64 as Float64bits; pointers as 64-bit addresses. Storing raw bit
 // patterns makes single-bit-flip injection uniform across all types.
+//
+// A value's words are immutable once it is produced: the tree-walker
+// reads a constant operand as the ir.Const's own words, shares one
+// value among every use of its result, and builds each result in new
+// words (insertelement and FlipBit clone first). So no extern or
+// observer may write the words of a value it is handed; the one
+// exception is the result Interp.Call returns to Go code, which is the
+// caller's own.
 type Value struct {
 	Ty   *ir.Type
 	Bits []uint64
@@ -144,7 +152,8 @@ func (v Value) String() string {
 	return out + ">"
 }
 
-// ConstValue converts an ir constant into a runtime value.
+// ConstValue converts an ir constant into a runtime value with its own
+// copy of the constant's words.
 func ConstValue(c *ir.Const) Value {
 	b := make([]uint64, len(c.Bits))
 	copy(b, c.Bits)

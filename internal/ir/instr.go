@@ -173,6 +173,11 @@ type Instr struct {
 
 	ops  []Value
 	uses []Use
+	// nvec counts the vector-typed operands (see IsVectorInstr), and
+	// slot is one more than the instruction's dense index in its
+	// function (see Slot), 0 until the instruction first enters a block.
+	// Two int32s keep Instr in its allocation size class.
+	nvec, slot int32
 
 	Parent *Block
 
@@ -202,6 +207,15 @@ func (in *Instr) NumOperands() int { return len(in.ops) }
 // Operand returns the i-th operand.
 func (in *Instr) Operand(i int) Value { return in.ops[i] }
 
+// Slot returns the instruction's dense index within its function, in
+// [0, Func.NumSlots()), or -1 for an instruction never placed in a
+// block. The IR assigns it from the function's counter each time the
+// instruction enters a block (Append, InsertBefore, InsertAfter), so no
+// two instructions of a function share one; an instruction moved to
+// another function gets a fresh slot there. Executors index per-call
+// value storage by it.
+func (in *Instr) Slot() int { return int(in.slot) - 1 }
+
 // Operands returns a copy of the operand list.
 func (in *Instr) Operands() []Value {
 	out := make([]Value, len(in.ops))
@@ -213,6 +227,9 @@ func (in *Instr) Operands() []Value {
 func (in *Instr) AddOperand(v Value) {
 	in.ops = append(in.ops, v)
 	addUse(v, Use{in, len(in.ops) - 1})
+	if isVec(v) {
+		in.nvec++
+	}
 }
 
 // SetOperand replaces the i-th operand, maintaining use lists.
@@ -220,8 +237,23 @@ func (in *Instr) SetOperand(i int, v Value) {
 	if old := in.ops[i]; old != nil {
 		removeUse(old, Use{in, i})
 	}
+	if isVec(in.ops[i]) {
+		in.nvec--
+	}
 	in.ops[i] = v
 	addUse(v, Use{in, i})
+	if isVec(v) {
+		in.nvec++
+	}
+}
+
+// isVec reports whether v is a non-nil operand of vector type.
+func isVec(v Value) bool {
+	if v == nil {
+		return false
+	}
+	t := v.Type()
+	return t != nil && t.IsVector()
 }
 
 // Uses returns a copy of the list of uses of this instruction's result.
@@ -300,17 +332,10 @@ func (in *Instr) dropAllOperandUses() {
 
 // IsVectorInstr reports whether the instruction has at least one operand of
 // vector type or produces a vector (the paper's definition of a "vector
-// instruction": at least one vector type operand).
+// instruction": at least one vector type operand). AddOperand and
+// SetOperand keep the vector operands counted, so it costs O(1).
 func (in *Instr) IsVectorInstr() bool {
-	if in.Ty != nil && in.Ty.IsVector() {
-		return true
-	}
-	for _, op := range in.ops {
-		if op != nil && op.Type().IsVector() {
-			return true
-		}
-	}
-	return false
+	return in.nvec > 0 || in.Ty != nil && in.Ty.IsVector()
 }
 
 // Parameters also participate in the use-def graph so that forward slices

@@ -55,6 +55,9 @@ type Func struct {
 
 	nameSeq   int
 	nameCount map[string]int
+	// nslots counts the slots handed out to instructions (see
+	// Instr.Slot).
+	nslots int
 }
 
 // NewFunc creates a function with fresh parameters named after names.
@@ -96,6 +99,12 @@ func (f *Func) Entry() *Block {
 	}
 	return f.Blocks[0]
 }
+
+// NumSlots returns the number of instruction slots the function has
+// handed out: every instruction placed in one of its blocks has a slot
+// below it. Slots are never reused, so a removed instruction leaves a
+// hole.
+func (f *Func) NumSlots() int { return f.nslots }
 
 // NewBlock appends a new basic block with the given name to the function.
 func (f *Func) NewBlock(name string) *Block {
@@ -158,15 +167,24 @@ func (b *Block) Ident() string { return "%" + b.Nam }
 
 // Append adds an instruction at the end of the block.
 func (b *Block) Append(in *Instr) {
-	in.Parent = b
+	b.place(in)
 	b.Instrs = append(b.Instrs, in)
+}
+
+// place makes in a member of b, with a fresh slot from b's function.
+func (b *Block) place(in *Instr) {
+	in.Parent = b
+	if f := b.Func; f != nil {
+		f.nslots++
+		in.slot = int32(f.nslots)
+	}
 }
 
 // InsertBefore inserts in immediately before pos within the block.
 // It panics if pos is not in the block.
 func (b *Block) InsertBefore(in *Instr, pos *Instr) {
 	idx := b.indexOf(pos)
-	in.Parent = b
+	b.place(in)
 	b.Instrs = append(b.Instrs, nil)
 	copy(b.Instrs[idx+1:], b.Instrs[idx:])
 	b.Instrs[idx] = in
@@ -175,7 +193,7 @@ func (b *Block) InsertBefore(in *Instr, pos *Instr) {
 // InsertAfter inserts in immediately after pos within the block.
 func (b *Block) InsertAfter(in *Instr, pos *Instr) {
 	idx := b.indexOf(pos)
-	in.Parent = b
+	b.place(in)
 	b.Instrs = append(b.Instrs, nil)
 	copy(b.Instrs[idx+2:], b.Instrs[idx+1:])
 	b.Instrs[idx+1] = in

@@ -6,8 +6,10 @@ import (
 )
 
 // Verify checks structural and type well-formedness of the module:
-// terminated blocks, per-opcode operand typing, phi/predecessor agreement
-// and call-signature agreement. It returns all violations found.
+// terminated blocks, per-opcode operand typing, phi/predecessor agreement,
+// call-signature agreement, operands defined in the same function, and
+// one distinct in-range slot per instruction (see Instr.Slot). It
+// returns all violations found.
 func (m *Module) Verify() error {
 	var errs []error
 	for _, f := range m.Funcs {
@@ -64,11 +66,34 @@ func (f *Func) Verify() error {
 				if opv == nil {
 					bad(in, "nil operand %d", i)
 				}
+				if x, ok := opv.(*Instr); ok && x.Parent != nil && x.Parent.Func != f {
+					bad(in, "operand %d %s is defined in @%s", i, x.Ident(), x.Parent.Func.Nam)
+				}
 			}
 			verifyInstr(in, preds, bad, f)
 		}
 	}
+	verifySlots(f, bad)
 	return errors.Join(errs...)
+}
+
+// verifySlots requires every instruction of f to hold its own slot
+// below f.NumSlots(): executors size per-call storage by the count and
+// index it by the slot.
+func verifySlots(f *Func, bad func(*Instr, string, ...any)) {
+	held := make([]bool, f.NumSlots())
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			switch s := in.Slot(); {
+			case s < 0 || s >= len(held):
+				bad(in, "slot %d outside [0, %d)", s, len(held))
+			case held[s]:
+				bad(in, "slot %d held twice", s)
+			default:
+				held[s] = true
+			}
+		}
+	}
 }
 
 func verifyInstr(in *Instr, preds map[*Block][]*Block,

@@ -168,16 +168,28 @@ type globalSlot struct {
 
 // compiler carries the per-function lowering state.
 type compiler struct {
-	f       *ir.Func
-	code    fnCode
-	regOf   map[*ir.Instr]int32
+	f    *ir.Func
+	code fnCode
+	// regOf maps each instruction slot (ir.Instr.Slot) of f to its
+	// register, -1 for a void instruction or a hole.
+	regOf   []int32
 	scratch int32
-	constIx map[*ir.Const]int32
+	// constIx interns single-lane constants by type and word, so the
+	// many equal lane indices and active flags core.Instrument emits
+	// share one pool entry; vecIx holds the vector constants.
+	constIx map[constKey]int32
+	vecIx   map[*ir.Const]int32
 	globIx  map[*ir.Global]int32
 	starts  map[*ir.Block]int32
 	fixups  []fixup
 	fused   map[string]int
 	declIx  map[*ir.Func]int32 // program-wide dense extern-callee index
+}
+
+// constKey identifies a single-lane constant's runtime value.
+type constKey struct {
+	ty *ir.Type
+	w  uint64
 }
 
 // fixup patches a branch target once every block's start pc is known.
@@ -195,8 +207,9 @@ type fixup struct {
 func compileFunc(f *ir.Func, fused map[string]int, declIx map[*ir.Func]int32) (*fnCode, bool) {
 	c := &compiler{
 		f:       f,
-		regOf:   map[*ir.Instr]int32{},
-		constIx: map[*ir.Const]int32{},
+		regOf:   make([]int32, f.NumSlots()),
+		constIx: map[constKey]int32{},
+		vecIx:   map[*ir.Const]int32{},
 		globIx:  map[*ir.Global]int32{},
 		starts:  map[*ir.Block]int32{},
 		fused:   fused,
@@ -209,8 +222,12 @@ func compileFunc(f *ir.Func, fused map[string]int, declIx map[*ir.Func]int32) (*
 
 	// Register layout: parameters first (slot == Param.Index), then one
 	// slot per value-producing instruction, then the move scratch sized
-	// to the widest phi, then any globals the body references.
-	c.code.regs = make([]regSlot, len(f.Params))
+	// to the widest phi, then any globals the body references. The
+	// instruction slots bound the instruction registers.
+	c.code.regs = make([]regSlot, len(f.Params), len(f.Params)+len(c.regOf)+1)
+	for i := range c.regOf {
+		c.regOf[i] = -1
+	}
 	var widest *ir.Type
 	for _, b := range f.Blocks {
 		sawNonPhi := false
@@ -226,7 +243,7 @@ func compileFunc(f *ir.Func, fused map[string]int, declIx map[*ir.Func]int32) (*
 				sawNonPhi = true
 			}
 			if !in.Ty.IsVoid() {
-				c.regOf[in] = c.newReg(in.Ty)
+				c.regOf[in.Slot()] = c.newReg(in.Ty)
 			}
 		}
 	}
@@ -294,9 +311,8 @@ func (c *compiler) liveAtPhis() map[int32][]int32 {
 	const use, def, in, out = 0, 1, 2, 3
 	reg := func(v ir.Value) int32 {
 		if x, ok := v.(*ir.Instr); ok {
-			if r, ok := c.regOf[x]; ok {
-				return r
-			}
+			r, _ := c.regFor(x)
+			return r
 		}
 		return -1
 	}
@@ -317,7 +333,7 @@ func (c *compiler) liveAtPhis() map[int32][]int32 {
 					}
 				}
 			}
-			if r, ok := c.regOf[x]; ok {
+			if r := c.regOf[x.Slot()]; r >= 0 {
 				d[r/64] |= 1 << (r % 64)
 			}
 			if !x.Op.IsTerminator() {
@@ -373,7 +389,7 @@ func (c *compiler) liveAtPhis() map[int32][]int32 {
 			if phi.Op != ir.OpPhi {
 				break
 			}
-			r := c.regOf[phi]
+			r := c.regOf[phi.Slot()]
 			li[r/64] |= 1 << (r % 64)
 			phis++
 		}
@@ -403,24 +419,43 @@ func (c *compiler) newReg(ty *ir.Type) int32 {
 	return int32(len(c.code.regs) - 1)
 }
 
+// regFor returns the register of x when x is a value-producing
+// instruction in one of f's blocks. An instruction of another function,
+// or one removed from its block, has none: its slot may name one of
+// f's registers, so the slot alone does not decide.
+func (c *compiler) regFor(x *ir.Instr) (int32, bool) {
+	if x.Parent == nil || x.Parent.Func != c.f {
+		return -1, false
+	}
+	r := c.regOf[x.Slot()]
+	return r, r >= 0
+}
+
 // ref resolves an operand to its slot: register for params and
 // instruction results, pool index (encoded negative) for constants,
-// and a frame-entry-materialized register for globals.
+// and a frame-entry-materialized register for globals. A pool entry
+// reads the constant's own words in place: the machine never writes
+// a pool value, and externs must not write their arguments.
 func (c *compiler) ref(v ir.Value) (int32, bool) {
 	switch x := v.(type) {
 	case *ir.Const:
-		ix, ok := c.constIx[x]
-		if !ok {
-			ix = int32(len(c.code.consts))
-			c.code.consts = append(c.code.consts, interp.ConstValue(x))
-			c.constIx[x] = ix
+		var ix int32
+		var ok bool
+		if len(x.Bits) == 1 {
+			key := constKey{x.Ty, x.Bits[0]}
+			if ix, ok = c.constIx[key]; !ok {
+				ix = c.addConst(x)
+				c.constIx[key] = ix
+			}
+		} else if ix, ok = c.vecIx[x]; !ok {
+			ix = c.addConst(x)
+			c.vecIx[x] = ix
 		}
 		return ^ix, true
 	case *ir.Param:
 		return int32(x.Index), true
 	case *ir.Instr:
-		r, ok := c.regOf[x]
-		return r, ok
+		return c.regFor(x)
 	case *ir.Global:
 		r, ok := c.globIx[x]
 		if !ok {
@@ -431,6 +466,12 @@ func (c *compiler) ref(v ir.Value) (int32, bool) {
 		return r, true
 	}
 	return 0, false
+}
+
+// addConst appends x's value to the constant pool.
+func (c *compiler) addConst(x *ir.Const) int32 {
+	c.code.consts = append(c.code.consts, interp.Value{Ty: x.Ty, Bits: x.Bits})
+	return int32(len(c.code.consts) - 1)
 }
 
 func (c *compiler) emit(v vinstr) int {
@@ -449,7 +490,7 @@ func (c *compiler) lowerBlock(b *ir.Block) bool {
 		g := vinstr{op: vPhiGroup}
 		for _, phi := range phis {
 			g.phis = append(g.phis, phiSlot{
-				in: phi, reg: c.regOf[phi], vec: phi.IsVectorInstr(),
+				in: phi, reg: c.regOf[phi.Slot()], vec: phi.IsVectorInstr(),
 			})
 		}
 		c.emit(g)
@@ -537,7 +578,7 @@ func (c *compiler) newVinstr(in *ir.Instr) vinstr {
 		irop: in.Op, pred: in.Pred,
 		in: in, vec: in.IsVectorInstr(), dst: -1,
 	}
-	if r, ok := c.regOf[in]; ok {
+	if r := c.regOf[in.Slot()]; r >= 0 {
 		v.dst = r
 	}
 	return v
@@ -640,7 +681,7 @@ func (c *compiler) lowerSite(body []*ir.Instr) (int, bool) {
 		return 0, true
 	}
 	val, ok1 := c.ref(m.val)
-	dst, ok2 := c.regOf[body[m.n-1]]
+	dst, ok2 := c.regFor(body[m.n-1])
 	if !ok1 || !ok2 {
 		return m.n, false
 	}
@@ -835,7 +876,7 @@ func (c *compiler) lowerBcast(init, shuf *ir.Instr) bool {
 		return false
 	}
 	pc := c.emit(vinstr{
-		op: vBcast, a: scalar, dst: c.regOf[shuf],
+		op: vBcast, a: scalar, dst: c.regOf[shuf.Slot()],
 		in: init, vec: init.IsVectorInstr(), in2: shuf, vec2: shuf.IsVectorInstr(),
 	})
 	for _, in := range []*ir.Instr{init, shuf} {
@@ -863,7 +904,7 @@ func (c *compiler) fuseGEP(v *vinstr, gep, mem *ir.Instr, op vop) bool {
 	v.idxSh = idxShift(gep.Operand(1))
 	v.in2, v.vec2 = mem, mem.IsVectorInstr()
 	if op == vGEPLoad {
-		v.dst = c.regOf[mem]
+		v.dst = c.regOf[mem.Slot()]
 	} else {
 		val, ok := c.ref(mem.Operand(0))
 		if !ok {
@@ -938,7 +979,7 @@ func (c *compiler) lowerTerminator(b *ir.Block, in *ir.Instr) bool {
 			fixup{pc: len(c.code.code), blk: in.Succs[0]},
 			fixup{pc: len(c.code.code), second: true, blk: in.Succs[1]})
 	case ir.OpRet:
-		if len(in.Operands()) == 0 {
+		if in.NumOperands() == 0 {
 			v.op = vRetVoid
 		} else {
 			r, ok := c.ref(in.Operand(0))
@@ -987,7 +1028,7 @@ func (c *compiler) edgeMoves(b *ir.Block, succ *ir.Block) ([]move, bool) {
 		if !found {
 			return nil, false // tree-walker traps "no incoming" at runtime
 		}
-		dst := c.regOf[phi]
+		dst := c.regOf[phi.Slot()]
 		if src == dst {
 			continue // self-move: the loop-carried value is already home
 		}

@@ -394,9 +394,11 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 				return interp.Value{}, tr, true
 			}
 			r := getOperand(regs, consts, v.a)
-			if v.a >= 0 && !borrow {
+			if !borrow {
 				// The one value that outlives the frame: the next call
-				// reusing the frame rewrites these words.
+				// reusing the frame rewrites a register's words, and a
+				// constant's words are the IR's, which the caller must
+				// not be able to write.
 				r = r.Clone()
 			}
 			return r, nil, true

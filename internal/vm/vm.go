@@ -31,9 +31,10 @@
 // the insert and the shuffle run as lowered. A function the compiler
 // cannot lower is simply declined at call time and tree-walked instead.
 //
-// The speedup comes from dispatch, not semantics: dense register frames
-// replace the tree-walker's per-frame value map, operands are fetched
-// by precomputed slot index instead of interface type switches, branch
+// The speedup comes from dispatch, not semantics: register frames that
+// own their words replace the tree-walker's freshly allocated result
+// per instruction, operands are fetched by precomputed slot index
+// instead of interface type switches, branch
 // targets are program-counter jumps, and all arithmetic routes through
 // the interp package's exported operation kernels, which pick one lane
 // loop per call, so the two backends cannot drift bit-wise.
