@@ -12,9 +12,10 @@ import (
 )
 
 // TestSSAValidityAllBenchmarks compiles every benchmark for every ISA
-// (including the AVX512 extension), then checks the deep SSA dominance
-// property — before and after detector insertion and full VULFI
-// instrumentation. This is the whole-pipeline structural safety net.
+// (including the AVX512 extension), then verifies the module — types,
+// structure and SSA dominance — before and after detector insertion and
+// full VULFI instrumentation. This is the whole-pipeline structural
+// safety net.
 func TestSSAValidityAllBenchmarks(t *testing.T) {
 	for _, b := range benchmarks.All() {
 		for _, target := range isa.Extended {
@@ -23,8 +24,8 @@ func TestSSAValidityAllBenchmarks(t *testing.T) {
 				if err != nil {
 					t.Fatalf("compile: %v", err)
 				}
-				if err := passes.VerifySSAModule(res.Module); err != nil {
-					t.Fatalf("SSA dominance violated after codegen:\n%v", err)
+				if err := res.Module.Verify(); err != nil {
+					t.Fatalf("module invalid after codegen:\n%v", err)
 				}
 				pm := &passes.Manager{Verify: true}
 				pm.Add(&detect.ForeachInvariantPass{})
@@ -33,8 +34,8 @@ func TestSSAValidityAllBenchmarks(t *testing.T) {
 				if err := pm.Run(res.Module); err != nil {
 					t.Fatalf("pass pipeline: %v", err)
 				}
-				if err := passes.VerifySSAModule(res.Module); err != nil {
-					t.Fatalf("SSA dominance violated after instrumentation:\n%v", err)
+				if err := res.Module.Verify(); err != nil {
+					t.Fatalf("module invalid after instrumentation:\n%v", err)
 				}
 			})
 		}

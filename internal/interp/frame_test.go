@@ -6,10 +6,11 @@ import (
 	"vulfi/internal/ir"
 )
 
-// TestUseBeforeDefinitionTraps: a function the verifier would accept
-// but whose uses are not dominated by their definitions reads an
-// undefined value, and the tree-walker traps with the same kind,
-// message and provenance whatever its frame held before. The flag
+// TestUseBeforeDefinitionTraps: a function whose uses are not dominated
+// by their definitions, which ir.Verify rejects but a module nobody
+// verified can still hold, reads an undefined value, and the
+// tree-walker traps with the same kind, message and provenance whatever
+// its frame held before. The flag
 // argument of @late skips the block defining %v; calling it first with
 // the flag set leaves a recycled frame whose slot of %v was written.
 func TestUseBeforeDefinitionTraps(t *testing.T) {

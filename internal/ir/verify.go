@@ -7,9 +7,10 @@ import (
 
 // Verify checks structural and type well-formedness of the module:
 // terminated blocks, per-opcode operand typing, phi/predecessor agreement,
-// call-signature agreement, operands defined in the same function, and
-// one distinct in-range slot per instruction (see Instr.Slot). It
-// returns all violations found.
+// call-signature agreement, operands defined in the same function, one
+// distinct in-range slot per instruction (see Instr.Slot), and SSA
+// dominance: every use of an instruction's value is dominated by its
+// definition. It returns all violations found.
 func (m *Module) Verify() error {
 	var errs []error
 	for _, f := range m.Funcs {
@@ -23,7 +24,8 @@ func (m *Module) Verify() error {
 	return errors.Join(errs...)
 }
 
-// Verify checks a single function definition.
+// Verify checks a single function definition. Dominance is checked once
+// the function is otherwise well formed.
 func (f *Func) Verify() error {
 	var errs []error
 	bad := func(in *Instr, format string, args ...any) {
@@ -38,13 +40,7 @@ func (f *Func) Verify() error {
 		return fmt.Errorf("@%s: function definition has no blocks", f.Nam)
 	}
 
-	preds := map[*Block][]*Block{}
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b)
-		}
-	}
-
+	g := newBlockGraph(f)
 	for _, b := range f.Blocks {
 		if b.Terminator() == nil {
 			bad(nil, "block %s is not terminated", b.Nam)
@@ -70,11 +66,207 @@ func (f *Func) Verify() error {
 					bad(in, "operand %d %s is defined in @%s", i, x.Ident(), x.Parent.Func.Nam)
 				}
 			}
-			verifyInstr(in, preds, bad, f)
+			verifyInstr(in, g, bad, f)
 		}
 	}
 	verifySlots(f, bad)
+	if len(errs) == 0 {
+		verifyDominance(f, g, bad)
+	}
 	return errors.Join(errs...)
+}
+
+// blockGraph is a function's CFG over dense block numbers: f.Blocks
+// order, the entry block 0. The successors and predecessors of block b
+// are succ[succAt[b]:succAt[b+1]] and pred[predAt[b]:predAt[b+1]].
+type blockGraph struct {
+	num                        map[*Block]int32
+	succAt, succ, predAt, pred []int32
+}
+
+func newBlockGraph(f *Func) *blockGraph {
+	n := len(f.Blocks)
+	g := &blockGraph{
+		num:    make(map[*Block]int32, n),
+		succAt: make([]int32, n+1),
+		predAt: make([]int32, n+1),
+	}
+	for i, b := range f.Blocks {
+		g.num[b] = int32(i)
+	}
+	for i, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			if si, ok := g.num[s]; ok {
+				g.succ = append(g.succ, si)
+				g.predAt[si+1]++
+			}
+		}
+		g.succAt[i+1] = int32(len(g.succ))
+	}
+	for i := 0; i < n; i++ {
+		g.predAt[i+1] += g.predAt[i]
+	}
+	g.pred = make([]int32, len(g.succ))
+	next := append([]int32(nil), g.predAt[:n]...)
+	for b := int32(0); b < int32(n); b++ {
+		for _, s := range g.succs(b) {
+			g.pred[next[s]] = b
+			next[s]++
+		}
+	}
+	return g
+}
+
+func (g *blockGraph) succs(b int32) []int32 { return g.succ[g.succAt[b]:g.succAt[b+1]] }
+func (g *blockGraph) preds(b int32) []int32 { return g.pred[g.predAt[b]:g.predAt[b+1]] }
+
+// domTree is a function's dominator tree over block numbers.
+type domTree struct {
+	// rpo is each block's reverse-postorder position, -1 for blocks
+	// unreachable from the entry; idom its immediate dominator (the
+	// entry's is itself).
+	rpo, idom []int32
+}
+
+// dominators computes the dominator tree with the Cooper–Harvey–Kennedy
+// iteration.
+func (g *blockGraph) dominators() *domTree {
+	n := len(g.succAt) - 1
+	d := &domTree{rpo: make([]int32, n), idom: make([]int32, n)}
+	for i := range d.rpo {
+		d.rpo[i], d.idom[i] = -1, -1
+	}
+	post := make([]int32, 0, n)
+	type visit struct{ b, next int32 }
+	stack := []visit{{0, 0}}
+	d.rpo[0] = 0 // marks the entry seen; every rpo is set below
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if succs := g.succs(top.b); top.next < int32(len(succs)) {
+			s := succs[top.next]
+			top.next++
+			if d.rpo[s] < 0 {
+				d.rpo[s] = 0
+				stack = append(stack, visit{s, 0})
+			}
+			continue
+		}
+		post = append(post, top.b)
+		stack = stack[:len(stack)-1]
+	}
+	for i, b := range post {
+		d.rpo[b] = int32(len(post) - 1 - i)
+	}
+
+	rpo, idom := d.rpo, d.idom
+	idom[0] = 0
+	for changed := true; changed; {
+		changed = false
+		for i := len(post) - 2; i >= 0; i-- { // reverse postorder, entry skipped
+			b := post[i]
+			nd := int32(-1)
+			for _, p := range g.preds(b) {
+				switch {
+				case idom[p] < 0: // unreachable, or not reached yet
+				case nd < 0:
+					nd = p
+				default:
+					for p != nd {
+						for rpo[p] > rpo[nd] {
+							p = idom[p]
+						}
+						for rpo[nd] > rpo[p] {
+							nd = idom[nd]
+						}
+					}
+				}
+			}
+			if nd >= 0 && idom[b] != nd {
+				idom[b] = nd
+				changed = true
+			}
+		}
+	}
+	return d
+}
+
+// dominates reports whether block a dominates block b. A block
+// unreachable from the entry is dominated by every block: it never
+// runs.
+func (d *domTree) dominates(a, b int32) bool {
+	if d.rpo[b] < 0 {
+		return true
+	}
+	if d.rpo[a] < 0 {
+		return false
+	}
+	for d.rpo[b] > d.rpo[a] {
+		b = d.idom[b]
+	}
+	return a == b
+}
+
+// verifyDominance requires every use of an instruction's value to be
+// dominated by its definition: an earlier instruction of the same
+// block, or one in a dominating block. A phi reads its incoming value
+// at the end of the incoming block, which the definition must
+// dominate; so phis of one block may read each other along edges the
+// block dominates. Unreachable blocks are exempt. Slots must already
+// verify: instructions are found by slot.
+func verifyDominance(f *Func, g *blockGraph, bad func(*Instr, string, ...any)) {
+	d := g.dominators()
+	// at[s] places the instruction in slot s: its block number and its
+	// position in that block.
+	type place struct{ blk, pos int32 }
+	at := make([]place, f.NumSlots())
+	for bi, b := range f.Blocks {
+		for i, in := range b.Instrs {
+			at[in.Slot()] = place{int32(bi), int32(i)}
+		}
+	}
+	// where returns the place of def, ok false when def is in no block
+	// of f.
+	where := func(def *Instr) (place, bool) {
+		s := def.Slot()
+		if s < 0 || s >= len(at) || f.Blocks[at[s].blk] != def.Parent {
+			return place{}, false
+		}
+		return at[s], true
+	}
+	for bi, b := range f.Blocks {
+		use := int32(bi)
+		if d.rpo[use] < 0 {
+			continue
+		}
+		for ui, in := range b.Instrs {
+			for i, opv := range in.ops {
+				def, ok := opv.(*Instr)
+				if !ok {
+					continue
+				}
+				if def.Parent == nil {
+					bad(in, "operand %d %s is in no block", i, def.Ident())
+					continue
+				}
+				dp, ok := where(def)
+				switch {
+				case in.Op == OpPhi:
+					if inc := in.Succs[i]; !ok || !d.dominates(dp.blk, g.num[inc]) {
+						bad(in, "incoming %s from %s is not dominated by its definition in %s",
+							def.Ident(), inc.Ident(), def.Parent.Ident())
+					}
+				case ok && dp.blk == use:
+					if dp.pos >= int32(ui) {
+						bad(in, "operand %s is used before its definition in %s",
+							def.Ident(), def.Parent.Ident())
+					}
+				case !ok || !d.dominates(dp.blk, use):
+					bad(in, "operand %s is not dominated by its definition in %s",
+						def.Ident(), def.Parent.Ident())
+				}
+			}
+		}
+	}
 }
 
 // verifySlots requires every instruction of f to hold its own slot
@@ -96,7 +288,7 @@ func verifySlots(f *Func, bad func(*Instr, string, ...any)) {
 	}
 }
 
-func verifyInstr(in *Instr, preds map[*Block][]*Block,
+func verifyInstr(in *Instr, g *blockGraph,
 	bad func(*Instr, string, ...any), f *Func) {
 	op := func(i int) Value { return in.ops[i] }
 	switch in.Op {
@@ -195,21 +387,21 @@ func verifyInstr(in *Instr, preds map[*Block][]*Block,
 				bad(in, "phi incoming %d type mismatch", i)
 			}
 		}
-		want := preds[in.Parent]
-		if len(in.ops) != len(want) {
+		preds := g.preds(g.num[in.Parent])
+		if len(in.ops) != len(preds) {
 			bad(in, "phi has %d incomings, block has %d predecessors",
-				len(in.ops), len(want))
+				len(in.ops), len(preds))
 		} else {
-			for _, p := range want {
+			for _, p := range preds {
 				found := false
 				for _, s := range in.Succs {
-					if s == p {
+					if s == f.Blocks[p] {
 						found = true
 						break
 					}
 				}
 				if !found {
-					bad(in, "phi missing incoming for predecessor %s", p.Nam)
+					bad(in, "phi missing incoming for predecessor %s", f.Blocks[p].Nam)
 				}
 			}
 		}

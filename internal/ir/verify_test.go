@@ -201,3 +201,53 @@ func TestVerifySelectArmMismatch(t *testing.T) {
 	bu.Ret(nil)
 	expectVerifyError(t, m, "select")
 }
+
+// TestVerifyDominance: a use its definition does not dominate is
+// rejected, with an error naming the use, its block and the
+// definition's block — in one block (@early), across a branch that
+// skips the definition (@late), and along a phi's incoming edge (@phi).
+func TestVerifyDominance(t *testing.T) {
+	// @early: the use precedes the definition in one block.
+	m := NewModule("early")
+	early := NewFunc("early", I32, nil, nil)
+	m.AddFunc(early)
+	bu := NewBuilder(early.NewBlock("entry"))
+	w := &Instr{Op: OpAdd, Ty: I32, Nam: "w"}
+	early.Blocks[0].Append(w)
+	v := bu.Add(ConstInt(I32, 1), ConstInt(I32, 2), "v")
+	w.AddOperand(v)
+	w.AddOperand(ConstInt(I32, 1))
+	bu.Ret(w)
+	expectVerifyError(t, m,
+		"@early/entry: %w = add i32 %v, 1: operand %v is used before its definition in %entry")
+
+	// @late(flag): entry branches around the definition of %v.
+	m = NewModule("late")
+	late := NewFunc("late", I32, []*Type{I1}, []string{"flag"})
+	m.AddFunc(late)
+	entry, def, use := late.NewBlock("entry"), late.NewBlock("def"), late.NewBlock("use")
+	bu = NewBuilder(entry)
+	bu.CondBr(late.Params[0], def, use)
+	bu.SetBlock(def)
+	lv := bu.Add(ConstInt(I32, 3), ConstInt(I32, 4), "v")
+	bu.Br(use)
+	bu.SetBlock(use)
+	bu.Ret(bu.Add(lv, ConstInt(I32, 1), "w"))
+	expectVerifyError(t, m,
+		"@late/use: %w = add i32 %v, 1: operand %v is not dominated by its definition in %def")
+
+	// @phi: a loop-header phi reads a value its entry edge never defined.
+	m = NewModule("phi")
+	phiF := NewFunc("phi", I32, nil, nil)
+	m.AddFunc(phiF)
+	pe, pl := phiF.NewBlock("entry"), phiF.NewBlock("loop")
+	bu = NewBuilder(pe)
+	bu.Br(pl)
+	bu.SetBlock(pl)
+	p := bu.Phi(I32, "p")
+	next := bu.Add(p, ConstInt(I32, 1), "next")
+	AddIncoming(p, next, pe)
+	bu.Ret(next)
+	expectVerifyError(t, m,
+		"@phi/loop: %p = phi i32 [ %next, %entry ]: incoming %next from %entry is not dominated by its definition in %loop")
+}

@@ -44,74 +44,71 @@ func buildDiamondLoop() (*ir.Func, map[string]*ir.Block) {
 	return f, blocks
 }
 
-func TestPreds(t *testing.T) {
-	f, b := buildDiamondLoop()
-	p := Preds(f)
-	if len(p[b["header"]]) != 2 {
-		t.Fatalf("header should have 2 preds, got %d", len(p[b["header"]]))
-	}
-	if len(p[b["latch"]]) != 2 {
-		t.Fatalf("latch should have 2 preds (then, else), got %d", len(p[b["latch"]]))
-	}
-	if len(p[b["entry"]]) != 0 {
-		t.Fatal("entry should have no preds")
-	}
+// defUse adds %d = add 1, 2 at the end of block def and %u = add %d, 1
+// at the end of block use, each before its block's terminator.
+func defUse(def, use *ir.Block) {
+	d := ir.NewBuilderBefore(def.Terminator()).Add(
+		ir.ConstInt(ir.I32, 1), ir.ConstInt(ir.I32, 2), "d")
+	ir.NewBuilderBefore(use.Terminator()).Add(d, ir.ConstInt(ir.I32, 1), "u")
 }
 
-func TestReversePostOrder(t *testing.T) {
-	f, b := buildDiamondLoop()
-	rpo := ReversePostOrder(f)
-	if len(rpo) != 6 {
-		t.Fatalf("RPO visits %d blocks, want 6", len(rpo))
-	}
-	pos := map[*ir.Block]int{}
-	for i, blk := range rpo {
-		pos[blk] = i
-	}
-	if pos[b["entry"]] != 0 {
-		t.Fatal("entry must come first")
-	}
-	if pos[b["header"]] > pos[b["then"]] || pos[b["then"]] > pos[b["latch"]] {
-		t.Fatal("RPO order violates forward edges")
-	}
-}
-
+// TestDominators: over the diamond loop, ir.Verify accepts a use
+// exactly when the block defining its operand dominates it.
 func TestDominators(t *testing.T) {
-	f, b := buildDiamondLoop()
-	idom := Dominators(f)
-	cases := []struct{ blk, dom string }{
-		{"header", "entry"},
-		{"then", "header"},
-		{"else", "then"},
-		{"latch", "then"},
-		{"exit", "header"},
-	}
-	for _, c := range cases {
-		if idom[b[c.blk]] != b[c.dom] {
-			t.Errorf("idom(%s) = %v, want %s", c.blk, idom[b[c.blk]], c.dom)
+	for _, c := range []struct {
+		def, use string
+		ok       bool
+	}{
+		{"entry", "exit", true},
+		{"header", "latch", true},
+		{"then", "else", true},
+		{"then", "latch", true},
+		{"header", "exit", true},
+		{"exit", "exit", true},
+		{"else", "latch", false}, // the then-path bypasses else
+		{"then", "exit", false},  // header exits around then
+		{"latch", "header", false},
+	} {
+		f, b := buildDiamondLoop()
+		defUse(b[c.def], b[c.use])
+		err := f.Verify()
+		if c.ok && err != nil {
+			t.Errorf("%s dominates %s, but Verify rejects the use: %v", c.def, c.use, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "@f/"+c.use+": %u = add i32 %d, 1")) {
+			t.Errorf("%s does not dominate %s, but Verify says %v", c.def, c.use, err)
 		}
 	}
-	if !Dominates(idom, b["entry"], b["exit"]) {
-		t.Error("entry should dominate exit")
-	}
-	if !Dominates(idom, b["header"], b["latch"]) {
-		t.Error("header should dominate latch")
-	}
-	if Dominates(idom, b["else"], b["latch"]) {
-		t.Error("else must not dominate latch (then-path bypasses it)")
-	}
-	if !Dominates(idom, b["exit"], b["exit"]) {
-		t.Error("a block dominates itself")
+
+	// A phi reads its incoming value at the end of the incoming block:
+	// %i's entry edge cannot see a value defined in then.
+	f, b := buildDiamondLoop()
+	d := ir.NewBuilderBefore(b["then"].Terminator()).Add(
+		ir.ConstInt(ir.I32, 1), ir.ConstInt(ir.I32, 2), "d")
+	b["header"].Instrs[0].SetOperand(0, d)
+	if err := f.Verify(); err == nil || !strings.Contains(err.Error(), "incoming %d from %entry") {
+		t.Errorf("phi incoming from entry defined in then: Verify says %v", err)
 	}
 }
 
+// TestDominatorsIgnoreUnreachable: uses in a block the entry cannot
+// reach are exempt, but a reachable use of a value defined there is
+// not.
 func TestDominatorsIgnoreUnreachable(t *testing.T) {
-	f, _ := buildDiamondLoop()
+	f, b := buildDiamondLoop()
 	dead := f.NewBlock("dead")
 	ir.NewBuilder(dead).Ret(nil)
-	idom := Dominators(f)
-	if _, ok := idom[dead]; ok {
-		t.Error("unreachable block should have no idom entry")
+	defUse(b["then"], dead)
+	if err := f.Verify(); err != nil {
+		t.Errorf("unreachable use rejected: %v", err)
+	}
+
+	f, b = buildDiamondLoop()
+	dead = f.NewBlock("dead")
+	ir.NewBuilder(dead).Br(b["exit"])
+	defUse(dead, b["exit"])
+	if err := f.Verify(); err == nil || !strings.Contains(err.Error(), "not dominated by its definition in %dead") {
+		t.Errorf("reachable use of an unreachable definition: Verify says %v", err)
 	}
 }
 

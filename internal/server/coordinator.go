@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"vulfi/internal/api"
@@ -130,13 +129,9 @@ type coordObs struct {
 	shards int
 }
 
-func newCoordObs(job *Job, epoch time.Time) *coordObs {
+func newCoordObs(job *Job, cfg campaign.Config, epoch time.Time) *coordObs {
 	if !job.Spec.Timeline {
 		return nil
-	}
-	cfg, err := job.Spec.Config()
-	if err != nil {
-		return nil // Submit already validated; unreachable in practice
 	}
 	return &coordObs{
 		col:    campaign.NewSpanCollector(cfg, 0, epoch),
@@ -195,24 +190,19 @@ func (co *coordObs) finish(wall time.Duration, sr *campaign.StudyResult) *obs.Ti
 	return co.col.Finish(wall)
 }
 
-// runShardedJob is the coordinator's counterpart of runJob: it drives
-// one sharded job from planning through dispatch, harvest,
-// reassignment and the final merge.
-func (s *Server) runShardedJob(job *Job) {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	defer cancel()
-	if !job.setRunning(cancel) {
-		return // cancelled while queued
+// runSharded is the coordinator's side of runJob: it drives one
+// sharded job from planning through dispatch, harvest, reassignment
+// and the final merge, and returns the merged study.
+func (s *Server) runSharded(ctx context.Context, job *Job, start time.Time) (*campaign.StudyResult, error) {
+	cfg, err := job.Spec.Config()
+	if err != nil {
+		return nil, err
 	}
-	s.mx.running.Add(1)
-	defer s.mx.running.Add(-1)
-	start := time.Now()
-
 	full := shardRange{0, job.Spec.ScheduleTotal()}
 	pending := planShards(job.missingWithin(full), job.Spec.Shards)
 	s.logf("coordinator: job %s planned %d shards over %d missing experiments",
 		job.ID, len(pending), job.Spec.Total()-job.Status().Done)
-	co := newCoordObs(job, start)
+	co := newCoordObs(job, cfg, start)
 
 	type shardDone struct {
 		r      shardRange
@@ -250,7 +240,29 @@ func (s *Server) runShardedJob(job *Job) {
 				err = s.runShardOnWorker(ctx, job, w, r, tp)
 				s.fleet.release(w, err != nil && ctx.Err() == nil)
 			} else {
-				err = s.runShardLocally(ctx, job, r, tp)
+				// The no-fleet fallback runs the range through the same
+				// watched local path as a plain job. Its results flow
+				// through addResult like remote triples, and it records
+				// the harvest checkpoint and shard observability a
+				// worker's harvest would.
+				left := job.missingWithin(r)
+				var sr *campaign.StudyResult
+				if sr, err = s.runLocal(ctx, job, shardSpec(job.Spec, r, tp)); err == nil {
+					fresh := 0
+					for _, m := range left {
+						fresh += m.size()
+					}
+					if fresh > 0 {
+						job.noteHarvest(HarvestCheckpoint{
+							Worker: "local", N: fresh, NS: time.Since(shStart).Nanoseconds(),
+						})
+					}
+					if job.Spec.Timeline || job.Spec.Profile {
+						job.addShardObs(ShardObs{
+							Worker: "local", Timeline: sr.Timeline, Profile: sr.HotProfile,
+						})
+					}
+				}
 			}
 			state := "done"
 			if err != nil {
@@ -263,7 +275,10 @@ func (s *Server) runShardedJob(job *Job) {
 
 	for (len(pending) > 0 || inflight > 0) && ctx.Err() == nil && failures <= maxFailures {
 		handed := false
-		for len(pending) > 0 {
+		// A daemon that is not a coordinator has no fleet, but may resume
+		// a sharded job a coordinator journaled: it runs every shard
+		// itself.
+		for len(pending) > 0 && s.fleet != nil {
 			w := s.fleet.acquire()
 			if w == nil {
 				break
@@ -295,7 +310,7 @@ func (s *Server) runShardedJob(job *Job) {
 					Done: job.Status().Done, Total: job.Status().Total,
 				})
 			case ctx.Err() != nil:
-				// Cancelled or draining; the terminal switch below decides.
+				// Cancelled or draining; handled after the loop.
 			default:
 				failures++
 				lastErr = d.err
@@ -341,33 +356,17 @@ func (s *Server) runShardedJob(job *Job) {
 		inflight--
 	}
 
-	s.mx.jobWall.Since(start)
-	missing := job.missingWithin(full)
-	switch {
-	case ctx.Err() == nil && len(missing) == 0:
-		sr, err := s.mergeShards(ctx, job, co)
-		if err != nil {
-			s.mx.failed.Inc()
-			job.finish(StateFailed, fmt.Sprintf("merge: %v", err), nil)
-			return
-		}
-		s.mx.completed.Inc()
-		s.recordHistory(job, sr) // before done, as in runJob
-		job.finish(StateDone, "", marshalStudy(sr))
-	case job.cancelRequested():
-		s.mx.cancelled.Inc()
-		job.finish(StateCancelled, "", nil)
-	case s.baseCtx.Err() != nil:
-		// Coordinator drain: harvested triples are journaled; the next
-		// daemon resumes the job and re-plans only the missing ranges.
-		job.finish(StateInterrupted, "", nil)
-		s.logf("drain: job %s interrupted at %d/%d experiments",
-			job.ID, job.Status().Done, job.Status().Total)
-	default:
-		s.mx.failed.Inc()
-		job.finish(StateFailed, fmt.Sprintf("sharding failed after %d shard failures: %v",
-			failures, lastErr), nil)
+	if err := ctx.Err(); err != nil {
+		return nil, err // cancelled or draining: runJob's terminal switch decides
 	}
+	if len(job.missingWithin(full)) > 0 {
+		return nil, fmt.Errorf("sharding failed after %d shard failures: %v", failures, lastErr)
+	}
+	sr, err := s.mergeShards(ctx, job, cfg, co)
+	if err != nil {
+		return nil, fmt.Errorf("merge: %w", err)
+	}
+	return sr, nil
 }
 
 // shardSpec derives the spec dispatched to a worker for one range:
@@ -416,27 +415,29 @@ func (s *Server) runShardOnWorker(ctx context.Context, job *Job, w *workerEntry,
 	}()
 
 	lastHarvest := time.Now()
-	// harvest asks only from the shard's first unharvested index, so a
-	// poll does not re-send the triples earlier polls fetched. A record
-	// outside the asked range, with another seed than the schedule's or
-	// without a result fails the whole poll before anything is
-	// journaled: it counts as a miss, so a worker that keeps sending
-	// them is declared unreachable and its shard is planned again.
+	// harvest asks only for the shard's unharvested runs, so a poll does
+	// not re-send the triples earlier polls fetched, even when a worker
+	// running the shard on several goroutines finishes out of order. A
+	// record outside its asked run, with another seed than the
+	// schedule's or without a result fails the whole poll before
+	// anything is journaled: it counts as a miss, so a worker that keeps
+	// sending them is declared unreachable and its shard is planned
+	// again.
 	harvest := func() error {
-		left := job.missingWithin(r)
-		if len(left) == 0 {
-			return nil
-		}
-		recs, err := w.cl.Experiments(ctx, shardID, left[0].lo, r.hi)
-		if err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			if rec.Index < left[0].lo || rec.Index >= r.hi || rec.Result == nil ||
-				rec.Seed != campaign.ExperimentSeed(job.Spec.Seed, rec.Index) {
-				return fmt.Errorf("harvest [%d,%d): foreign record (index %d, seed %d)",
-					left[0].lo, r.hi, rec.Index, rec.Seed)
+		var recs []api.ExperimentRecord
+		for _, m := range job.missingWithin(r) {
+			got, err := w.cl.Experiments(ctx, shardID, m.lo, m.hi)
+			if err != nil {
+				return err
 			}
+			for _, rec := range got {
+				if rec.Index < m.lo || rec.Index >= m.hi || rec.Result == nil ||
+					rec.Seed != campaign.ExperimentSeed(job.Spec.Seed, rec.Index) {
+					return fmt.Errorf("harvest [%d,%d): foreign record (index %d, seed %d)",
+						m.lo, m.hi, rec.Index, rec.Seed)
+				}
+			}
+			recs = append(recs, got...)
 		}
 		fresh := 0
 		for _, rec := range recs {
@@ -544,52 +545,6 @@ func (s *Server) harvestShardObs(ctx context.Context, job *Job, w *workerEntry, 
 	return &o, nil
 }
 
-// runShardLocally executes one shard on the coordinator's own campaign
-// pool — the no-fleet fallback. Results flow through addResult like
-// remote triples, so journal, counters and SSE progress are uniform,
-// and the shard's observability lands in addShardObs exactly as a
-// harvested worker's would.
-func (s *Server) runShardLocally(ctx context.Context, job *Job, r shardRange, tp string) error {
-	spec := shardSpec(job.Spec, r, tp)
-	cfg, err := spec.Config()
-	if err != nil {
-		return err
-	}
-	cfg.Metrics = job.reg
-	var fresh int64
-	cfg.OnResult = func(i int, seed int64, res *campaign.ExperimentResult) {
-		if job.addResult(i, seed, res) {
-			atomic.AddInt64(&fresh, 1)
-		}
-	}
-	if d := s.opts.expThrottle; d > 0 {
-		inner := cfg.OnResult
-		cfg.OnResult = func(i int, seed int64, res *campaign.ExperimentResult) {
-			inner(i, seed, res)
-			time.Sleep(d)
-		}
-	}
-	cfg.Completed = job.completedSnapshot()
-	start := time.Now()
-	sr, err := campaign.RunStudy(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	if n := atomic.LoadInt64(&fresh); n > 0 {
-		now := time.Now()
-		job.noteHarvest(HarvestCheckpoint{
-			Worker: "local", N: int(n),
-			NS: now.Sub(start).Nanoseconds(), At: now,
-		})
-	}
-	if job.Spec.Timeline || job.Spec.Profile {
-		job.addShardObs(ShardObs{
-			Worker: "local", Timeline: sr.Timeline, Profile: sr.HotProfile,
-		})
-	}
-	return nil
-}
-
 // mergeShards replays every harvested triple through one merge-only
 // RunStudy: the Completed map is fully populated, so zero experiments
 // execute and the aggregation — campaign grouping, WallMin/WallMax
@@ -605,11 +560,7 @@ func (s *Server) runShardLocally(ctx context.Context, job *Job, r shardRange, tp
 // a lie), and the harvested shard artifacts are folded in afterwards —
 // profiles summed exactly over their uncapped stack rows, timelines
 // re-anchored under the coordinator's dispatch/harvest span tree.
-func (s *Server) mergeShards(ctx context.Context, job *Job, co *coordObs) (*campaign.StudyResult, error) {
-	cfg, err := job.Spec.Config()
-	if err != nil {
-		return nil, err
-	}
+func (s *Server) mergeShards(ctx context.Context, job *Job, cfg campaign.Config, co *coordObs) (*campaign.StudyResult, error) {
 	cfg.Timeline, cfg.Profile, cfg.TraceParent = false, false, ""
 	cfg.Metrics = job.reg
 	cfg.Completed = job.completedSnapshot()

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strconv"
 	"strings"
@@ -187,6 +188,32 @@ func TestCoordinatorLocalFallback(t *testing.T) {
 	}
 }
 
+// TestShardedJournalOnPlainDaemon: a sharded job a coordinator
+// journaled, resumed by a daemon started without the coordinator role,
+// runs all its shards on that daemon's own pool and finishes with the
+// single-node result, instead of crashing the daemon on its absent
+// fleet.
+func TestShardedJournalOnPlainDaemon(t *testing.T) {
+	dir := t.TempDir()
+	sharded := testSpec()
+	sharded.Shards = 2
+	raw, err := json.Marshal(sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := `{"t":"submit","id":"jshard","spec":` + string(raw) + "}\n"
+	if err := os.WriteFile(JournalPath(dir, "jshard"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{JournalDir: dir})
+	defer drain(t, s)
+	got := waitState(t, s, "jshard", StateDone)
+	ref := runToDone(t, s, testSpec())
+	if !reflect.DeepEqual(stripVolatile(t, got.Result), stripVolatile(t, ref.Result)) {
+		t.Fatal("resumed sharded study diverged from single-node")
+	}
+}
+
 // TestCoordinatorWorkerKilledMidStudy: killing a worker's listener
 // while it holds shards must not lose the study — the coordinator
 // declares it unreachable after consecutive poll failures, re-plans
@@ -228,16 +255,39 @@ func TestCoordinatorWorkerKilledMidStudy(t *testing.T) {
 
 // TestCoordinatorHarvestPages: each poll asks a worker only for the
 // triples not yet harvested, so over shards that span several polls
-// every experiment index crosses the wire exactly once. The worker runs
-// each shard on one goroutine, so its finished indices are a prefix of
-// the shard and the first unharvested index bounds them all.
+// every experiment index crosses the wire exactly once. On one
+// goroutine a worker finishes a shard's indices in order; on two, with
+// one index held for about 200ms, the indices past it finish first and
+// leave a gap that several polls see.
 func TestCoordinatorHarvestPages(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+		hold    int // index the worker holds at its start; -1 for none
+	}{
+		{"in-order", 1, -1},
+		{"gap", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testHarvestPages(t, tc.workers, tc.hold)
+		})
+	}
+}
+
+func testHarvestPages(t *testing.T, workers, hold int) {
 	c := newTestServer(t, coordOptions())
 	defer drain(t, c)
 	cts := httptest.NewServer(c.Handler())
 	defer cts.Close()
 
-	w := newTestServer(t, Options{expThrottle: 20 * time.Millisecond})
+	w := newTestServer(t, Options{
+		expThrottle: 20 * time.Millisecond,
+		stallInject: func(index int) {
+			if index == hold {
+				time.Sleep(200 * time.Millisecond)
+			}
+		},
+	})
 	defer drain(t, w)
 	var mu sync.Mutex
 	served := map[int]int{}
@@ -268,7 +318,7 @@ func TestCoordinatorHarvestPages(t *testing.T) {
 	register(t, cts.URL, wts.URL)
 
 	spec := testSpec()
-	spec.Workers = 1
+	spec.Workers = workers
 	spec.Shards = 2
 	got := runToDone(t, c, spec)
 	if got.Done != got.Total {

@@ -58,9 +58,10 @@ type Job struct {
 	reg     *telemetry.Registry
 	subs    map[chan Event]bool
 
-	// wd is the stall watchdog, set for the duration of the run (nil
-	// for queued and never-run jobs; kept after finish so stall reports
-	// outlive the run).
+	// wd is the stall watchdog, set by the job's first local run and
+	// shared by its later ones (nil for queued and never-run jobs, and
+	// for sharded jobs whose shards all ran on workers; kept after
+	// finish so stall reports outlive the run).
 	wd *watchdog
 }
 
@@ -115,14 +116,19 @@ func (j *Job) note(r *campaign.ExperimentResult) {
 // histograms and outcome counters land here).
 func (j *Job) Registry() *telemetry.Registry { return j.reg }
 
-// setWatchdog attaches the run's stall watchdog.
-func (j *Job) setWatchdog(wd *watchdog) {
+// ensureWatchdog returns the job's stall watchdog, attaching mk's on
+// the job's first local run.
+func (j *Job) ensureWatchdog(mk func() *watchdog) *watchdog {
 	j.mu.Lock()
-	j.wd = wd
-	j.mu.Unlock()
+	defer j.mu.Unlock()
+	if j.wd == nil {
+		j.wd = mk()
+	}
+	return j.wd
 }
 
-// Watchdog returns the job's stall watchdog (nil if the job never ran).
+// Watchdog returns the job's stall watchdog (nil until the job's first
+// local run).
 func (j *Job) Watchdog() *watchdog {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -161,8 +167,8 @@ func (j *Job) State() string {
 	return j.state
 }
 
-// addResult folds one finished experiment into the job, whether the
-// local campaign pool ran it or a shard harvest fetched it: journal
+// addResult folds one finished experiment into the job, whether
+// runLocal ran it or a shard harvest fetched it: journal
 // (crash safety — a restarted job replays these triples instead of
 // re-running or re-fetching them), harvest store, progress counters and
 // live broadcast. Indices already present — a reassigned shard

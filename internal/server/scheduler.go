@@ -27,16 +27,15 @@ func (s *Server) runner() {
 			s.logf("drain: leaving job %s for restart", job.ID)
 			continue
 		}
-		if job.Spec.Shards > 1 {
-			s.runShardedJob(job)
-		} else {
-			s.runJob(job)
-		}
+		s.runJob(job)
 	}
 }
 
-// runJob executes one job under a cancellable context, checkpointing
-// every experiment through the job journal.
+// runJob executes one job under a cancellable context and settles it.
+// A plain job, or a worker's shard range, runs on the local campaign
+// pool (runLocal) and its result is that run's own study; a sharded job
+// runs the coordinator loop and the merge (runSharded). Either way the
+// job ends in the one terminal switch below.
 func (s *Server) runJob(job *Job) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
@@ -47,29 +46,72 @@ func (s *Server) runJob(job *Job) {
 	defer s.mx.running.Add(-1)
 	start := time.Now()
 
-	cfg, err := job.Spec.Config()
+	var sr *campaign.StudyResult
+	var err error
+	if job.Spec.Shards > 1 {
+		sr, err = s.runSharded(ctx, job, start)
+	} else {
+		sr, err = s.runLocal(ctx, job, job.Spec)
+	}
+	s.mx.jobWall.Since(start)
+	switch {
+	case err == nil:
+		s.mx.completed.Inc()
+		// Shard jobs running on a worker are fragments of someone else's
+		// study; only whole studies belong in the history trend store.
+		// The entry lands before the job turns done, so a client that
+		// sees the final status finds it in /v1/history.
+		if job.Spec.ShardEnd == 0 {
+			s.recordHistory(job, sr)
+		}
+		job.finish(StateDone, "", marshalStudy(sr))
+	case errors.Is(err, context.Canceled) && job.cancelRequested():
+		s.mx.cancelled.Inc()
+		job.finish(StateCancelled, "", nil)
+	case s.baseCtx.Err() != nil:
+		// Daemon drain: in-flight experiments finished and were
+		// journaled (a coordinator's harvested triples too); mark the
+		// interruption (non-terminal) and leave the job for the next
+		// daemon, which re-runs or re-plans only the missing indices.
+		job.finish(StateInterrupted, "", nil)
+		s.logf("drain: job %s interrupted at %d/%d experiments",
+			job.ID, job.Status().Done, job.Status().Total)
+	default:
+		s.mx.failed.Inc()
+		job.finish(StateFailed, err.Error(), nil)
+	}
+}
+
+// runLocal runs spec on the local campaign pool on behalf of job: the
+// whole study of a plain job, a worker's shard range, or one of a
+// coordinator's fallback shards. It is the one place a local study is
+// wired: every fresh experiment checkpoints through job.addResult,
+// already checkpointed ones are skipped, the campaign metrics land in
+// the job's registry, and the job's stall watchdog watches every
+// experiment. The watchdog is created on the job's first local run and
+// kept across its later ones, so stall reports from earlier fallback
+// shards stay on /timeline.
+func (s *Server) runLocal(ctx context.Context, job *Job, spec Spec) (*campaign.StudyResult, error) {
+	cfg, err := spec.Config()
 	if err != nil {
 		// Validated at submission; only a spec journaled by a newer
 		// daemon version can fail here.
-		s.mx.failed.Inc()
-		job.finish(StateFailed, err.Error(), nil)
-		return
+		return nil, err
 	}
 	cfg.Metrics = job.reg
-	cfg.OnResult = func(i int, seed int64, r *campaign.ExperimentResult) {
-		job.addResult(i, seed, r)
-	}
+	cfg.Completed = job.completedSnapshot()
 
 	// Stall watchdog: the pool reports starts, finishes and interpreter
-	// heartbeats; a ticker flags stragglers. The watchdog wrap sits
-	// INSIDE the test throttle below, so an injected inter-experiment
-	// sleep never reads as a stalled experiment.
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	wd := newWatchdog(job.Spec, workers, s.opts)
-	job.setWatchdog(wd)
+	// heartbeats; a ticker flags stragglers. The watchdog sees each
+	// finish before the test throttle's sleep, so an injected
+	// inter-experiment pause never reads as a stalled experiment.
+	wd := job.ensureWatchdog(func() *watchdog {
+		workers := cfg.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		return newWatchdog(job.Spec, workers, s.opts)
+	})
 	cfg.OnStart = wd.onStart
 	if inject := s.opts.stallInject; inject != nil {
 		cfg.OnStart = func(index, worker int) {
@@ -78,17 +120,19 @@ func (s *Server) runJob(job *Job) {
 		}
 	}
 	cfg.Heartbeat = wd.heartbeat
-	{
-		inner := cfg.OnResult
-		cfg.OnResult = func(i int, seed int64, r *campaign.ExperimentResult) {
-			var site string
-			if r.DynSites > 0 {
-				site = r.Record.String()
-			}
-			wd.onFinish(i, r.Wall, site)
-			inner(i, seed, r)
+	throttle := s.opts.expThrottle
+	cfg.OnResult = func(i int, seed int64, r *campaign.ExperimentResult) {
+		var site string
+		if r.DynSites > 0 {
+			site = r.Record.String()
+		}
+		wd.onFinish(i, r.Wall, site)
+		job.addResult(i, seed, r)
+		if throttle > 0 {
+			time.Sleep(throttle)
 		}
 	}
+
 	tick := s.opts.watchdogTick
 	if tick <= 0 {
 		tick = defaultWatchdogTick
@@ -115,40 +159,5 @@ func (s *Server) runJob(job *Job) {
 		}
 	}()
 
-	if d := s.opts.expThrottle; d > 0 {
-		inner := cfg.OnResult
-		cfg.OnResult = func(i int, seed int64, r *campaign.ExperimentResult) {
-			inner(i, seed, r)
-			time.Sleep(d)
-		}
-	}
-	cfg.Completed = job.completedSnapshot()
-
-	sr, err := campaign.RunStudy(ctx, cfg)
-	s.mx.jobWall.Since(start)
-	switch {
-	case err == nil:
-		s.mx.completed.Inc()
-		// Shard jobs running on a worker are fragments of someone else's
-		// study; only whole studies belong in the history trend store.
-		// The entry lands before the job turns done, so a client that
-		// sees the final status finds it in /v1/history.
-		if job.Spec.ShardEnd == 0 {
-			s.recordHistory(job, sr)
-		}
-		job.finish(StateDone, "", marshalStudy(sr))
-	case errors.Is(err, context.Canceled) && job.cancelRequested():
-		s.mx.cancelled.Inc()
-		job.finish(StateCancelled, "", nil)
-	case s.baseCtx.Err() != nil:
-		// Daemon drain: in-flight experiments finished and were
-		// journaled; mark the interruption (non-terminal) and leave the
-		// job for the next daemon.
-		job.finish(StateInterrupted, "", nil)
-		s.logf("drain: job %s interrupted at %d/%d experiments",
-			job.ID, job.Status().Done, job.Status().Total)
-	default:
-		s.mx.failed.Inc()
-		job.finish(StateFailed, err.Error(), nil)
-	}
+	return campaign.RunStudy(ctx, cfg)
 }

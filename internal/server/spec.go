@@ -8,6 +8,12 @@
 // registered worker fleet and merges the results byte-identically to a
 // single-node run (coordinator.go).
 //
+// Every job runs through one runJob (scheduler.go), which ends in one
+// terminal switch. All local execution — a plain job, a worker's shard
+// range, a coordinator's no-fleet fallback shard — goes through
+// runLocal, the one place a study is wired to the job's journal,
+// registry and stall watchdog; only a sharded job adds the merge.
+//
 // API surface (all under /v1; 401 when API keys are configured and the
 // request carries none of them):
 //

@@ -8,7 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 
@@ -187,32 +187,68 @@ func TestTimelineNotTraced(t *testing.T) {
 }
 
 // TestWatchdogStallRepro forges a straggler (a test-only injected sleep
-// at one experiment index) and pins the whole watchdog path: the stall
-// is flagged with the right index, the watchdog.stalls counter bumps,
-// the report is back-filled when the straggler finishes, and its repro
-// bundle replays the exact experiment deterministically.
+// at one experiment index) and pins the whole watchdog path, for a
+// plain job and for a sharded job on a coordinator with no workers,
+// whose fallback shards run on the coordinator's own pool and share one
+// watchdog: the stall is flagged with the right index, the
+// watchdog.stalls counter bumps, a "stall" event reaches the SSE
+// stream, /timeline serves the watchdog view, the report is back-filled
+// when the straggler finishes, and its repro bundle — the job's spec
+// and the index — replays the exact experiment the job ran.
 func TestWatchdogStallRepro(t *testing.T) {
-	const stallIdx = 6
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testWatchdogStallRepro(t, shards)
+		})
+	}
+}
+
+func testWatchdogStallRepro(t *testing.T, shards int) {
+	const stallIdx = 6 // in the second of two shards
+	// No experiment runs before the SSE stream below has subscribed, so
+	// the stall event cannot fire ahead of it.
+	subscribed := make(chan struct{})
 	s := newTestServer(t, Options{
+		Coordinator:     shards > 1,
+		HarvestEvery:    20 * time.Millisecond,
 		watchdogTick:    5 * time.Millisecond,
 		stallMin:        30 * time.Millisecond,
 		stallMinSamples: 4,
 		stallFactor:     2,
 		stallInject: func(index int) {
+			<-subscribed
 			if index == stallIdx {
 				time.Sleep(300 * time.Millisecond)
 			}
 		},
 	})
 	defer drain(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
 	spec := testSpec()
 	spec.Workers = 2
+	spec.Shards = shards
 	job, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The handler subscribes before it sends the headers, and the stream
+	// ends once the job is terminal.
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/events")
+	close(subscribed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	waitState(t, s, job.ID, StateDone)
+	if !bytes.Contains(stream, []byte("event: stall\n")) {
+		t.Fatalf("no stall event on the SSE stream:\n%s", stream)
+	}
 
 	wd := job.Watchdog()
 	if wd == nil {
@@ -245,14 +281,34 @@ func TestWatchdogStallRepro(t *testing.T) {
 		t.Fatalf("stall worker %d out of range [0,%d)", report.Worker, len(beats))
 	}
 
-	// The repro bundle is self-contained: resolving its spec and running
-	// its index replays the flagged experiment exactly.
-	b := report.Repro
-	if b.Spec.Benchmark != spec.Benchmark || b.Index != stallIdx {
-		t.Fatalf("repro bundle %+v does not match the stalled experiment", b)
+	var tr struct {
+		Watchdog struct {
+			Stalls []StallReport `json:"stalls"`
+		} `json:"watchdog"`
 	}
-	if !strings.Contains(b.Command, fmt.Sprintf("-explain %d", stallIdx)) {
-		t.Fatalf("repro command %q does not pin the experiment index", b.Command)
+	tresp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/timeline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(tresp.Body).Decode(&tr)
+	tresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Watchdog.Stalls) != len(stalls) {
+		t.Fatalf("/timeline serves %d stalls, the watchdog holds %d",
+			len(tr.Watchdog.Stalls), len(stalls))
+	}
+
+	// The repro bundle is self-contained: resolving its spec and running
+	// its index replays the flagged experiment exactly. vulfi has no
+	// flag for the test scale, so there is no command to copy.
+	b := report.Repro
+	if !reflect.DeepEqual(b.Spec, job.Spec) || b.Index != stallIdx {
+		t.Fatalf("repro bundle %+v does not match the stalled experiment of %+v", b, job.Spec)
+	}
+	if b.Command != "" {
+		t.Fatalf("repro command %q for a test-scale spec, want none", b.Command)
 	}
 	replay := func() *campaign.ExperimentResult {
 		cfg, err := b.Spec.Config()
@@ -272,11 +328,13 @@ func TestWatchdogStallRepro(t *testing.T) {
 		}
 		return r
 	}
-	r1, r2 := replay(), replay()
-	if r1.Outcome != r2.Outcome || r1.Detected != r2.Detected ||
-		r1.Record != r2.Record {
-		t.Fatalf("repro replay diverged:\n1: %+v %+v\n2: %+v %+v",
-			r1.Outcome, r1.Record, r2.Outcome, r2.Record)
+	ran := job.experimentRecords(stallIdx, stallIdx+1)[0].Result
+	for _, r := range []*campaign.ExperimentResult{replay(), replay()} {
+		if r.Outcome != ran.Outcome || r.Detected != ran.Detected ||
+			r.Record != ran.Record || r.InputLabel != ran.InputLabel {
+			t.Fatalf("repro replay diverged from the job's run:\nreplay: %v %v %s\njob:    %v %v %s",
+				r.Outcome, r.Record, r.InputLabel, ran.Outcome, ran.Record, ran.InputLabel)
+		}
 	}
 }
 

@@ -3,11 +3,11 @@ package server
 import (
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"vulfi/internal/benchmarks"
 	"vulfi/internal/campaign"
 )
 
@@ -59,8 +59,10 @@ type StallReport struct {
 
 // ReproBundle is a self-contained recipe for replaying one flagged
 // experiment: the job's spec plus the experiment index (the seed is
-// derived, but carried for eyeballing). Command is a copy-pasteable
-// vulfi invocation that runs the single experiment deterministically.
+// derived, but carried for eyeballing). Command, when vulfi has a flag
+// for every knob the spec sets, is a copy-pasteable vulfi invocation
+// that runs the single experiment deterministically; otherwise it is
+// empty and Spec plus Index stay the exact recipe.
 type ReproBundle struct {
 	Spec    Spec   `json:"spec"`
 	Index   int    `json:"index"`
@@ -89,8 +91,7 @@ type inflight struct {
 // interpreter's budget check (every phi block), so anything heavier
 // would show up as study overhead.
 type watchdog struct {
-	spec  Spec
-	total int
+	spec Spec
 
 	// beats[w] counts interpreter budget-check pulses on worker w.
 	beats []atomic.Uint64
@@ -120,7 +121,6 @@ const wallRing = 512
 func newWatchdog(spec Spec, workers int, opts Options) *watchdog {
 	w := &watchdog{
 		spec:       spec,
-		total:      spec.Total(),
 		beats:      make([]atomic.Uint64, workers),
 		inflight:   make(map[int]*inflight),
 		walls:      make([]int64, wallRing),
@@ -268,12 +268,22 @@ func (w *watchdog) snapshot() ([]StallReport, []uint64) {
 // a campaign.Config and run the experiment at that schedule index —
 // both the fault seed and the input-pool draw are index-derived, so the
 // replay is exact. Command is the same recipe as a copy-pasteable CLI
-// invocation (`vulfi -explain N` runs exactly one schedule index).
+// invocation (`vulfi -explain N` runs exactly one schedule index). It
+// is empty when the spec sets a knob vulfi has no flag for (test scale,
+// the extension detectors, whole-register sites, mask-oblivious
+// injection): a command without the knob would replay another
+// experiment.
 func reproBundle(spec Spec, index int, seed int64) ReproBundle {
+	b := ReproBundle{Spec: spec, Index: index, Seed: seed}
+	scale, _ := ParseScale(spec.Scale)
+	if scale == benchmarks.ScaleTest || spec.DetectorEveryIteration ||
+		spec.MaskLoopDetector || spec.WholeRegisterSites || spec.MaskOblivious {
+		return b
+	}
 	cmd := "vulfi -benchmark " + spec.Benchmark +
 		" -isa " + spec.ISA +
 		" -category " + spec.Category
-	if strings.EqualFold(spec.Scale, "large") {
+	if scale == benchmarks.ScaleLarge {
 		cmd += " -large"
 	}
 	if spec.Experiments > 0 {
@@ -292,6 +302,9 @@ func reproBundle(spec Spec, index int, seed int64) ReproBundle {
 	if spec.Detectors {
 		cmd += " -detectors"
 	}
-	cmd += " -explain " + strconv.Itoa(index)
-	return ReproBundle{Spec: spec, Index: index, Seed: seed, Command: cmd}
+	if spec.BroadcastDetector {
+		cmd += " -broadcast-detector"
+	}
+	b.Command = cmd + " -explain " + strconv.Itoa(index)
+	return b
 }
