@@ -140,10 +140,12 @@ func ByName(name string) *Benchmark {
 func pick(rng *rand.Rand, xs []int) int { return xs[rng.Intn(len(xs))] }
 
 // randF32s fills a deterministic pseudo-random float32 slice in [lo, hi).
+// The product is rounded explicitly so no target fuses it into a
+// multiply-add: every host draws the same inputs (scripts/fma-check.sh).
 func randF32s(rng *rand.Rand, n int, lo, hi float64) []float32 {
 	out := make([]float32, n)
 	for i := range out {
-		out[i] = float32(lo + rng.Float64()*(hi-lo))
+		out[i] = float32(lo + float64(rng.Float64()*(hi-lo)))
 	}
 	return out
 }

@@ -74,7 +74,8 @@ var Fluidanimate = &Benchmark{
 		window := 2
 		pos := make([]float32, n)
 		for i := range pos {
-			pos[i] = float32(i)*0.1 + float32(rng.Float64())*0.02
+			// Rounded products: no target fuses them (see randF32s).
+			pos[i] = float32(float32(i)*0.1) + float32(float32(rng.Float64())*0.02)
 		}
 		posAddr, posArg, err := allocF32(x, pos)
 		if err != nil {

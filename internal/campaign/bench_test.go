@@ -136,3 +136,31 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPrepareSweep measures Prepare over the Figure 11 sweep's 54
+// cells (the 9 study benchmarks × AVX/SSE × 3 categories, default
+// scale, vm backend): compile, instrumentation and vm compile, the
+// per-round set-up cost of a Figure-11-shaped run.
+//
+//	go test -run '^$' -bench PrepareSweep -benchmem ./internal/campaign/
+func BenchmarkPrepareSweep(b *testing.B) {
+	var cfgs []Config
+	for _, bm := range benchmarks.Study() {
+		for _, t := range []*isa.ISA{isa.AVX, isa.SSE} {
+			for _, c := range passes.AllCategories {
+				cfgs = append(cfgs, Config{
+					Benchmark: bm, ISA: t, Category: c, Scale: benchmarks.ScaleDefault,
+					Experiments: 5, Campaigns: 1, Workers: 1, Backend: "vm",
+				})
+			}
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, cfg := range cfgs {
+			if _, err := Prepare(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

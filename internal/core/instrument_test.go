@@ -219,3 +219,70 @@ func TestInjectNameMapping(t *testing.T) {
 		}
 	}
 }
+
+// TestInstrumentRedirectsEveryUser instruments every site of a masked
+// vector kernel, in enumeration order and in reverse, and checks that
+// each module verifies and that no instruction of the original program
+// still reads a site's value: every original user of an L-value and
+// every store-like site's value operand reads the chain's result.
+// Reverse order makes each site's position search wrap to its block's
+// start.
+func TestInstrumentRedirectsEveryUser(t *testing.T) {
+	for _, reverse := range []bool{false, true} {
+		res := compileVCopy(t)
+		sites := EnumerateSites(res.Module, nil)
+		orig := map[*ir.Instr]bool{}
+		for _, in := range res.Module.Func("vcopy").Instrs() {
+			orig[in] = true
+		}
+		order := append([]*Site(nil), sites...)
+		if reverse {
+			for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
+				order[i], order[j] = order[j], order[i]
+			}
+		}
+		inst, err := Instrument(res.Module, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Module.Verify(); err != nil {
+			t.Fatalf("reverse=%t: instrumented module invalid: %v", reverse, err)
+		}
+		lanes := 0
+		for _, s := range sites {
+			lanes += s.Lanes()
+			if s.ValueOperand >= 0 {
+				if v, ok := s.Value().(*ir.Instr); !ok || orig[v] {
+					t.Errorf("reverse=%t: %s stores %s, not its chain's result",
+						reverse, s.Instr, s.Value().Ident())
+				}
+				continue
+			}
+			for _, u := range s.Instr.Uses() {
+				if orig[u.User] {
+					t.Errorf("reverse=%t: %s still reads %s", reverse, u.User, s.Instr.Ident())
+				}
+			}
+		}
+		if len(inst.LaneSites) != lanes {
+			t.Errorf("reverse=%t: %d lane sites, want %d", reverse, len(inst.LaneSites), lanes)
+		}
+	}
+}
+
+// TestInstrumentDetachedSite reports a site whose instruction left its
+// block as an error instead of panicking.
+func TestInstrumentDetachedSite(t *testing.T) {
+	res := compileVCopy(t)
+	var site *Site
+	for _, s := range EnumerateSites(res.Module, nil) {
+		if s.ValueOperand < 0 && s.Instr.Op != ir.OpPhi {
+			site = s
+			break
+		}
+	}
+	site.Instr.Parent.Remove(site.Instr)
+	if _, err := Instrument(res.Module, []*Site{site}); err == nil {
+		t.Fatal("instrumenting a detached instruction succeeded")
+	}
+}

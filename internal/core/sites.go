@@ -81,6 +81,7 @@ func EnumerateSites(m *ir.Module, funcs []*ir.Func) []*Site {
 		sites = append(sites, s)
 	}
 	for _, f := range funcs {
+		sl := passes.ForwardSlices(f)
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				if runtimeCall(in) {
@@ -89,25 +90,25 @@ func EnumerateSites(m *ir.Module, funcs []*ir.Func) []*Site {
 				switch {
 				case in.Op == ir.OpStore:
 					add(&Site{Instr: in, ValueOperand: 0, MaskOperand: -1,
-						Flags: passes.ForwardSlice(in.Operand(0))})
+						Flags: sl.Of(in.Operand(0))})
 				case in.Op == ir.OpCall:
 					mi, masked := isa.MaskedOpInfo(in.Callee.Nam)
 					switch {
 					case masked && mi.IsStore:
 						add(&Site{Instr: in, ValueOperand: mi.ValueOperand,
 							MaskOperand: mi.MaskOperand,
-							Flags:       passes.ForwardSlice(in.Operand(mi.ValueOperand))})
+							Flags:       sl.Of(in.Operand(mi.ValueOperand))})
 					case masked:
 						add(&Site{Instr: in, ValueOperand: -1,
 							MaskOperand: mi.MaskOperand,
-							Flags:       passes.ForwardSlice(in)})
+							Flags:       sl.Of(in)})
 					case !in.Ty.IsVoid():
 						add(&Site{Instr: in, ValueOperand: -1, MaskOperand: -1,
-							Flags: passes.ForwardSlice(in)})
+							Flags: sl.Of(in)})
 					}
 				case !in.Ty.IsVoid():
 					add(&Site{Instr: in, ValueOperand: -1, MaskOperand: -1,
-						Flags: passes.ForwardSlice(in)})
+						Flags: sl.Of(in)})
 				}
 			}
 		}

@@ -307,19 +307,6 @@ func (in *Instr) ReplaceAllUsesWith(nv Value) {
 	}
 }
 
-// ReplaceUsesExcept redirects uses of this instruction to nv, skipping uses
-// by instructions in the skip set (used so the instrumentation chain itself
-// keeps reading the original value).
-func (in *Instr) ReplaceUsesExcept(nv Value, skip map[*Instr]bool) {
-	pending := in.Uses()
-	for _, u := range pending {
-		if skip[u.User] {
-			continue
-		}
-		u.User.SetOperand(u.Index, nv)
-	}
-}
-
 // dropAllOperandUses removes this instruction's entries from its operands'
 // use lists; called when the instruction is removed from a block.
 func (in *Instr) dropAllOperandUses() {

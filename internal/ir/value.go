@@ -32,7 +32,21 @@ func ConstInt(ty *Type, v int64) *Const {
 	if !ty.IsInt() {
 		panic("ir.ConstInt: not an integer type: " + ty.String())
 	}
-	return &Const{Ty: ty, Bits: []uint64{TruncateToWidth(uint64(v), ty.Bits)}}
+	return scalarConst(ty, TruncateToWidth(uint64(v), ty.Bits))
+}
+
+// scalarWord holds a single-lane constant together with its one word,
+// so a scalar constant costs one allocation instead of two.
+type scalarWord struct {
+	c Const
+	w [1]uint64
+}
+
+// scalarConst returns a single-lane constant of type ty holding w.
+func scalarConst(ty *Type, w uint64) *Const {
+	s := &scalarWord{w: [1]uint64{w}}
+	s.c = Const{Ty: ty, Bits: s.w[:]}
+	return &s.c
 }
 
 // ConstBool returns an i1 constant.
@@ -47,9 +61,9 @@ func ConstBool(b bool) *Const {
 func ConstFloat(ty *Type, v float64) *Const {
 	switch ty {
 	case F32:
-		return &Const{Ty: ty, Bits: []uint64{uint64(math.Float32bits(float32(v)))}}
+		return scalarConst(ty, uint64(math.Float32bits(float32(v))))
 	case F64:
-		return &Const{Ty: ty, Bits: []uint64{math.Float64bits(v)}}
+		return scalarConst(ty, math.Float64bits(v))
 	}
 	panic("ir.ConstFloat: not a float type: " + ty.String())
 }

@@ -333,7 +333,7 @@ func (j *Job) Subscribe() (<-chan Event, func()) {
 // cancelled while queued and must be skipped).
 func (j *Job) setRunning(cancel context.CancelFunc) bool {
 	j.mu.Lock()
-	if j.state != StateQueued {
+	if j.state != StateQueued || j.cancelled {
 		j.mu.Unlock()
 		return false
 	}
@@ -346,9 +346,12 @@ func (j *Job) setRunning(cancel context.CancelFunc) bool {
 	return true
 }
 
-// finish moves the job to a terminal or interrupted state, journals it,
-// notifies subscribers and closes their channels (terminal only).
+// finish journals a terminal or interrupted state, then moves the job
+// to it, notifies subscribers and closes their channels (terminal
+// only). The record lands first, so no client sees a state that a
+// daemon dying in between would resume from.
 func (j *Job) finish(state, errMsg string, result json.RawMessage) {
+	j.journal.State(state, errMsg, result)
 	j.mu.Lock()
 	j.state, j.errMsg = state, errMsg
 	if result != nil {
@@ -357,7 +360,6 @@ func (j *Job) finish(state, errMsg string, result json.RawMessage) {
 	j.finished = time.Now()
 	j.cancel = nil
 	j.mu.Unlock()
-	j.journal.State(state, errMsg, result)
 	j.broadcast("state", j.Status())
 	if terminalState(state) {
 		j.mu.Lock()
@@ -381,9 +383,14 @@ func (j *Job) RequestCancel() bool {
 		j.mu.Unlock()
 		return false
 	case j.state == StateQueued:
+		// The first cancel finishes the job; cancelled keeps a second
+		// one, and the scheduler (setRunning), off it meanwhile.
+		first := !j.cancelled
 		j.cancelled = true
 		j.mu.Unlock()
-		j.finish(StateCancelled, "", nil)
+		if first {
+			j.finish(StateCancelled, "", nil)
+		}
 		return true
 	default:
 		j.cancelled = true

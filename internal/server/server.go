@@ -268,9 +268,15 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// recordHistory appends a finished job's study to the history store.
+// recordHistory appends a finished job's study to the history store,
+// once per job ID. Only a resumed job can find its entry there already:
+// a daemon that died after appending it and before journaling the job's
+// end resumes the job and runs this again.
 func (s *Server) recordHistory(job *Job, sr *campaign.StudyResult) {
 	if s.history == nil {
+		return
+	}
+	if job.Status().Resumed && s.historyHolds(job.ID) {
 		return
 	}
 	e := atlas.NewEntry(sr, time.Now())
@@ -281,6 +287,23 @@ func (s *Server) recordHistory(job *Job, sr *campaign.StudyResult) {
 		return
 	}
 	s.reg.Counter("atlas.history.appends").Inc()
+}
+
+// historyHolds reports whether the history store has an entry for job
+// id. An unreadable store reads as not holding it: a duplicate entry is
+// better than a lost one.
+func (s *Server) historyHolds(id string) bool {
+	entries, err := atlas.ReadHistory(s.historyPath)
+	if err != nil {
+		s.logf("history: %v", err)
+		return false
+	}
+	for _, e := range entries {
+		if e.Job == id {
+			return true
+		}
+	}
+	return false
 }
 
 // newJobID returns a random 12-hex-digit job id.

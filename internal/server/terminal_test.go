@@ -74,38 +74,40 @@ func TestJobTerminalPaths(t *testing.T) {
 					}
 					return n
 				}
-				// settle polls until the job reaches state, counting its
-				// history entries at the first sight of it.
-				settle := func(s *Server, id, state string) (Status, int) {
+				journaled := func(id string) string {
+					t.Helper()
+					rp, err := ReplayJournal(JournalPath(dir, id))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return rp.State
+				}
+				// settle polls until the job reaches state, reading its
+				// journal's last state and counting its history entries
+				// at the first sight of it.
+				settle := func(s *Server, id, state string) (Status, string, int) {
 					t.Helper()
 					deadline := time.Now().Add(2 * time.Minute)
 					for time.Now().Before(deadline) {
 						if s.Job(id).State() == state {
-							n := entries(id)
-							return s.Job(id).Status(), n
+							rec, n := journaled(id), entries(id)
+							return s.Job(id).Status(), rec, n
 						}
 						time.Sleep(time.Millisecond)
 					}
 					t.Fatalf("job %s never reached %q (at %q)", id, state, s.Job(id).State())
-					return Status{}, 0
+					return Status{}, "", 0
 				}
-				check := func(s *Server, st Status, state string, history int, counts [3]uint64) {
+				// check compares a settled job with state. The journal
+				// record was read when the state was first seen: finish
+				// journals a state before it publishes it.
+				check := func(s *Server, st Status, rec, state string, history int, counts [3]uint64) {
 					t.Helper()
 					if st.State != state {
 						t.Fatalf("state %q, want %q", st.State, state)
 					}
-					// finish publishes the state, then journals it.
-					for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
-						rp, err := ReplayJournal(JournalPath(dir, st.ID))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if rp.State == state {
-							break
-						}
-						if time.Now().After(deadline) {
-							t.Fatalf("journal's last state %q, want %q", rp.State, state)
-						}
+					if rec != state {
+						t.Fatalf("journal's last state %q when the job was seen %q", rec, state)
 					}
 					if n := entries(st.ID); n != history {
 						t.Fatalf("%d history entries, want %d", n, history)
@@ -149,11 +151,11 @@ func TestJobTerminalPaths(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					st, n := settle(s, job.ID, StateDone)
+					st, rec, n := settle(s, job.ID, StateDone)
 					if n != doneHistory {
 						t.Fatalf("%d history entries when the job turned done, want %d", n, doneHistory)
 					}
-					check(s, st, StateDone, doneHistory, [3]uint64{1, 0, 0})
+					check(s, st, rec, StateDone, doneHistory, [3]uint64{1, 0, 0})
 					checkResult(st)
 
 				case "cancelled":
@@ -167,11 +169,11 @@ func TestJobTerminalPaths(t *testing.T) {
 					if !job.RequestCancel() {
 						t.Fatal("running job refused the cancel")
 					}
-					st, _ := settle(s, job.ID, StateCancelled)
+					st, rec, _ := settle(s, job.ID, StateCancelled)
 					if st.Done >= st.Total {
 						t.Fatalf("cancelled at %d/%d experiments, want mid-run", st.Done, st.Total)
 					}
-					check(s, st, StateCancelled, 0, [3]uint64{0, 1, 0})
+					check(s, st, rec, StateCancelled, 0, [3]uint64{0, 1, 0})
 
 				case "interrupted":
 					s1 := open(20 * time.Millisecond)
@@ -185,18 +187,18 @@ func TestJobTerminalPaths(t *testing.T) {
 					if st.Done >= st.Total {
 						t.Fatalf("interrupted at %d/%d experiments, want mid-run", st.Done, st.Total)
 					}
-					check(s1, st, StateInterrupted, 0, [3]uint64{0, 0, 0})
+					check(s1, st, journaled(job.ID), StateInterrupted, 0, [3]uint64{0, 0, 0})
 
 					s2 := open(0)
 					defer drain(t, s2)
 					if st := s2.Job(job.ID).Status(); !st.Resumed {
 						t.Fatalf("restarted job %+v not marked resumed", st)
 					}
-					st, n := settle(s2, job.ID, StateDone)
+					st, rec, n := settle(s2, job.ID, StateDone)
 					if n != doneHistory {
 						t.Fatalf("%d history entries when the job turned done, want %d", n, doneHistory)
 					}
-					check(s2, st, StateDone, doneHistory, [3]uint64{1, 0, 0})
+					check(s2, st, rec, StateDone, doneHistory, [3]uint64{1, 0, 0})
 					checkResult(st)
 
 				case "failed":
@@ -212,13 +214,80 @@ func TestJobTerminalPaths(t *testing.T) {
 					}
 					s := open(0)
 					defer drain(t, s)
-					st, _ := settle(s, "jhuge", StateFailed)
+					st, rec, _ := settle(s, "jhuge", StateFailed)
 					if !strings.Contains(st.Error, "Campaigns × Experiments") {
 						t.Fatalf("job failed with %q, want the schedule bound", st.Error)
 					}
-					check(s, st, StateFailed, 0, [3]uint64{0, 0, 1})
+					check(s, st, rec, StateFailed, 0, [3]uint64{0, 0, 1})
 				}
 			})
 		}
+	}
+}
+
+// TestResumeRecordsHistoryOnce restarts a daemon that died after it
+// stored a finished job's history entry but before it journaled the
+// job's end: the journal's last state is running, and the history
+// store already holds the job's entry. The resumed job ends done, and
+// the store still holds exactly one entry for it.
+func TestResumeRecordsHistoryOnce(t *testing.T) {
+	dir := t.TempDir()
+	history := filepath.Join(dir, "history.jsonl")
+	entries := func(id string) int {
+		t.Helper()
+		es, err := atlas.ReadHistory(history)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, e := range es {
+			if e.Job == id {
+				n++
+			}
+		}
+		return n
+	}
+
+	s1 := newTestServer(t, Options{JournalDir: dir})
+	job, err := s1.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s1, job.ID, StateDone)
+	drain(t, s1)
+	if n := entries(job.ID); n != 1 {
+		t.Fatalf("%d history entries after the first run, want 1", n)
+	}
+
+	// Cut the journal back to before its terminal record.
+	path := JournalPath(dir, job.ID)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(strings.TrimSuffix(string(data), "\n"), "\n")
+	last := lines[len(lines)-1]
+	if !strings.Contains(last, `"t":"state"`) || !strings.Contains(last, `"state":"done"`) {
+		t.Fatalf("journal ends with %s, want the done record", last)
+	}
+	if err := os.WriteFile(path, []byte(strings.Join(lines[:len(lines)-1], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rp, err := ReplayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rp.State != StateRunning {
+		t.Fatalf("cut journal replays to state %q, want %q", rp.State, StateRunning)
+	}
+
+	s2 := newTestServer(t, Options{JournalDir: dir})
+	defer drain(t, s2)
+	st := waitState(t, s2, job.ID, StateDone)
+	if !st.Resumed {
+		t.Fatalf("restarted job %+v not marked resumed", st)
+	}
+	if n := entries(job.ID); n != 1 {
+		t.Fatalf("%d history entries after the resume, want 1", n)
 	}
 }

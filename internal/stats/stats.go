@@ -3,6 +3,12 @@
 // critical values for 95% confidence, the margin-of-error rule used to
 // decide how many fault-injection campaigns to run, and a normality
 // diagnostic for the campaign-rate sample distribution.
+//
+// A product that feeds a sum is rounded by an explicit conversion
+// (float64(d*d) + s): Go may fuse x*y + z into one multiply-add on
+// arm64, ppc64le, s390x and riscv64, and the conversion keeps every
+// host's statistics bit-identical to amd64's. scripts/fma-check.sh
+// checks the compiled code for fused instructions.
 package stats
 
 import "math"
@@ -28,7 +34,7 @@ func Variance(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(xs)-1)
 }
@@ -93,8 +99,8 @@ func Skewness(xs []float64) float64 {
 	var m2, m3 float64
 	for _, x := range xs {
 		d := x - m
-		m2 += d * d
-		m3 += d * d * d
+		m2 += float64(d * d)
+		m3 += float64(d * d * d)
 	}
 	m2 /= n
 	m3 /= n
@@ -114,8 +120,8 @@ func Kurtosis(xs []float64) float64 {
 	var m2, m4 float64
 	for _, x := range xs {
 		d := x - m
-		m2 += d * d
-		m4 += d * d * d * d
+		m2 += float64(d * d)
+		m4 += float64(d * d * d * d)
 	}
 	m2 /= n
 	m4 /= n
@@ -131,7 +137,7 @@ func JarqueBera(xs []float64) float64 {
 	n := float64(len(xs))
 	s := Skewness(xs)
 	k := Kurtosis(xs)
-	return n / 6 * (s*s + k*k/4)
+	return n / 6 * (float64(s*s) + float64(k*k/4))
 }
 
 // NearNormal applies the paper's "normal or near normal" criterion using
@@ -169,7 +175,7 @@ func WilsonInterval(successes, n int, z float64) (lo, hi float64) {
 	z2 := z * z
 	denom := 1 + z2/nn
 	center := p + z2/(2*nn)
-	spread := z * math.Sqrt(p*(1-p)/nn+z2/(4*nn*nn))
+	spread := float64(z * math.Sqrt(p*(1-p)/nn+z2/(4*nn*nn)))
 	lo = (center - spread) / denom
 	hi = (center + spread) / denom
 	if lo < 0 {
