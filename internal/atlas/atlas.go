@@ -66,22 +66,6 @@ func New(sr *campaign.StudyResult) *Atlas {
 	return a
 }
 
-// FromEntry rebuilds the atlas view from a recorded history entry (the
-// longitudinal store keeps raw tallies, not derived rates).
-func FromEntry(e *Entry) *Atlas {
-	a := &Atlas{
-		Benchmark:   e.Benchmark,
-		ISA:         e.ISA,
-		Category:    e.Category,
-		Experiments: e.Total,
-	}
-	a.Rows = rows(e.Sites)
-	for _, r := range a.Rows {
-		a.Attributed += r.Injections
-	}
-	return a
-}
-
 // rows derives confidence-qualified rows from raw tallies, ranked most
 // SDC-prone first (by SDC rate, then injection count, then key) — the
 // same ordering intuition as the trace blame table, but rate-based so

@@ -1,10 +1,16 @@
 package interp_test
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
+	"vulfi/internal/codegen"
+	"vulfi/internal/exec"
 	"vulfi/internal/interp"
 	"vulfi/internal/ir"
+	"vulfi/internal/isa"
 	"vulfi/internal/vm"
 )
 
@@ -186,6 +192,113 @@ func TestReturnedConstantIsTheCallers(t *testing.T) {
 		}
 		if vec.Bits[0] != 1 || vec.Bits[3] != 4 {
 			t.Fatalf("%s: the IR constant changed to %v", backend, vec.Bits)
+		}
+	}
+}
+
+// TestExternTable: both backends read the callee's entry in the extern
+// table at every call. An extern registered again between two runs of
+// one instance takes effect on the next call. A declaration nothing
+// implements traps "unresolved external" at the call, and so does a
+// callee of another module, with the same provenance on both backends:
+// the foreign declaration has the name and the number of a registered
+// one, whose entry it must not read.
+func TestExternTable(t *testing.T) {
+	mod := ir.NewModule("externs")
+	emit := ir.NewDecl("emit", ir.Void, ir.I32)
+	missing := ir.NewDecl("missing", ir.Void, ir.I32)
+	mod.AddFunc(emit)
+	mod.AddFunc(missing)
+	other := ir.NewModule("other")
+	foreign := ir.NewDecl("emit", ir.Void, ir.I32)
+	foreignBody := ir.NewFunc("body", ir.Void, []*ir.Type{ir.I32}, nil)
+	other.AddFunc(foreign)
+	other.AddFunc(foreignBody)
+	ir.NewBuilder(foreignBody.NewBlock("entry")).Ret(nil)
+	callers := []struct {
+		name   string
+		callee *ir.Func
+	}{{"local", emit}, {"unregistered", missing}, {"foreign", foreign}, {"foreignBody", foreignBody}}
+	for _, c := range callers {
+		f := ir.NewFunc(c.name, ir.Void, nil, nil)
+		mod.AddFunc(f)
+		bu := ir.NewBuilder(f.NewBlock("entry"))
+		bu.Call(c.callee, "", ir.ConstInt(ir.I32, 7))
+		bu.Ret(nil)
+	}
+	emitAs := func(tag string) interp.ExternFn {
+		return func(it *interp.Interp, args []interp.Value) (interp.Value, *interp.Trap) {
+			fmt.Fprintf(&it.Output, "%s(%d)\n", tag, args[0].Int())
+			return interp.Value{}, nil
+		}
+	}
+	traps := map[string][]interp.Trap{}
+	for _, backend := range []string{"tree", "vm"} {
+		it, err := interp.New(mod, interp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if backend == "vm" {
+			vm.Attach(it, vm.Compile(mod))
+		}
+		it.RegisterExtern("emit", emitAs("a"))
+		for _, tag := range []string{"a", "b"} {
+			if tag == "b" {
+				it.RegisterExtern("emit", emitAs("b"))
+			}
+			if _, tr := it.Run("local"); tr != nil {
+				t.Fatalf("%s: %v", backend, tr)
+			}
+		}
+		if got, want := it.Output.String(), "a(7)\nb(7)\n"; got != want {
+			t.Errorf("%s: output %q, want %q", backend, got, want)
+		}
+		for _, c := range callers[1:] {
+			_, tr := it.Run(c.name)
+			if tr == nil {
+				t.Fatalf("%s @%s: no trap", backend, c.name)
+			}
+			want := fmt.Sprintf("unresolved external @%s", c.callee.Nam)
+			if tr.Kind != interp.TrapHalt || tr.Msg != want || tr.Func != c.name || tr.Block != "entry" {
+				t.Errorf("%s @%s: trap %+v, want %q at @%s/entry", backend, c.name, *tr, want, c.name)
+			}
+			traps[backend] = append(traps[backend], *tr)
+		}
+	}
+	if !slices.Equal(traps["tree"], traps["vm"]) {
+		t.Errorf("traps: tree %+v, vm %+v", traps["tree"], traps["vm"])
+	}
+}
+
+// TestPrintVaryingDouble: print writes every lane of a varying double
+// with the digits of a uniform one, on both backends. A flip below the
+// fifth significant digit changes the output either way.
+func TestPrintVaryingDouble(t *testing.T) {
+	res, err := codegen.CompileSource(`
+export void p() {
+	uniform double u = 1.0/3.0;
+	double v = 1.0/3.0;
+	print(u);
+	print(v);
+}
+`, isa.SSE, "print")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Repeat("0.333333343\n", 5)
+	for _, backend := range []string{"tree", "vm"} {
+		x, err := exec.NewInstance(res, interp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if backend == "vm" {
+			vm.Attach(x.It, vm.Compile(res.Module))
+		}
+		if _, tr := x.CallExport("p"); tr != nil {
+			t.Fatalf("%s: %v", backend, tr)
+		}
+		if got := x.It.Output.String(); got != want {
+			t.Errorf("%s: output %q, want %q", backend, got, want)
 		}
 	}
 }

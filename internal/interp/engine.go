@@ -19,7 +19,11 @@ import "vulfi/internal/ir"
 // Observer event streams. The differential tests in internal/vm and
 // internal/campaign pin this contract. So an engine may replace extern
 // calls by one BulkCounter call only where no observer is attached and
-// no budget check falls among the instructions it skips.
+// no budget check falls among the instructions it skips. An engine that
+// dispatches extern calls itself reads the callee's entry in the
+// interpreter's extern table (see Interp.Extern) at every call, as Call
+// does, so a re-registered extern, or the bulk counter it drops, takes
+// effect on the next call.
 //
 // Like registered externs, the engine survives Reset: campaign instance
 // pools reset-and-reuse interpreters without re-attaching their
@@ -36,10 +40,10 @@ func (it *Interp) Engine() Engine { return it.engine }
 
 // The methods below export exactly the hooks an Engine needs to
 // replicate the tree-walker's observable contract without duplicating
-// its semantics: budget checks, trap provenance, extern and
-// bulk-counter resolution and the scalar/vector operation kernels (the
-// observer is read through Observer). Engines must use these rather
-// than re-implement them, so the two backends cannot drift.
+// its semantics: budget checks, trap provenance and the scalar/vector
+// operation kernels (the observer is read through Observer, externs and
+// bulk counters through Extern). Engines must use these rather than
+// re-implement them, so the two backends cannot drift.
 
 // CheckBudget reports a TrapBudget when the executed-instruction count
 // has exceeded the configured budget, with the tree-walker's exact
@@ -51,21 +55,6 @@ func (it *Interp) CheckBudget() *Trap { return it.checkBudget() }
 // LocateTrap stamps tr with the provenance of in (innermost frame
 // wins), exactly as the tree-walker does before unwinding a trap.
 func (it *Interp) LocateTrap(tr *Trap, in *ir.Instr) *Trap { return it.locate(tr, in) }
-
-// ResolveExtern resolves a declaration to the implementation Call would
-// dispatch to (registered extern, then generic intrinsic). Engines that
-// cache the result must key the cache on ExternEpoch.
-func (it *Interp) ResolveExtern(f *ir.Func) (ExternFn, bool) { return it.resolveExtern(f) }
-
-// ResolveBulkCounter returns the bulk counter registered beside f's
-// extern, or nil. Engines that cache it must key the cache on
-// ExternEpoch, as for ResolveExtern.
-func (it *Interp) ResolveBulkCounter(f *ir.Func) BulkCounter { return it.bulk[f.Nam] }
-
-// ExternEpoch returns a counter bumped by every RegisterExtern and
-// RegisterBulkCounter, so a resolved-extern cache can detect
-// re-registration and invalidate.
-func (it *Interp) ExternEpoch() uint64 { return it.externEpoch }
 
 // Exported operation kernels. These run the tree-walker's own lane
 // loops (execInstr reaches the same loops through its allocating

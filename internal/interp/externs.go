@@ -4,34 +4,48 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"vulfi/internal/ir"
 )
 
 // RegisterBuiltins installs the language runtime builtins every program
 // can use: the output functions (whose accumulated stream is the
-// program's comparable output) and an abort hook.
+// program's comparable output) and an abort hook. Each vulfi.out.<type>
+// declaration prints every lane of its argument in the format of its
+// element type.
 func RegisterBuiltins(it *Interp) {
-	out := func(format string) ExternFn {
-		return func(it *Interp, args []Value) (Value, *Trap) {
-			v := args[0]
-			if v.Ty.Scalar().IsFloat() {
-				for i := range v.Bits {
-					fmt.Fprintf(&it.Output, format, v.LaneFloat(i))
-				}
-			} else {
-				for i := range v.Bits {
-					fmt.Fprintf(&it.Output, format, v.LaneInt(i))
-				}
-			}
-			return Value{}, nil
+	for _, f := range it.Mod.Funcs {
+		if f.IsDecl && strings.HasPrefix(f.Nam, "vulfi.out.") && len(f.Params) == 1 {
+			it.RegisterExtern(f.Nam, outFor(f.Params[0].Ty.Scalar()))
 		}
 	}
-	it.RegisterExtern("vulfi.out.i32", out("%d\n"))
-	it.RegisterExtern("vulfi.out.i64", out("%d\n"))
-	it.RegisterExtern("vulfi.out.f32", out("%.5g\n"))
-	it.RegisterExtern("vulfi.out.f64", out("%.9g\n"))
 	it.RegisterExtern("vulfi.abort", func(it *Interp, args []Value) (Value, *Trap) {
 		return Value{}, trapf(TrapHalt, "program abort")
 	})
+}
+
+// outFor returns the output builtin for lanes of type elem.
+func outFor(elem *ir.Type) ExternFn {
+	format := "%d\n"
+	switch elem {
+	case ir.F32:
+		format = "%.5g\n"
+	case ir.F64:
+		format = "%.9g\n"
+	}
+	return func(it *Interp, args []Value) (Value, *Trap) {
+		v := args[0]
+		if v.Ty.Scalar().IsFloat() {
+			for i := range v.Bits {
+				fmt.Fprintf(&it.Output, format, v.LaneFloat(i))
+			}
+		} else {
+			for i := range v.Bits {
+				fmt.Fprintf(&it.Output, format, v.LaneInt(i))
+			}
+		}
+		return Value{}, nil
+	}
 }
 
 // mathUnary maps intrinsic base names to per-lane float implementations.
@@ -72,39 +86,21 @@ func intrinsicBase(name string) string {
 }
 
 // genericIntrinsic resolves per-lane math intrinsics by base name,
-// covering every type suffix (.f32, .v4f32, .v8f32, ...), plus the typed
-// vulfi.out.* output family.
-func genericIntrinsic(name string) (ExternFn, bool) {
-	if strings.HasPrefix(name, "vulfi.out.") {
-		return outImpl, true
-	}
+// covering every type suffix (.f32, .v4f32, .v8f32, ...); it returns nil
+// for any other name.
+func genericIntrinsic(name string) ExternFn {
 	base := intrinsicBase(name)
 	if fn, ok := mathUnary[base]; ok {
 		return func(it *Interp, args []Value) (Value, *Trap) {
 			return mapLanes1(args[0], fn), nil
-		}, true
+		}
 	}
 	if fn, ok := mathBinary[base]; ok {
 		return func(it *Interp, args []Value) (Value, *Trap) {
 			return mapLanes2(args[0], args[1], fn), nil
-		}, true
-	}
-	return nil, false
-}
-
-// outImpl appends each lane of the argument to the program output stream.
-func outImpl(it *Interp, args []Value) (Value, *Trap) {
-	v := args[0]
-	if v.Ty.Scalar().IsFloat() {
-		for i := range v.Bits {
-			fmt.Fprintf(&it.Output, "%.5g\n", v.LaneFloat(i))
-		}
-	} else {
-		for i := range v.Bits {
-			fmt.Fprintf(&it.Output, "%d\n", v.LaneInt(i))
 		}
 	}
-	return Value{}, nil
+	return nil
 }
 
 func mapLanes1(v Value, fn func(float64) float64) Value {

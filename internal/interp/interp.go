@@ -60,23 +60,13 @@ type Interp struct {
 	Detections    []string
 	DetectionDyns []uint64
 
-	externs map[string]ExternFn
-	// externBy memoizes name-based extern resolution per declaration
-	// node, turning the per-call string-map lookup (hash of the symbol
-	// name) into a pointer-keyed one. RegisterExtern invalidates it, so
-	// replacement keeps its install-over semantics.
-	externBy map[*ir.Func]ExternFn
-	// bulk holds the bulk counters registered beside externs (see
-	// RegisterBulkCounter), by extern name.
-	bulk map[string]BulkCounter
-	// externEpoch counts RegisterExtern and RegisterBulkCounter calls;
-	// engines key their own resolved-extern caches on it (see
-	// ExternEpoch).
-	externEpoch uint64
-	budget      uint64
-	maxDepth    int
-	depth       int
-	globals     map[*ir.Global]uint64
+	// externs is the extern table: one entry per function of Mod, by
+	// ir.Func.Num (see Extern).
+	externs  []Extern
+	budget   uint64
+	maxDepth int
+	depth    int
+	globals  map[*ir.Global]uint64
 	// obs and pulse are the run's Options.Observer and Options.Pulse.
 	obs   Observer
 	pulse func(uint64)
@@ -92,17 +82,24 @@ type Interp struct {
 	ops    [][]Value
 }
 
-// New creates an interpreter for mod, allocating storage for its globals.
+// New creates an interpreter for mod, allocating storage for its
+// globals. Its extern table has an entry for each function mod has now;
+// a declaration's starts as its generic intrinsic or language builtin
+// (see RegisterBuiltins), if it has one.
 func New(mod *ir.Module, opts Options) (*Interp, error) {
 	it := &Interp{
 		Mod:     mod,
 		Mem:     NewMemory(opts.MemLimit),
-		externs: map[string]ExternFn{},
-		bulk:    map[string]BulkCounter{},
+		externs: make([]Extern, len(mod.Funcs)),
 		globals: map[*ir.Global]uint64{},
 	}
 	if tr := it.Reset(opts); tr != nil {
 		return nil, tr
+	}
+	for i, f := range mod.Funcs {
+		if f.IsDecl {
+			it.externs[i].Fn = genericIntrinsic(f.Nam)
+		}
 	}
 	RegisterBuiltins(it)
 	return it, nil
@@ -147,13 +144,34 @@ func (it *Interp) Reset(opts Options) *Trap {
 	return nil
 }
 
-// RegisterExtern installs (or replaces) the implementation of an external
-// function. It drops any bulk counter registered beside the old one.
+// Extern is a function's entry in an interpreter's extern table: what
+// a call of the declaration runs, and the bulk counter registered beside
+// it (see BulkCounter). Fn is nil for a defined function and for a
+// declaration nothing implements.
+type Extern struct {
+	Fn   ExternFn
+	Bulk BulkCounter
+}
+
+// Extern returns f's entry in the extern table, and false when the table
+// has none: f is another module's function, or was added to the module
+// after New. Registration overwrites entries in place, so a caller
+// reads the entry at each call rather than keeping it.
+func (it *Interp) Extern(f *ir.Func) (Extern, bool) {
+	if n := f.Num(); it.Mod.Has(f) && n < len(it.externs) {
+		return it.externs[n], true
+	}
+	return Extern{}, false
+}
+
+// RegisterExtern installs (or replaces) the implementation of the
+// module's declaration called name. It drops any bulk counter
+// registered beside the old one. A name the module does not declare
+// has no entry, so registering it changes nothing.
 func (it *Interp) RegisterExtern(name string, fn ExternFn) {
-	it.externs[name] = fn
-	delete(it.bulk, name)
-	clear(it.externBy)
-	it.externEpoch++
+	if e := it.entry(name); e != nil {
+		*e = Extern{Fn: fn}
+	}
 }
 
 // BulkCounter stands in for n consecutive calls of the extern it is
@@ -168,49 +186,22 @@ type BulkCounter func(n uint64) bool
 // RegisterBulkCounter registers fn beside the extern called name, until
 // that extern is registered again.
 func (it *Interp) RegisterBulkCounter(name string, fn BulkCounter) {
-	it.bulk[name] = fn
-	it.externEpoch++
+	if e := it.entry(name); e != nil {
+		e.Bulk = fn
+	}
 }
 
-// resolveExtern resolves a declaration to its implementation —
-// registered extern first, generic intrinsic fallback — memoizing the
-// name lookup per declaration node in externBy.
-func (it *Interp) resolveExtern(f *ir.Func) (ExternFn, bool) {
-	if fn, ok := it.externBy[f]; ok {
-		return fn, true
+// entry returns the extern table's entry for the declaration called
+// name, or nil when the table has none.
+func (it *Interp) entry(name string) *Extern {
+	if f := it.Mod.Func(name); f != nil && f.IsDecl && f.Num() < len(it.externs) {
+		return &it.externs[f.Num()]
 	}
-	fn, ok := it.externs[f.Nam]
-	if !ok {
-		fn, ok = genericIntrinsic(f.Nam)
-	}
-	if !ok {
-		return nil, false
-	}
-	if it.externBy == nil {
-		it.externBy = map[*ir.Func]ExternFn{}
-	}
-	it.externBy[f] = fn
-	return fn, true
-}
-
-// HasExtern reports whether name has a registered implementation.
-func (it *Interp) HasExtern(name string) bool {
-	_, ok := it.externs[name]
-	return ok
+	return nil
 }
 
 // GlobalAddr returns the base address of a module global.
 func (it *Interp) GlobalAddr(g *ir.Global) uint64 { return it.globals[g] }
-
-// GlobalAddrByName returns the base address of the named global.
-func (it *Interp) GlobalAddrByName(name string) (uint64, bool) {
-	for g, a := range it.globals {
-		if g.Nam == name {
-			return a, true
-		}
-	}
-	return 0, false
-}
 
 // Run executes the named function with args and returns its result.
 func (it *Interp) Run(name string, args ...Value) (Value, *Trap) {
@@ -225,12 +216,12 @@ func (it *Interp) Run(name string, args ...Value) (Value, *Trap) {
 // outermost call of a run) is the caller's to keep and write; a nested
 // call's result obeys Value's rule.
 func (it *Interp) Call(f *ir.Func, args []Value) (Value, *Trap) {
+	e, ok := it.Extern(f)
+	if !ok || f.IsDecl && e.Fn == nil {
+		return Value{}, trapf(TrapHalt, "unresolved external @%s", f.Nam)
+	}
 	if f.IsDecl {
-		fn, ok := it.resolveExtern(f)
-		if !ok {
-			return Value{}, trapf(TrapHalt, "unresolved external @%s", f.Nam)
-		}
-		return fn(it, args)
+		return e.Fn(it, args)
 	}
 	if it.depth++; it.depth > it.maxDepth {
 		it.depth--

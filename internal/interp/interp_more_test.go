@@ -193,7 +193,7 @@ func TestGlobalsAllocatedAndAddressable(t *testing.T) {
 	if tr != nil || got.Int() != 123 {
 		t.Fatalf("global store/load = %v %v", got, tr)
 	}
-	if _, ok := it.GlobalAddrByName("table"); !ok {
+	if it.GlobalAddr(g) == 0 {
 		t.Fatal("global address not registered")
 	}
 }

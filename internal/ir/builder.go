@@ -87,7 +87,6 @@ func (bu *Builder) And(x, y Value, name string) *Instr  { return bu.Bin(OpAnd, x
 func (bu *Builder) Or(x, y Value, name string) *Instr   { return bu.Bin(OpOr, x, y, name) }
 func (bu *Builder) Xor(x, y Value, name string) *Instr  { return bu.Bin(OpXor, x, y, name) }
 func (bu *Builder) Shl(x, y Value, name string) *Instr  { return bu.Bin(OpShl, x, y, name) }
-func (bu *Builder) LShr(x, y Value, name string) *Instr { return bu.Bin(OpLShr, x, y, name) }
 func (bu *Builder) AShr(x, y Value, name string) *Instr { return bu.Bin(OpAShr, x, y, name) }
 func (bu *Builder) FAdd(x, y Value, name string) *Instr { return bu.Bin(OpFAdd, x, y, name) }
 func (bu *Builder) FSub(x, y Value, name string) *Instr { return bu.Bin(OpFSub, x, y, name) }

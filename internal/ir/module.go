@@ -19,7 +19,8 @@ func NewModule(name string) *Module {
 	return &Module{Name: name, funcByName: map[string]*Func{}}
 }
 
-// AddFunc adds f to the module. Function names must be unique.
+// AddFunc adds f to the module and numbers it by its index in Funcs
+// (see Func.Num). Function names must be unique.
 func (m *Module) AddFunc(f *Func) {
 	if m.funcByName == nil {
 		m.funcByName = map[string]*Func{}
@@ -28,6 +29,7 @@ func (m *Module) AddFunc(f *Func) {
 		panic("ir: duplicate function " + f.Nam)
 	}
 	f.Module = m
+	f.num = len(m.Funcs)
 	m.Funcs = append(m.Funcs, f)
 	m.funcByName[f.Nam] = f
 }
@@ -35,6 +37,12 @@ func (m *Module) AddFunc(f *Func) {
 // Func returns the function with the given name, or nil.
 func (m *Module) Func(name string) *Func {
 	return m.funcByName[name]
+}
+
+// Has reports whether f is one of m's functions: the one numbered
+// f.Num() in Funcs.
+func (m *Module) Has(f *Func) bool {
+	return m != nil && f.num >= 0 && f.num < len(m.Funcs) && m.Funcs[f.num] == f
 }
 
 // AddGlobal registers a global storage object.
@@ -56,6 +64,8 @@ type Func struct {
 	// Intrinsic marks LLVM-style intrinsics (name starts with "llvm.").
 	Intrinsic bool
 
+	// num is the function's index in its module's Funcs (see Num).
+	num       int
 	nameSeq   int
 	nameCount map[string]int
 	// nslots counts the slots handed out to instructions (see
@@ -65,7 +75,7 @@ type Func struct {
 
 // NewFunc creates a function with fresh parameters named after names.
 func NewFunc(name string, ret *Type, paramTypes []*Type, paramNames []string) *Func {
-	f := &Func{Nam: name, Sig: FuncOf(ret, paramTypes...)}
+	f := &Func{Nam: name, Sig: FuncOf(ret, paramTypes...), num: -1}
 	for i, pt := range paramTypes {
 		pn := fmt.Sprintf("arg%d", i)
 		if i < len(paramNames) && paramNames[i] != "" {
@@ -102,6 +112,11 @@ func (f *Func) Entry() *Block {
 	}
 	return f.Blocks[0]
 }
+
+// Num returns the function's index in its module's Funcs, which
+// AddFunc assigns, or -1 before it is added. Interpreters index their
+// per-function tables by it.
+func (f *Func) Num() int { return f.num }
 
 // NumSlots returns the number of instruction slots the function has
 // handed out: every instruction placed in one of its blocks has a slot

@@ -107,36 +107,6 @@ func TestSlotsFollowTheFunction(t *testing.T) {
 	}
 }
 
-// TestCloneModuleSlots: a clone numbers its own instructions densely
-// and leaves the original's slots alone.
-func TestCloneModuleSlots(t *testing.T) {
-	m := validFunc()
-	f := m.Func("f")
-	// Punch a hole in the original so its numbering is not dense.
-	loop := f.Blocks[1]
-	dead := NewBuilderBefore(loop.Terminator()).Mul(ConstInt(I32, 6), ConstInt(I32, 7), "dead")
-	loop.Remove(dead)
-	want := map[*Instr]int{}
-	for _, in := range f.Instrs() {
-		want[in] = in.Slot()
-	}
-
-	c := CloneModule(m)
-	checkSlots(t, c)
-	cf := c.Func("f")
-	if cf.NumSlots() != len(cf.Instrs()) {
-		t.Fatalf("clone NumSlots = %d, want %d", cf.NumSlots(), len(cf.Instrs()))
-	}
-	for _, in := range f.Instrs() {
-		if in.Slot() != want[in] {
-			t.Fatalf("cloning moved %s to slot %d", in, in.Slot())
-		}
-	}
-	if err := c.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestVerifyRejectsBadSlots: a hand-built duplicate slot, a slot past
 // NumSlots, an instruction placed twice and an operand defined in
 // another function are each rejected.

@@ -6,14 +6,18 @@ import (
 )
 
 // Verify checks structural and type well-formedness of the module:
-// terminated blocks, per-opcode operand typing, phi/predecessor agreement,
-// call-signature agreement, operands defined in the same function, one
-// distinct in-range slot per instruction (see Instr.Slot), and SSA
-// dominance: every use of an instruction's value is dominated by its
-// definition. It returns all violations found.
+// each function numbered by its index (see Func.Num), terminated blocks,
+// per-opcode operand typing, phi/predecessor agreement, call-signature
+// agreement, callees of the module, operands defined in the same
+// function, one distinct in-range slot per instruction (see Instr.Slot),
+// and SSA dominance: every use of an instruction's value is dominated by
+// its definition. It returns all violations found.
 func (m *Module) Verify() error {
 	var errs []error
-	for _, f := range m.Funcs {
+	for i, f := range m.Funcs {
+		if f.num != i {
+			errs = append(errs, fmt.Errorf("@%s: numbered %d at index %d", f.Nam, f.num, i))
+		}
 		if f.IsDecl {
 			continue
 		}
@@ -406,6 +410,9 @@ func verifyInstr(in *Instr, g *blockGraph,
 			}
 		}
 	case OpCall:
+		if !f.Module.Has(in.Callee) {
+			bad(in, "callee @%s is not in the module", in.Callee.Nam)
+		}
 		sig := in.Callee.Sig
 		if !sig.Variadic && len(in.ops) != len(sig.Params) {
 			bad(in, "call arg count %d != %d", len(in.ops), len(sig.Params))

@@ -150,6 +150,29 @@ func TestVerifyCallArgMismatch(t *testing.T) {
 	expectVerifyError(t, m, "call arg")
 }
 
+// TestVerifyFunctionNumbers: interpreters index their per-function
+// tables by Func.Num, so Verify rejects a function whose number is not
+// its index in Funcs, and a call to another module's function, whose
+// number would name an entry of this module's.
+func TestVerifyFunctionNumbers(t *testing.T) {
+	m := validFunc()
+	g := NewFunc("g", Void, nil, nil)
+	m.AddFunc(g)
+	NewBuilder(g.NewBlock("entry")).Ret(nil)
+	m.Funcs[0], m.Funcs[1] = m.Funcs[1], m.Funcs[0]
+	expectVerifyError(t, m, "@g: numbered 1 at index 0")
+
+	other := NewModule("other")
+	foreign := NewDecl("g", Void, I32)
+	other.AddFunc(foreign)
+	m = NewModule("t")
+	m.AddFunc(NewDecl("g", Void, I32))
+	f, bu := oneBlockFunc(m)
+	bu.Call(foreign, "", f.Params[0])
+	bu.Ret(nil)
+	expectVerifyError(t, m, "callee @g is not in the module")
+}
+
 func TestVerifyRetMismatch(t *testing.T) {
 	m := NewModule("t")
 	f := NewFunc("f", I32, nil, nil)

@@ -130,7 +130,6 @@ type siteChain struct {
 // fnCode is one compiled function body.
 type fnCode struct {
 	fn *ir.Func
-	ix int // dense index of this body in its Program (Machine.free)
 
 	// regs lays out one frame: parameters own no words (they alias the
 	// caller's values and are only read), every other register owns
@@ -183,7 +182,6 @@ type compiler struct {
 	starts  map[*ir.Block]int32
 	fixups  []fixup
 	fused   map[string]int
-	declIx  map[*ir.Func]int32 // program-wide dense extern-callee index
 }
 
 // constKey identifies a single-lane constant's runtime value.
@@ -204,7 +202,7 @@ type fixup struct {
 // without terminators ("block fell through"), phis outside the block
 // head or in the entry block, and phis lacking an incoming for a
 // predecessor. Those fall back to tree-walking.
-func compileFunc(f *ir.Func, fused map[string]int, declIx map[*ir.Func]int32) (*fnCode, bool) {
+func compileFunc(f *ir.Func, fused map[string]int) (*fnCode, bool) {
 	c := &compiler{
 		f:       f,
 		regOf:   make([]int32, f.NumSlots()),
@@ -213,7 +211,6 @@ func compileFunc(f *ir.Func, fused map[string]int, declIx map[*ir.Func]int32) (*
 		globIx:  map[*ir.Global]int32{},
 		starts:  map[*ir.Block]int32{},
 		fused:   fused,
-		declIx:  declIx,
 	}
 	c.code.fn = f
 	if len(f.Blocks) == 0 {
@@ -644,12 +641,6 @@ func (c *compiler) lowerPlain(v *vinstr, in *ir.Instr) bool {
 		if v.callee == nil {
 			return false
 		}
-		// c is repurposed as the dense extern index for declaration
-		// callees (-1 for defined functions, which route through Call).
-		v.c = -1
-		if v.callee.IsDecl {
-			v.c = c.declIndex(v.callee)
-		}
 		n := in.NumOperands()
 		c.code.maxArgs = max(c.code.maxArgs, n)
 		v.args = make([]int32, n)
@@ -701,7 +692,6 @@ func (c *compiler) lowerSite(body []*ir.Instr) (int, bool) {
 		site.masked = true
 		site.signBit = uint8(m.mask.Type().Elem.Bits - 1)
 	}
-	g.c = c.declIndex(m.callee)
 	pc := c.emit(g)
 	for _, in := range body[:m.n] {
 		v := c.newVinstr(in)
@@ -832,17 +822,6 @@ func constIs(v ir.Value, want int64) bool {
 	k, ok := v.(*ir.Const)
 	return ok && !k.Undef && k.Ty.IsInt() && len(k.Bits) == 1 &&
 		ir.SignExtend(k.Bits[0], k.Ty.Bits) == want
-}
-
-// declIndex returns the declaration callee f's dense, program-wide
-// extern index, assigning the next one on first use.
-func (c *compiler) declIndex(f *ir.Func) int32 {
-	ix, ok := c.declIx[f]
-	if !ok {
-		ix = int32(len(c.declIx))
-		c.declIx[f] = ix
-	}
-	return ix
 }
 
 // bcastInit reports whether in, an insertelement, writes lane 0 of an

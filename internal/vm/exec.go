@@ -60,25 +60,32 @@ func slowStep(it *interp.Interp, obs interp.Observer, in *ir.Instr) *interp.Trap
 func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Value) (interp.Value, *interp.Trap, bool) {
 	borrow := m.borrow
 	m.borrow = false
-	code := m.prog.fns[f]
+	code := m.prog.code(f)
 	if code == nil {
 		return interp.Value{}, nil, false
 	}
 	fr := m.getFrame(code)
 	r, tr, ok := m.run(it, code, fr, args, borrow, 0)
-	m.free[code.ix] = append(m.free[code.ix], fr)
+	m.putFrame(code, fr)
 	return r, tr, ok
 }
 
-// getFrame pops an idle frame for code, or builds one; the caller pushes
-// it back onto m.free[code.ix] when the activation ends.
+// getFrame pops an idle frame for code, or builds one; the caller hands
+// it to putFrame when the activation ends.
 func (m *Machine) getFrame(code *fnCode) *frame {
-	if free := m.free[code.ix]; len(free) > 0 {
+	n := code.fn.Num()
+	if free := m.free[n]; len(free) > 0 {
 		fr := free[len(free)-1]
-		m.free[code.ix] = free[:len(free)-1]
+		m.free[n] = free[:len(free)-1]
 		return fr
 	}
 	return newFrame(code)
+}
+
+// putFrame pushes fr back onto code's idle frames.
+func (m *Machine) putFrame(code *fnCode, fr *frame) {
+	n := code.fn.Num()
+	m.free[n] = append(m.free[n], fr)
 }
 
 // run executes code's body in fr from pc (0 for a call, a snapshot's pc
@@ -339,12 +346,12 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 			}
 			var r interp.Value
 			var tr *interp.Trap
-			if v.c >= 0 {
-				// Declaration callee: dispatch through the machine's dense
-				// resolved-extern cache, skipping Call's map lookups. A nil
-				// resolution falls back to Call for its diagnostic trap.
-				if fn := m.externFor(it, v.c, v.callee).fn; fn != nil {
-					r, tr = fn(it, argv)
+			if v.callee.IsDecl {
+				// Declaration callee: call its extern table entry directly.
+				// A callee without one falls back to Call for its
+				// diagnostic trap.
+				if e, _ := it.Extern(v.callee); e.Fn != nil {
+					r, tr = e.Fn(it, argv)
 				} else {
 					r, tr = it.Call(v.callee, argv)
 				}
@@ -492,7 +499,7 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 			// after the guard runs call by call.
 			s := v.site
 			if obs == nil && it.DynInstrs&1023+s.n < 1024 {
-				if count := m.externFor(it, v.c, v.callee).bulk; count != nil {
+				if e, _ := it.Extern(v.callee); e.Bulk != nil {
 					live := s.lanes
 					if s.masked {
 						live = 0
@@ -500,7 +507,7 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 							live += w >> s.signBit & 1
 						}
 					}
-					if count(live) {
+					if e.Bulk(live) {
 						copy(regs[v.dst].Bits, getOperand(regs, consts, v.a).Bits)
 						it.DynInstrs += s.n
 						it.DynVector += s.nvec

@@ -142,7 +142,8 @@ func blendImpl(_ *interp.Interp, args []interp.Value) (interp.Value, *interp.Tra
 
 // chainRun is everything observable about one run of a chain kernel:
 // the run itself, the plan after it, the pulse schedule and observer
-// stream, and (vm only) how many chains the bulk path counted.
+// stream, and (vm only) how many chains the bulk path counted, in the
+// run and in the run before it on the same instance, if any.
 type chainRun struct {
 	runOutcome
 	sites    uint64
@@ -152,16 +153,20 @@ type chainRun struct {
 	pulses   []uint64
 	events   []string
 	bulk     int
+	warm     int
 }
 
 // chainCase configures one run: the plan to attach, interpreter
 // options, whether to record the observer stream, and a hook run after
-// the runtime is attached.
+// the runtime is attached. With rerun, the instance runs main once and
+// is reset before the hook, so the hook acts between two runs of one
+// instance.
 type chainCase struct {
 	plan    core.Plan
 	budget  uint64
 	observe bool
 	after   func(it *interp.Interp)
+	rerun   bool
 }
 
 // runChains runs main(n, pre) of mod on the tree (prog nil) or the vm.
@@ -192,15 +197,24 @@ func runChains(t *testing.T, mod *ir.Module, prog *Program, c chainCase, n, pre 
 	// Count the chains the bulk path takes, through the plan's own
 	// counter.
 	for _, f := range mod.Funcs {
-		if orig := it.ResolveBulkCounter(f); orig != nil {
+		if orig, _ := it.Extern(f); orig.Bulk != nil {
 			it.RegisterBulkCounter(f.Nam, func(n uint64) bool {
-				ok := orig(n)
+				ok := orig.Bulk(n)
 				if ok {
 					r.bulk++
 				}
 				return ok
 			})
 		}
+	}
+	if c.rerun {
+		if _, tr := it.Run("main", interp.IntValue(ir.I32, n), interp.IntValue(ir.I32, pre)); tr != nil {
+			t.Fatal(tr)
+		}
+		if tr := it.Reset(opts); tr != nil {
+			t.Fatal(tr)
+		}
+		r.warm, r.bulk, r.pulses, rec.events = r.bulk, 0, nil, nil
 	}
 	if c.after != nil {
 		c.after(it)
@@ -334,7 +348,9 @@ func TestSiteChainBudgetBoundaries(t *testing.T) {
 // TestSiteChainFallsThrough covers the runs the bulk path must leave to
 // the chain: an observer attached (identical event streams), Plan.Visits
 // set (identical per-lane-site visits), and the injectFault* externs
-// registered again after AttachRuntime, which drops the plan's counters.
+// registered again after AttachRuntime, which drops the plan's counters:
+// before the first run, and between a run that took the bulk path and
+// the next run of the same instance, which must call the new externs.
 // In each, the vm must count no chain in bulk.
 func TestSiteChainFallsThrough(t *testing.T) {
 	mod, inst, _ := chainKernel(t, 0)
@@ -363,6 +379,7 @@ func TestSiteChainFallsThrough(t *testing.T) {
 		{"observed faulty", chainCase{plan: faulty, observe: true}},
 		{"visits", chainCase{plan: visits}},
 		{"re-registered", chainCase{plan: faulty, after: reregister}},
+		{"re-registered between runs", chainCase{plan: core.Plan{Mode: core.CountOnly}, after: reregister, rerun: true}},
 	} {
 		calls = nil
 		tree := runChains(t, mod, nil, tc.c, n, 0)
@@ -373,12 +390,15 @@ func TestSiteChainFallsThrough(t *testing.T) {
 		if vm.bulk != 0 {
 			t.Errorf("%s: the vm counted %d chains in bulk", tc.name, vm.bulk)
 		}
+		if tc.c.rerun && vm.warm == 0 {
+			t.Errorf("%s: the first run counted no chain in bulk", tc.name)
+		}
 		if !slices.Equal(treeCalls, calls) {
 			t.Errorf("%s: extern calls: tree %v, vm %v", tc.name, treeCalls, calls)
 		}
-	}
-	if len(calls) == 0 {
-		t.Fatal("the re-registered extern was never called")
+		if tc.c.after != nil && len(calls) == 0 {
+			t.Errorf("%s: the re-registered extern was never called", tc.name)
+		}
 	}
 }
 
@@ -473,10 +493,13 @@ func TestEverySiteFuses(t *testing.T) {
 // would have reallocated the slice (and grown its capacity).
 func TestCodeSizedOnce(t *testing.T) {
 	eachCell(t, func(cell string, mod *ir.Module, _ *core.Instrumentation) {
-		for f, code := range Compile(mod).fns {
-			if got, want := cap(code.code), codeBound(f); got != want {
+		for _, code := range Compile(mod).fns {
+			if code == nil {
+				continue
+			}
+			if got, want := cap(code.code), codeBound(code.fn); got != want {
 				t.Errorf("%s: @%s: code capacity %d, want codeBound's %d (%d emitted)",
-					cell, f.Nam, got, want, len(code.code))
+					cell, code.fn.Nam, got, want, len(code.code))
 			}
 		}
 	})

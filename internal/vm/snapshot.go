@@ -203,6 +203,6 @@ func (m *Machine) Resume(it *interp.Interp, s *Snapshot) (interp.Value, *interp.
 		res, tr, _ := m.run(it, code, fr, s.params, false, s.pc)
 		return res, tr
 	})
-	m.free[code.ix] = append(m.free[code.ix], fr)
+	m.putFrame(code, fr)
 	return res, tr
 }

@@ -16,20 +16,23 @@
 // terminators included), the identical budget-check schedule, identical
 // trap kinds/messages/provenance, and an identical interp.Observer event
 // stream. Injection semantics are inherited, not reimplemented: the
-// instrumentation chain calls the injectFault* externs through the
-// shared call protocol, so LaneSiteID attribution, dynamic site
-// counting and bit flips behave byte-identically. The one shortcut is
-// the vSite guard the compiler puts in front of each fault site's
-// chain: where no observer watches, no budget check falls inside the
-// chain, and the bulk counter registered beside the extern (see
-// interp.BulkCounter) agrees that every live lane's call would only
-// count, the guard counts the live lanes in one step, accounts the
-// chain's instructions and jumps past it; otherwise the chain runs call
-// by call. The vBcast guard in front of each broadcast pair follows the
-// fused-pair rule (no observer, clear of a budget boundary) and then
-// writes the scalar into every lane of the shuffle's register; otherwise
-// the insert and the shuffle run as lowered. A function the compiler
-// cannot lower is simply declined at call time and tree-walked instead.
+// instrumentation chain calls the injectFault* externs that the
+// interpreter's extern table holds for the callee's function number
+// (see interp.Interp.Extern), read at every call as the tree-walker
+// reads it, so LaneSiteID attribution, dynamic site counting and bit
+// flips behave byte-identically, and a registration takes effect on
+// the next call. The one shortcut is the vSite guard the compiler puts
+// in front of each fault site's chain: where no observer watches, no
+// budget check falls inside the chain, and the bulk counter registered
+// beside the extern (see interp.BulkCounter) agrees that every live
+// lane's call would only count, the guard counts the live lanes in one
+// step, accounts the chain's instructions and jumps past it; otherwise
+// the chain runs call by call. The vBcast guard in front of each
+// broadcast pair follows the fused-pair rule (no observer, clear of a
+// budget boundary) and then writes the scalar into every lane of the
+// shuffle's register; otherwise the insert and the shuffle run as
+// lowered. A function the compiler cannot lower is simply declined at
+// call time and tree-walked instead.
 //
 // The speedup comes from dispatch, not semantics: register frames that
 // own their words replace the tree-walker's freshly allocated result
@@ -64,12 +67,9 @@ import (
 // any number of Machines (campaign cells compile once and share the
 // program across their worker instances).
 type Program struct {
-	fns map[*ir.Func]*fnCode
-
-	// declIx assigns each declaration callee a dense index, so a Machine
-	// can cache resolved extern implementations in a flat slice instead
-	// of re-resolving through the interpreter's maps on every call.
-	declIx map[*ir.Func]int32
+	// fns holds each function's body by ir.Func.Num, nil for a
+	// declaration and for a function the compiler could not lower.
+	fns []*fnCode
 
 	// fused counts emitted superinstructions per kind (compile-time
 	// statistics, surfaced for tests and reporting).
@@ -82,27 +82,44 @@ type Program struct {
 // to tree-walking at call time, so Compile never fails.
 func Compile(mod *ir.Module) *Program {
 	p := &Program{
-		fns:    map[*ir.Func]*fnCode{},
-		declIx: map[*ir.Func]int32{},
-		fused:  map[string]int{},
+		fns:   make([]*fnCode, len(mod.Funcs)),
+		fused: map[string]int{},
 	}
-	for _, f := range mod.Funcs {
+	for i, f := range mod.Funcs {
 		if f.IsDecl {
 			continue
 		}
-		if code, ok := compileFunc(f, p.fused, p.declIx); ok {
-			code.ix = len(p.fns)
-			p.fns[f] = code
+		if code, ok := compileFunc(f, p.fused); ok {
+			p.fns[i] = code
 		}
 	}
 	return p
 }
 
+// code returns f's compiled body, or nil when f was not lowered or is
+// not a function of the compiled module.
+func (p *Program) code(f *ir.Func) *fnCode {
+	if n := f.Num(); n >= 0 && n < len(p.fns) {
+		if code := p.fns[n]; code != nil && code.fn == f {
+			return code
+		}
+	}
+	return nil
+}
+
 // Compiled reports whether f was lowered to bytecode.
-func (p *Program) Compiled(f *ir.Func) bool { return p.fns[f] != nil }
+func (p *Program) Compiled(f *ir.Func) bool { return p.code(f) != nil }
 
 // NumCompiled returns the number of lowered functions.
-func (p *Program) NumCompiled() int { return len(p.fns) }
+func (p *Program) NumCompiled() int {
+	n := 0
+	for _, code := range p.fns {
+		if code != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // Fused returns the number of fused superinstructions emitted for the
 // named pattern ("gep+load", "gep+store", "cmp+br"), or, for "site",
@@ -118,8 +135,8 @@ func (p *Program) Fused(pattern string) int { return p.fused[pattern] }
 type Machine struct {
 	prog *Program
 
-	// free holds each compiled function's idle frames, indexed by
-	// fnCode.ix: a call pops one (a recursive call pops a second) and
+	// free holds each compiled function's idle frames, by
+	// ir.Func.Num: a call pops one (a recursive call pops a second) and
 	// pushes it back on return, so frames are built once per machine
 	// and call depth.
 	free [][]*frame
@@ -128,12 +145,6 @@ type Machine struct {
 	// may then stay in its frame's words, because vCall copies it into
 	// the destination register before any other frame runs.
 	borrow bool
-
-	// ext caches resolved extern implementations, with the bulk counters
-	// registered beside them, by the program's dense declaration index,
-	// valid for one interpreter registration epoch.
-	ext      []extern
-	extEpoch uint64
 
 	// hook, when set, is the run's Recorder or Join (see SetRecorder
 	// and SetJoin).
@@ -161,38 +172,6 @@ func newFrame(code *fnCode) *frame {
 		}
 	}
 	return fr
-}
-
-// extern is one resolved declaration callee: its implementation and
-// the bulk counter registered beside it (nil when there is none).
-type extern struct {
-	fn   interp.ExternFn
-	bulk interp.BulkCounter
-}
-
-// externFor returns the cached extern for the dense decl index ix,
-// resolving through it on a miss and invalidating the whole cache when
-// the interpreter's registration epoch moved. The fn of the result is
-// nil for unresolvable callees (the caller falls back to it.Call, whose
-// trap carries the authoritative diagnostic).
-func (m *Machine) externFor(it *interp.Interp, ix int32, f *ir.Func) extern {
-	if ep := it.ExternEpoch(); ep != m.extEpoch || m.ext == nil {
-		if m.ext == nil {
-			m.ext = make([]extern, len(m.prog.declIx))
-		} else {
-			clear(m.ext)
-		}
-		m.extEpoch = ep
-	}
-	if e := m.ext[ix]; e.fn != nil {
-		return e
-	}
-	fn, ok := it.ResolveExtern(f)
-	if !ok {
-		return extern{}
-	}
-	m.ext[ix] = extern{fn: fn, bulk: it.ResolveBulkCounter(f)}
-	return m.ext[ix]
 }
 
 // NewMachine returns a Machine executing prog.

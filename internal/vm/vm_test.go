@@ -494,6 +494,28 @@ func TestDeclineFallsBackToTree(t *testing.T) {
 	}
 }
 
+// TestForeignProgramDeclines: a Program holds its bodies by function
+// number, so a machine attached to an interpreter of another module
+// declines that module's functions instead of running its own bodies
+// of the same numbers.
+func TestForeignProgramDeclines(t *testing.T) {
+	mods := make([]*ir.Module, 2)
+	for i := range mods {
+		mods[i] = ir.NewModule("m")
+		f := ir.NewFunc("main", ir.I32, nil, nil)
+		mods[i].AddFunc(f)
+		ir.NewBuilder(f.NewBlock("entry")).Ret(ir.ConstInt(ir.I32, int64(i)))
+	}
+	it, err := interp.New(mods[1], interp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	Attach(it, Compile(mods[0]))
+	if v, tr := it.Run("main"); tr != nil || v.Int() != 1 {
+		t.Fatalf("@main of the second module returned %v, %v; want 1", v, tr)
+	}
+}
+
 // TestEngineSurvivesReset: campaign pools Reset-and-reuse instances; the
 // engine must stay attached and produce identical counts on the rerun.
 func TestEngineSurvivesReset(t *testing.T) {
