@@ -45,6 +45,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -280,11 +281,20 @@ func main() {
 		}
 		return
 	case *csvOut:
-		if err := campaign.WriteCSVHeader(os.Stdout); err == nil {
-			err = sr.WriteCSVRow(os.Stdout)
+		if err := writeCSV(os.Stdout, sr); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 		return
 	}
 
 	report.WriteStudy(os.Stdout, sr, *verbose)
+}
+
+// writeCSV writes the study as a CSV header and one row.
+func writeCSV(w io.Writer, sr *campaign.StudyResult) error {
+	if err := campaign.WriteCSVHeader(w); err != nil {
+		return err
+	}
+	return sr.WriteCSVRow(w)
 }

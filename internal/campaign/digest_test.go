@@ -57,7 +57,9 @@ func prepareDigest(p *Prepared) string {
 // TestPrepareDigests is the byte-identity gate for site enumeration and
 // instrumentation: every benchmark on every ISA in isa.Extended, in
 // every category and preparation mode, must build exactly the module,
-// lane-site table and site flags recorded in digestFile.
+// lane-site table and site flags recorded in digestFile. The cells
+// prepare for the vm backend, so vm.Compile lowers each cell's module
+// too; the digests hash the IR, not the bytecode.
 func TestPrepareDigests(t *testing.T) {
 	var got []string
 	for _, b := range benchmarks.All() {
@@ -67,7 +69,7 @@ func TestPrepareDigests(t *testing.T) {
 					cfg := Config{
 						Benchmark: b, ISA: target, Category: c,
 						Scale: benchmarks.ScaleTest, Experiments: 1, Campaigns: 1,
-						Workers: 1, Backend: "tree",
+						Workers: 1, Backend: "vm",
 					}
 					v.set(&cfg)
 					name := strings.Join([]string{b.Name, target.Name, c.String(), v.name}, "/")

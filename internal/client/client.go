@@ -298,22 +298,6 @@ func (c *Client) Cancel(ctx context.Context, id string) (*api.Status, error) {
 	return &st, nil
 }
 
-// Explain fetches a job's propagation profile, or — with index >= 0 —
-// deterministically re-runs that single experiment of the job's seed
-// schedule with tracing and returns the full explanation
-// (GET /v1/jobs/{id}/explain[?index=N]).
-func (c *Client) Explain(ctx context.Context, id string, index int) (json.RawMessage, error) {
-	path := "/v1/jobs/" + url.PathEscape(id) + "/explain"
-	if index >= 0 {
-		path += "?index=" + strconv.Itoa(index)
-	}
-	var raw json.RawMessage
-	if err := c.do(ctx, http.MethodGet, path, nil, &raw); err != nil {
-		return nil, err
-	}
-	return raw, nil
-}
-
 // Profile fetches a finished job's execution profile
 // (GET /v1/jobs/{id}/profile).
 func (c *Client) Profile(ctx context.Context, id string) (json.RawMessage, error) {

@@ -27,11 +27,7 @@ func backends(t *testing.T, m *ir.Module) map[string]*interp.Interp {
 			t.Fatal(err)
 		}
 		if name == "vm" {
-			prog := vm.Compile(m)
-			if prog.NumCompiled() != 2 {
-				t.Fatalf("vm compiled %d functions, want 2", prog.NumCompiled())
-			}
-			vm.Attach(it, prog)
+			vm.Attach(it, vm.Compile(m))
 		}
 		out[name] = it
 	}

@@ -119,19 +119,22 @@ func TestRecorderObservesRetirements(t *testing.T) {
 	if err := m.Verify(); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	it, err := New(m, Options{})
+	rec := &collectRecorder{}
+	it, err := New(m, Options{Observer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, tr := it.Mem.Alloc(8 * 4)
-	if tr != nil {
-		t.Fatal(tr)
+	run := func() {
+		t.Helper()
+		addr, tr := it.Mem.Alloc(8 * 4)
+		if tr != nil {
+			t.Fatal(tr)
+		}
+		if _, tr := it.Run("sum", PtrValue(ir.Ptr(ir.I32), addr), IntValue(ir.I32, 8)); tr != nil {
+			t.Fatalf("run: %v", tr)
+		}
 	}
-	rec := &collectRecorder{}
-	it.SetObserver(rec)
-	if _, tr := it.Run("sum", PtrValue(ir.Ptr(ir.I32), addr), IntValue(ir.I32, 8)); tr != nil {
-		t.Fatalf("run: %v", tr)
-	}
+	run()
 	if len(rec.instrs) == 0 {
 		t.Fatal("recorder saw no retirements")
 	}
@@ -155,13 +158,13 @@ func TestRecorderObservesRetirements(t *testing.T) {
 		t.Fatalf("recorded dyn %d exceeds DynInstrs %d", max, it.DynInstrs)
 	}
 
-	// Detaching stops recording.
-	it.SetObserver(nil)
-	n := len(rec.instrs)
-	if _, tr := it.Run("sum", PtrValue(ir.Ptr(ir.I32), addr), IntValue(ir.I32, 8)); tr != nil {
-		t.Fatalf("rerun: %v", tr)
+	// A reset without an observer stops recording.
+	if tr := it.Reset(Options{}); tr != nil {
+		t.Fatal(tr)
 	}
+	n := len(rec.instrs)
+	run()
 	if len(rec.instrs) != n {
-		t.Fatal("recorder still attached after SetObserver(nil)")
+		t.Fatal("recorder still attached after Reset(Options{})")
 	}
 }

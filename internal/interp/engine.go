@@ -3,14 +3,14 @@ package interp
 import "vulfi/internal/ir"
 
 // Engine is an alternate execution backend for function bodies. An
-// attached engine is offered every call to a defined (non-declaration)
+// attached engine runs every call to a defined (non-declaration)
 // function after the interpreter has performed the shared call protocol
 // — extern dispatch, depth accounting, argument-count checking — and
-// may execute the body against the interpreter's own observable state
-// (DynInstrs/DynVector, memory, output, detections, the observer).
-// Returning ok == false declines the function and the interpreter
-// tree-walks it instead, so an engine may compile only the subset of
-// functions it supports.
+// executes the body against the interpreter's own observable state
+// (DynInstrs/DynVector, memory, output, detections, the observer). The
+// interpreter never tree-walks a function while an engine is attached,
+// so an engine must run every function of a module that ir.Verify
+// accepts.
 //
 // The contract is strict equivalence: an engine must reproduce the
 // tree-walker's observable behavior exactly — identical DynInstrs
@@ -29,7 +29,7 @@ import "vulfi/internal/ir"
 // pools reset-and-reuse interpreters without re-attaching their
 // backend.
 type Engine interface {
-	CallCompiled(it *Interp, f *ir.Func, args []Value) (Value, *Trap, bool)
+	CallCompiled(it *Interp, f *ir.Func, args []Value) (Value, *Trap)
 }
 
 // SetEngine attaches (or, with nil, detaches) an execution engine.

@@ -70,7 +70,7 @@ type Interp struct {
 	// obs and pulse are the run's Options.Observer and Options.Pulse.
 	obs   Observer
 	pulse func(uint64)
-	// engine, when attached, executes compiled function bodies against
+	// engine, when attached, runs every defined function's body against
 	// this interpreter's state; nil tree-walks everything. Like externs
 	// it survives Reset (see SetEngine).
 	engine Engine
@@ -240,9 +240,7 @@ func (it *Interp) Call(f *ir.Func, args []Value) (Value, *Trap) {
 			f.Nam, len(args), len(f.Params))
 	}
 	if it.engine != nil {
-		if v, etr, ok := it.engine.CallCompiled(it, f, args); ok {
-			return v, etr
-		}
+		return it.engine.CallCompiled(it, f, args)
 	}
 	fr = it.getFrame(f, args)
 

@@ -3,10 +3,10 @@ package interp
 import "vulfi/internal/ir"
 
 // Observer is the one execution-observation seam: trace recorders,
-// profilers and test probes all attach through it (Options.Observer or
-// SetObserver). The interp package defines the interface rather than
-// importing a concrete observer, keeping the dependency arrow pointing
-// outward (trace and profile import interp, never the reverse).
+// profilers and test probes all attach through it (Options.Observer).
+// The interp package defines the interface rather than importing a
+// concrete observer, keeping the dependency arrow pointing outward
+// (trace and profile import interp, never the reverse).
 //
 // Account fires for every accounted instruction — phis, terminators and
 // void instructions alike — before it executes: the exact stream behind
@@ -29,10 +29,6 @@ type Observer interface {
 	Account(in *ir.Instr)
 	Retire(in *ir.Instr, dyn uint64, v Value)
 }
-
-// SetObserver attaches (or, with nil, detaches) an execution observer
-// for the current run; Reset replaces it with Options.Observer.
-func (it *Interp) SetObserver(o Observer) { it.obs = o }
 
 // Observer returns the attached execution observer, or nil. Engines
 // read it once per call to replay the tree-walker's event stream.

@@ -216,13 +216,6 @@ func (in *Instr) Operand(i int) Value { return in.ops[i] }
 // value storage by it.
 func (in *Instr) Slot() int { return int(in.slot) - 1 }
 
-// Operands returns a copy of the operand list.
-func (in *Instr) Operands() []Value {
-	out := make([]Value, len(in.ops))
-	copy(out, in.ops)
-	return out
-}
-
 // AddOperand appends an operand, maintaining use lists.
 func (in *Instr) AddOperand(v Value) {
 	in.ops = append(in.ops, v)

@@ -7,11 +7,12 @@ import (
 
 // Verify checks structural and type well-formedness of the module:
 // each function numbered by its index (see Func.Num), terminated blocks,
-// per-opcode operand typing, phi/predecessor agreement, call-signature
-// agreement, callees of the module, operands defined in the same
-// function, one distinct in-range slot per instruction (see Instr.Slot),
-// and SSA dominance: every use of an instruction's value is dominated by
-// its definition. It returns all violations found.
+// per-opcode operand typing, phi/predecessor agreement, no phi in an
+// entry block, call-signature agreement, callees of the module,
+// operands and blocks (successors, phi incomings) of the same function,
+// one distinct in-range slot per instruction (see Instr.Slot), and SSA
+// dominance: every use of an instruction's value is dominated by its
+// definition. It returns all violations found.
 func (m *Module) Verify() error {
 	var errs []error
 	for i, f := range m.Funcs {
@@ -56,6 +57,9 @@ func (f *Func) Verify() error {
 				if seenNonPhi {
 					bad(in, "phi after non-phi instruction")
 				}
+				if b == f.Blocks[0] {
+					bad(in, "phi in the entry block")
+				}
 			} else {
 				seenNonPhi = true
 			}
@@ -68,6 +72,11 @@ func (f *Func) Verify() error {
 				}
 				if x, ok := opv.(*Instr); ok && x.Parent != nil && x.Parent.Func != f {
 					bad(in, "operand %d %s is defined in @%s", i, x.Ident(), x.Parent.Func.Nam)
+				}
+			}
+			for _, s := range in.Succs {
+				if _, ok := g.num[s]; !ok {
+					bad(in, "block %s is not in @%s", s.Ident(), f.Nam)
 				}
 			}
 			verifyInstr(in, g, bad, f)
@@ -100,6 +109,8 @@ func newBlockGraph(f *Func) *blockGraph {
 	}
 	for i, b := range f.Blocks {
 		for _, s := range b.Succs() {
+			// A block of another function has no number; Func.Verify
+			// reports it.
 			if si, ok := g.num[s]; ok {
 				g.succ = append(g.succ, si)
 				g.predAt[si+1]++

@@ -138,6 +138,45 @@ func TestVerifyPhiAfterNonPhi(t *testing.T) {
 	expectVerifyError(t, m, "phi after non-phi")
 }
 
+// TestVerifyEntryPhi: the entry block has no predecessors, so a phi
+// there has no incoming for the run's first block.
+func TestVerifyEntryPhi(t *testing.T) {
+	m := NewModule("t")
+	f := NewFunc("f", I32, nil, nil)
+	m.AddFunc(f)
+	bu := NewBuilder(f.NewBlock("entry"))
+	bu.Ret(bu.Phi(I32, "p"))
+	expectVerifyError(t, m, "phi in the entry block")
+}
+
+// TestVerifyForeignBlock: a successor or phi incoming must be a block
+// of the function itself. The phi's case needs an edge taken twice, so
+// that its incoming count still equals its block's predecessor count.
+func TestVerifyForeignBlock(t *testing.T) {
+	m := NewModule("t")
+	g := NewFunc("g", I32, nil, nil)
+	m.AddFunc(g)
+	gEntry := g.NewBlock("entry")
+	NewBuilder(gEntry).Ret(ConstInt(I32, 7))
+	h := NewFunc("h", I32, nil, nil)
+	m.AddFunc(h)
+	NewBuilder(h.NewBlock("entry")).Br(gEntry)
+	expectVerifyError(t, m, "@h/entry: br label %entry: block %entry is not in @h")
+
+	f := NewFunc("f", I32, []*Type{I1}, []string{"c"})
+	m = NewModule("t")
+	m.AddFunc(f)
+	entry, next := f.NewBlock("entry"), f.NewBlock("next")
+	bu := NewBuilder(entry)
+	bu.CondBr(f.Params[0], next, next)
+	bu.SetBlock(next)
+	phi := bu.Phi(I32, "p")
+	AddIncoming(phi, ConstInt(I32, 0), entry)
+	AddIncoming(phi, ConstInt(I32, 1), gEntry)
+	bu.Ret(phi)
+	expectVerifyError(t, m, "@f/next: %p = phi i32 [ 0, %entry ], [ 1, %entry ]: block %entry is not in @f")
+}
+
 func TestVerifyCallArgMismatch(t *testing.T) {
 	m := NewModule("t")
 	callee := NewDecl("g", Void, I32)

@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"fmt"
 	"math/bits"
+	"slices"
 
 	"vulfi/internal/interp"
 	"vulfi/internal/ir"
@@ -197,12 +199,9 @@ type fixup struct {
 	blk    *ir.Block
 }
 
-// compileFunc lowers f, reporting ok == false for shapes only the
-// tree-walker's runtime diagnostics can describe faithfully: blocks
-// without terminators ("block fell through"), phis outside the block
-// head or in the entry block, and phis lacking an incoming for a
-// predecessor. Those fall back to tree-walking.
-func compileFunc(f *ir.Func, fused map[string]int) (*fnCode, bool) {
+// compileFunc lowers f, a function of a module ir.Verify accepts (see
+// Compile).
+func compileFunc(f *ir.Func, fused map[string]int) *fnCode {
 	c := &compiler{
 		f:       f,
 		regOf:   make([]int32, f.NumSlots()),
@@ -214,7 +213,7 @@ func compileFunc(f *ir.Func, fused map[string]int) (*fnCode, bool) {
 	}
 	c.code.fn = f
 	if len(f.Blocks) == 0 {
-		return nil, false
+		panic(c.bug("no blocks"))
 	}
 
 	// Register layout: parameters first (slot == Param.Index), then one
@@ -227,17 +226,9 @@ func compileFunc(f *ir.Func, fused map[string]int) (*fnCode, bool) {
 	}
 	var widest *ir.Type
 	for _, b := range f.Blocks {
-		sawNonPhi := false
 		for _, in := range b.Instrs {
-			if in.Op == ir.OpPhi {
-				if sawNonPhi || b == f.Entry() {
-					return nil, false
-				}
-				if widest == nil || in.Ty.Lanes() > widest.Lanes() {
-					widest = in.Ty
-				}
-			} else {
-				sawNonPhi = true
+			if in.Op == ir.OpPhi && (widest == nil || in.Ty.Lanes() > widest.Lanes()) {
+				widest = in.Ty
 			}
 			if !in.Ty.IsVoid() {
 				c.regOf[in.Slot()] = c.newReg(in.Ty)
@@ -249,14 +240,12 @@ func compileFunc(f *ir.Func, fused map[string]int) (*fnCode, bool) {
 	c.code.code = make([]vinstr, 0, codeBound(f))
 	for _, b := range f.Blocks {
 		c.starts[b] = int32(len(c.code.code))
-		if !c.lowerBlock(b) {
-			return nil, false
-		}
+		c.lowerBlock(b)
 	}
 	for _, fx := range c.fixups {
 		target, ok := c.starts[fx.blk]
 		if !ok {
-			return nil, false
+			panic(c.bug("branch to %s, a block of another function", fx.blk.Ident()))
 		}
 		if fx.second {
 			c.code.code[fx.pc].t1 = target
@@ -267,7 +256,13 @@ func compileFunc(f *ir.Func, fused map[string]int) (*fnCode, bool) {
 	if widest != nil {
 		c.code.live = c.liveAtPhis()
 	}
-	return &c.code, true
+	return &c.code
+}
+
+// bug formats a shape of f the compiler cannot lower, for a panic: no
+// verified function has one.
+func (c *compiler) bug(format string, args ...any) string {
+	return fmt.Sprintf("vm: @%s: ", c.f.Nam) + fmt.Sprintf(format, args...)
 }
 
 // codeBound bounds the number of vinstrs compileFunc emits for f, so
@@ -308,8 +303,7 @@ func (c *compiler) liveAtPhis() map[int32][]int32 {
 	const use, def, in, out = 0, 1, 2, 3
 	reg := func(v ir.Value) int32 {
 		if x, ok := v.(*ir.Instr); ok {
-			r, _ := c.regFor(x)
-			return r
+			return c.regFor(x)
 		}
 		return -1
 	}
@@ -416,16 +410,15 @@ func (c *compiler) newReg(ty *ir.Type) int32 {
 	return int32(len(c.code.regs) - 1)
 }
 
-// regFor returns the register of x when x is a value-producing
-// instruction in one of f's blocks. An instruction of another function,
-// or one removed from its block, has none: its slot may name one of
-// f's registers, so the slot alone does not decide.
-func (c *compiler) regFor(x *ir.Instr) (int32, bool) {
-	if x.Parent == nil || x.Parent.Func != c.f {
-		return -1, false
+// regFor returns the register of x, a value-producing instruction in
+// one of f's blocks. An instruction of another function, or one removed
+// from its block, has none: its slot may name one of f's registers, so
+// the slot alone does not decide.
+func (c *compiler) regFor(x *ir.Instr) int32 {
+	if x.Parent == nil || x.Parent.Func != c.f || c.regOf[x.Slot()] < 0 {
+		panic(c.bug("operand %s has no register", x.Ident()))
 	}
-	r := c.regOf[x.Slot()]
-	return r, r >= 0
+	return c.regOf[x.Slot()]
 }
 
 // ref resolves an operand to its slot: register for params and
@@ -433,7 +426,7 @@ func (c *compiler) regFor(x *ir.Instr) (int32, bool) {
 // and a frame-entry-materialized register for globals. A pool entry
 // reads the constant's own words in place: the machine never writes
 // a pool value, and externs must not write their arguments.
-func (c *compiler) ref(v ir.Value) (int32, bool) {
+func (c *compiler) ref(v ir.Value) int32 {
 	switch x := v.(type) {
 	case *ir.Const:
 		var ix int32
@@ -448,9 +441,9 @@ func (c *compiler) ref(v ir.Value) (int32, bool) {
 			ix = c.addConst(x)
 			c.vecIx[x] = ix
 		}
-		return ^ix, true
+		return ^ix
 	case *ir.Param:
-		return int32(x.Index), true
+		return int32(x.Index)
 	case *ir.Instr:
 		return c.regFor(x)
 	case *ir.Global:
@@ -460,9 +453,9 @@ func (c *compiler) ref(v ir.Value) (int32, bool) {
 			c.globIx[x] = r
 			c.code.globals = append(c.code.globals, globalSlot{reg: r, g: x})
 		}
-		return r, true
+		return r
 	}
-	return 0, false
+	panic(c.bug("cannot lower operand %T", v))
 }
 
 // addConst appends x's value to the constant pool.
@@ -481,7 +474,7 @@ func (c *compiler) emit(v vinstr) int {
 // per-edge parallel-move bundles. Lowering stops at the first
 // terminator — anything after it is unreachable under the tree-walker
 // too.
-func (c *compiler) lowerBlock(b *ir.Block) bool {
+func (c *compiler) lowerBlock(b *ir.Block) {
 	phis := b.Phis()
 	if len(phis) > 0 {
 		g := vinstr{op: vPhiGroup}
@@ -497,12 +490,10 @@ func (c *compiler) lowerBlock(b *ir.Block) bool {
 	for i := 0; i < len(body); i++ {
 		in := body[i]
 		if in.Op.IsTerminator() {
-			return c.lowerTerminator(b, in)
+			c.lowerTerminator(b, in)
+			return
 		}
-		if n, ok := c.lowerSite(body[i:]); n > 0 {
-			if !ok {
-				return false
-			}
+		if n := c.lowerSite(body[i:]); n > 0 {
 			i += n - 1
 			continue
 		}
@@ -510,24 +501,20 @@ func (c *compiler) lowerBlock(b *ir.Block) bool {
 		if i+1 < len(body) {
 			next = body[i+1]
 		}
-		used, ok := c.lowerInstr(b, in, next)
-		if !ok {
-			return false
-		}
-		if used {
+		if c.lowerInstr(b, in, next) {
 			i++ // fused with next
 			if next.Op.IsTerminator() {
-				return true // the fused opcode carried the terminator
+				return // the fused opcode carried the terminator
 			}
 		}
 	}
-	return false // no terminator: tree-walker's "block fell through"
+	panic(c.bug("block %s is not terminated", b.Nam))
 }
 
 // lowerInstr lowers one non-terminator instruction, fusing it with next
 // when the pair matches a superinstruction pattern. Returns whether
 // next was consumed.
-func (c *compiler) lowerInstr(b *ir.Block, in, next *ir.Instr) (bool, bool) {
+func (c *compiler) lowerInstr(b *ir.Block, in, next *ir.Instr) bool {
 	v := c.newVinstr(in)
 
 	// Digram fusion: adjacent single-use producer/consumer pairs from
@@ -537,35 +524,30 @@ func (c *compiler) lowerInstr(b *ir.Block, in, next *ir.Instr) (bool, bool) {
 	if next != nil && in.NumUses() == 1 {
 		switch {
 		case in.Op == ir.OpGEP && next.Op == ir.OpLoad && next.Operand(0) == in:
-			if ok := c.fuseGEP(&v, in, next, vGEPLoad); ok {
-				c.fused["gep+load"]++
-				c.emit(v)
-				return true, true
-			}
+			c.fuseGEP(&v, in, next, vGEPLoad)
+			c.fused["gep+load"]++
+			c.emit(v)
+			return true
 		case in.Op == ir.OpGEP && next.Op == ir.OpStore && next.Operand(1) == in:
-			if ok := c.fuseGEP(&v, in, next, vGEPStore); ok {
-				c.fused["gep+store"]++
-				c.emit(v)
-				return true, true
-			}
+			c.fuseGEP(&v, in, next, vGEPStore)
+			c.fused["gep+store"]++
+			c.emit(v)
+			return true
 		case (in.Op == ir.OpICmp || in.Op == ir.OpFCmp) && in.Ty == ir.I1 &&
 			next.Op == ir.OpCondBr && next.Operand(0) == in:
-			if ok := c.fuseCmpBr(b, &v, in, next); ok {
-				c.fused["cmp+br"]++
-				c.emit(v)
-				return true, true
-			}
+			c.fuseCmpBr(b, &v, in, next)
+			c.fused["cmp+br"]++
+			c.emit(v)
+			return true
 		case in.Op == ir.OpInsertElement && bcastInit(in) && isBcast(next, in):
-			return true, c.lowerBcast(in, next)
+			c.lowerBcast(in, next)
+			return true
 		}
 	}
 
-	ok := c.lowerPlain(&v, in)
-	if !ok {
-		return false, false
-	}
+	c.lowerPlain(&v, in)
 	c.emit(v)
-	return false, true
+	return false
 }
 
 // newVinstr starts the lowering of in: its opcode, predicate, result
@@ -582,99 +564,66 @@ func (c *compiler) newVinstr(in *ir.Instr) vinstr {
 }
 
 // lowerPlain fills v for a single unfused instruction.
-func (c *compiler) lowerPlain(v *vinstr, in *ir.Instr) bool {
-	setABC := func(n int) bool {
-		refs := [3]*int32{&v.a, &v.b, &v.c}
-		for i := 0; i < n; i++ {
-			r, ok := c.ref(in.Operand(i))
-			if !ok {
-				return false
-			}
-			*refs[i] = r
-		}
-		return true
-	}
+func (c *compiler) lowerPlain(v *vinstr, in *ir.Instr) {
+	n := 0 // operands into a, b and c
 	switch in.Op {
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpSDiv, ir.OpSRem, ir.OpUDiv,
 		ir.OpURem, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpLShr, ir.OpAShr:
-		v.op = vIntBin
-		return setABC(2)
+		v.op, n = vIntBin, 2
 	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFRem:
-		v.op = vFloatBin
-		return setABC(2)
+		v.op, n = vFloatBin, 2
 	case ir.OpICmp, ir.OpFCmp:
-		v.op = vCmp
-		return setABC(2)
+		v.op, n = vCmp, 2
 	case ir.OpSelect:
-		v.op = vSelect
-		return setABC(3)
+		v.op, n = vSelect, 3
 	case ir.OpAlloca:
 		v.op = vAlloca
 		v.elem = uint64(in.AllocElem.ByteSize() * in.AllocCount)
-		return true
 	case ir.OpLoad:
-		v.op = vLoad
-		return setABC(1)
+		v.op, n = vLoad, 1
 	case ir.OpStore:
-		v.op = vStore
-		return setABC(2)
+		v.op, n = vStore, 2
 	case ir.OpGEP:
-		v.op = vGEP
+		v.op, n = vGEP, 2
 		v.elem = uint64(in.Ty.Elem.ByteSize())
 		v.idxSh = idxShift(in.Operand(1))
-		return setABC(2)
 	case ir.OpExtractElement:
-		v.op = vExtract
+		v.op, n = vExtract, 2
 		v.idxSh = idxShift(in.Operand(1))
-		return setABC(2)
 	case ir.OpInsertElement:
-		v.op = vInsert
+		v.op, n = vInsert, 3
 		v.idxSh = idxShift(in.Operand(2))
-		return setABC(3)
 	case ir.OpShuffleVector:
-		v.op = vShuffle
+		v.op, n = vShuffle, 2
 		v.mask = in.ShuffleMask
-		return setABC(2)
 	case ir.OpCall:
 		v.op = vCall
 		v.callee = in.Callee
-		if v.callee == nil {
-			return false
+		v.args = make([]int32, in.NumOperands())
+		c.code.maxArgs = max(c.code.maxArgs, len(v.args))
+		for i := range v.args {
+			v.args[i] = c.ref(in.Operand(i))
 		}
-		n := in.NumOperands()
-		c.code.maxArgs = max(c.code.maxArgs, n)
-		v.args = make([]int32, n)
-		for i := 0; i < n; i++ {
-			r, ok := c.ref(in.Operand(i))
-			if !ok {
-				return false
-			}
-			v.args[i] = r
-		}
-		return true
 	default:
-		if in.Op.IsCast() {
-			v.op = vCast
-			return setABC(1)
+		if !in.Op.IsCast() {
+			panic(c.bug("cannot lower %s", in))
 		}
-		return false
+		v.op, n = vCast, 1
+	}
+	for i, r := range []*int32{&v.a, &v.b, &v.c}[:n] {
+		*r = c.ref(in.Operand(i))
 	}
 }
 
 // lowerSite lowers the fault site whose instrumentation starts body, if
 // one does: a vSite guard, then the chain's instructions one by one,
 // unfused, so the guard's fall-through runs exactly the code an
-// unguarded chain would. It returns the chain's length (0 when no site
-// starts here) and whether lowering succeeded.
-func (c *compiler) lowerSite(body []*ir.Instr) (int, bool) {
+// unguarded chain would. It returns the chain's length, 0 when no site
+// starts here.
+func (c *compiler) lowerSite(body []*ir.Instr) int {
 	m := matchSite(body)
 	if m.n == 0 {
-		return 0, true
-	}
-	val, ok1 := c.ref(m.val)
-	dst, ok2 := c.regFor(body[m.n-1])
-	if !ok1 || !ok2 {
-		return m.n, false
+		return 0
 	}
 	site := &siteChain{n: uint64(m.n), lanes: uint64(m.lanes)}
 	for _, in := range body[:m.n] {
@@ -682,27 +631,21 @@ func (c *compiler) lowerSite(body []*ir.Instr) (int, bool) {
 			site.nvec++
 		}
 	}
-	g := vinstr{op: vSite, a: val, dst: dst, callee: m.callee, site: site}
+	g := vinstr{op: vSite, a: c.ref(m.val), dst: c.regFor(body[m.n-1]), callee: m.callee, site: site}
 	if m.mask != nil {
-		mask, ok := c.ref(m.mask)
-		if !ok {
-			return m.n, false
-		}
-		g.b = mask
+		g.b = c.ref(m.mask)
 		site.masked = true
 		site.signBit = uint8(m.mask.Type().Elem.Bits - 1)
 	}
 	pc := c.emit(g)
 	for _, in := range body[:m.n] {
 		v := c.newVinstr(in)
-		if !c.lowerPlain(&v, in) {
-			return m.n, false
-		}
+		c.lowerPlain(&v, in)
 		c.emit(v)
 	}
 	c.code.code[pc].t0 = int32(len(c.code.code))
 	c.fused["site"]++
-	return m.n, true
+	return m.n
 }
 
 // siteMatch is one fault site's instrumentation found by matchSite.
@@ -849,49 +792,33 @@ func isBcast(shuf, init *ir.Instr) bool {
 // lowerBcast lowers a broadcast pair, init used only by shuf, as a
 // vBcast guard followed by both instructions lowered unchanged, which
 // are the guard's replay path.
-func (c *compiler) lowerBcast(init, shuf *ir.Instr) bool {
-	scalar, ok := c.ref(init.Operand(1))
-	if !ok {
-		return false
-	}
+func (c *compiler) lowerBcast(init, shuf *ir.Instr) {
 	pc := c.emit(vinstr{
-		op: vBcast, a: scalar, dst: c.regOf[shuf.Slot()],
+		op: vBcast, a: c.ref(init.Operand(1)), dst: c.regOf[shuf.Slot()],
 		in: init, vec: init.IsVectorInstr(), in2: shuf, vec2: shuf.IsVectorInstr(),
 	})
 	for _, in := range []*ir.Instr{init, shuf} {
 		v := c.newVinstr(in)
-		if !c.lowerPlain(&v, in) {
-			return false
-		}
+		c.lowerPlain(&v, in)
 		c.emit(v)
 	}
 	c.code.code[pc].t0 = int32(len(c.code.code))
 	c.fused["bcast"]++
-	return true
 }
 
 // fuseGEP fills v as a fused gep+load / gep+store superinstruction.
-func (c *compiler) fuseGEP(v *vinstr, gep, mem *ir.Instr, op vop) bool {
-	base, ok1 := c.ref(gep.Operand(0))
-	idx, ok2 := c.ref(gep.Operand(1))
-	if !ok1 || !ok2 {
-		return false
-	}
+func (c *compiler) fuseGEP(v *vinstr, gep, mem *ir.Instr, op vop) {
 	v.op = op
-	v.a, v.b = base, idx
+	v.a = c.ref(gep.Operand(0))
+	v.b = c.ref(gep.Operand(1))
 	v.elem = uint64(gep.Ty.Elem.ByteSize())
 	v.idxSh = idxShift(gep.Operand(1))
 	v.in2, v.vec2 = mem, mem.IsVectorInstr()
 	if op == vGEPLoad {
 		v.dst = c.regOf[mem.Slot()]
 	} else {
-		val, ok := c.ref(mem.Operand(0))
-		if !ok {
-			return false
-		}
-		v.c = val
+		v.c = c.ref(mem.Operand(0))
 	}
-	return true
 }
 
 // idxShift returns the sign-extension shift for v's scalar bit width
@@ -906,75 +833,46 @@ func idxShift(v ir.Value) uint8 {
 
 // fuseCmpBr fills v as a fused scalar-compare + conditional-branch
 // superinstruction (the profiler's "mask test + branch" digram).
-func (c *compiler) fuseCmpBr(b *ir.Block, v *vinstr, cmp, br *ir.Instr) bool {
-	a, ok1 := c.ref(cmp.Operand(0))
-	bb, ok2 := c.ref(cmp.Operand(1))
-	if !ok1 || !ok2 {
-		return false
-	}
-	m0, ok3 := c.edgeMoves(b, br.Succs[0])
-	m1, ok4 := c.edgeMoves(b, br.Succs[1])
-	if !ok3 || !ok4 {
-		return false
-	}
+func (c *compiler) fuseCmpBr(b *ir.Block, v *vinstr, cmp, br *ir.Instr) {
 	v.op = vCmpBr
-	v.a, v.b = a, bb
+	v.a = c.ref(cmp.Operand(0))
+	v.b = c.ref(cmp.Operand(1))
 	v.in2, v.vec2 = br, br.IsVectorInstr()
-	v.m0, v.m1 = m0, m1
+	v.m0 = c.edgeMoves(b, br.Succs[0])
+	v.m1 = c.edgeMoves(b, br.Succs[1])
 	c.fixups = append(c.fixups,
 		fixup{pc: len(c.code.code), blk: br.Succs[0]},
 		fixup{pc: len(c.code.code), second: true, blk: br.Succs[1]})
-	return true
 }
 
 // lowerTerminator lowers the block's terminator with its edge bundles.
-func (c *compiler) lowerTerminator(b *ir.Block, in *ir.Instr) bool {
+func (c *compiler) lowerTerminator(b *ir.Block, in *ir.Instr) {
 	v := vinstr{
 		irop: in.Op, in: in, vec: in.IsVectorInstr(), dst: -1,
 	}
 	switch in.Op {
 	case ir.OpBr:
-		moves, ok := c.edgeMoves(b, in.Succs[0])
-		if !ok {
-			return false
-		}
 		v.op = vBr
-		v.m0 = moves
+		v.m0 = c.edgeMoves(b, in.Succs[0])
 		c.fixups = append(c.fixups, fixup{pc: len(c.code.code), blk: in.Succs[0]})
 	case ir.OpCondBr:
-		cond, ok := c.ref(in.Operand(0))
-		if !ok {
-			return false
-		}
-		m0, ok1 := c.edgeMoves(b, in.Succs[0])
-		m1, ok2 := c.edgeMoves(b, in.Succs[1])
-		if !ok1 || !ok2 {
-			return false
-		}
 		v.op = vCondBr
-		v.a = cond
-		v.m0, v.m1 = m0, m1
+		v.a = c.ref(in.Operand(0))
+		v.m0 = c.edgeMoves(b, in.Succs[0])
+		v.m1 = c.edgeMoves(b, in.Succs[1])
 		c.fixups = append(c.fixups,
 			fixup{pc: len(c.code.code), blk: in.Succs[0]},
 			fixup{pc: len(c.code.code), second: true, blk: in.Succs[1]})
 	case ir.OpRet:
-		if in.NumOperands() == 0 {
-			v.op = vRetVoid
-		} else {
-			r, ok := c.ref(in.Operand(0))
-			if !ok {
-				return false
-			}
+		v.op = vRetVoid
+		if in.NumOperands() > 0 {
 			v.op = vRet
-			v.a = r
+			v.a = c.ref(in.Operand(0))
 		}
 	case ir.OpUnreachable:
 		v.op = vUnreachable
-	default:
-		return false
 	}
 	c.emit(v)
-	return true
 }
 
 // edgeMoves builds the sequenced parallel-move bundle for the edge
@@ -985,28 +883,18 @@ func (c *compiler) lowerTerminator(b *ir.Block, in *ir.Instr) bool {
 // still reads its destination; cycles (the swap problem) are broken by
 // parking one destination in the scratch register (the lost-copy
 // problem cannot arise: destinations are written exactly once).
-func (c *compiler) edgeMoves(b *ir.Block, succ *ir.Block) ([]move, bool) {
+func (c *compiler) edgeMoves(b *ir.Block, succ *ir.Block) []move {
 	phis := succ.Phis()
 	if len(phis) == 0 {
-		return nil, true
+		return nil
 	}
 	pending := make([]move, 0, len(phis))
 	for _, phi := range phis {
-		src := int32(0)
-		found := false
-		for i, pred := range phi.Succs {
-			if pred == b {
-				r, ok := c.ref(phi.Operand(i))
-				if !ok {
-					return nil, false
-				}
-				src, found = r, true
-				break
-			}
+		i := slices.Index(phi.Succs, b)
+		if i < 0 {
+			panic(c.bug("%s has no incoming for %s", phi.Ident(), b.Ident()))
 		}
-		if !found {
-			return nil, false // tree-walker traps "no incoming" at runtime
-		}
+		src := c.ref(phi.Operand(i))
 		dst := c.regOf[phi.Slot()]
 		if src == dst {
 			continue // self-move: the loop-carried value is already home
@@ -1047,5 +935,5 @@ func (c *compiler) edgeMoves(b *ir.Block, succ *ir.Block) ([]move, bool) {
 			}
 		}
 	}
-	return out, true
+	return out
 }

@@ -39,8 +39,7 @@ func slowStep(it *interp.Interp, obs interp.Observer, in *ir.Instr) *interp.Trap
 }
 
 // CallCompiled implements interp.Engine: it executes f's bytecode body
-// against it's observable state, or declines (ok == false) when f was
-// not lowered so the interpreter tree-walks it.
+// against it's observable state.
 //
 // The loop replays the tree-walker's exact observable schedule. Every
 // instruction — phis and terminators included — bumps DynInstrs (and
@@ -57,17 +56,14 @@ func slowStep(it *interp.Interp, obs interp.Observer, in *ir.Instr) *interp.Trap
 // every lane. Parameters and constants are only read. The return value
 // is the one value that outlives the frame: it is cloned unless the
 // caller is this machine's own vCall, which copies it out at once.
-func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Value) (interp.Value, *interp.Trap, bool) {
+func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Value) (interp.Value, *interp.Trap) {
 	borrow := m.borrow
 	m.borrow = false
-	code := m.prog.code(f)
-	if code == nil {
-		return interp.Value{}, nil, false
-	}
+	code := m.prog.fns[f.Num()]
 	fr := m.getFrame(code)
-	r, tr, ok := m.run(it, code, fr, args, borrow, 0)
+	r, tr := m.run(it, code, fr, args, borrow, 0)
 	m.putFrame(code, fr)
-	return r, tr, ok
+	return r, tr
 }
 
 // getFrame pops an idle frame for code, or builds one; the caller hands
@@ -91,7 +87,7 @@ func (m *Machine) putFrame(code *fnCode, fr *frame) {
 // run executes code's body in fr from pc (0 for a call, a snapshot's pc
 // for Resume); borrow lets vRet return the frame's own words (see
 // Machine.borrow).
-func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.Value, borrow bool, pc int32) (interp.Value, *interp.Trap, bool) {
+func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.Value, borrow bool, pc int32) (interp.Value, *interp.Trap) {
 	regs := fr.regs
 	copy(regs, args)
 	for _, gs := range code.globals {
@@ -158,7 +154,7 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 			// Recorder and Join). A run that rejoined a Join's snapshot
 			// stops here.
 			if m.hook != nil && it.Depth() == 1 && m.hook.at(it, code, regs, pc) {
-				return interp.Value{}, nil, true
+				return interp.Value{}, nil
 			}
 			// The parallel copy already ran on the incoming edge; this
 			// replays the tree-walker's per-phi accounting and retirement,
@@ -175,25 +171,25 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 				}
 			}
 			if tr := it.CheckBudget(); tr != nil {
-				return interp.Value{}, it.LocateTrap(tr, v.phis[0].in), true
+				return interp.Value{}, it.LocateTrap(tr, v.phis[0].in)
 			}
 			pc++
 
 		case vIntBin:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
 			r := regs[v.dst]
 			if tr := interp.IntBinInto(r, v.irop,
 				getOperand(regs, consts, v.a), getOperand(regs, consts, v.b)); tr != nil {
-				return interp.Value{}, it.LocateTrap(tr, v.in), true
+				return interp.Value{}, it.LocateTrap(tr, v.in)
 			}
 			retire(v.in, r)
 			pc++
 
 		case vFloatBin:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
 			r := regs[v.dst]
 			interp.FloatBinInto(r, v.irop,
@@ -203,7 +199,7 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 
 		case vCmp:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
 			r := regs[v.dst]
 			interp.CompareInto(r, v.irop, v.pred,
@@ -213,7 +209,7 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 
 		case vSelect:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
 			r := regs[v.dst]
 			interp.SelectInto(r, getOperand(regs, consts, v.a),
@@ -223,7 +219,7 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 
 		case vCast:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
 			r := regs[v.dst]
 			interp.CastInto(r, v.irop, getOperand(regs, consts, v.a), r.Ty)
@@ -232,11 +228,11 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 
 		case vAlloca:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
 			addr, tr := it.Mem.Alloc(v.elem)
 			if tr != nil {
-				return interp.Value{}, it.LocateTrap(tr, v.in), true
+				return interp.Value{}, it.LocateTrap(tr, v.in)
 			}
 			r := regs[v.dst]
 			r.Bits[0] = addr
@@ -245,30 +241,30 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 
 		case vLoad:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
 			r := regs[v.dst]
 			if tr := it.Mem.LoadInto(r, getOperand(regs, consts, v.a).Uint()); tr != nil {
-				return interp.Value{}, it.LocateTrap(tr, v.in), true
+				return interp.Value{}, it.LocateTrap(tr, v.in)
 			}
 			retire(v.in, r)
 			pc++
 
 		case vStore:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
 			tr := it.Mem.Store(getOperand(regs, consts, v.a),
 				getOperand(regs, consts, v.b).Uint())
 			if tr != nil {
-				return interp.Value{}, it.LocateTrap(tr, v.in), true
+				return interp.Value{}, it.LocateTrap(tr, v.in)
 			}
 			retire(v.in, interp.Value{})
 			pc++
 
 		case vGEP:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
 			addr := getOperand(regs, consts, v.a).Uint() +
 				uint64(sx(getOperand(regs, consts, v.b).Bits[0], v.idxSh))*v.elem
@@ -279,14 +275,14 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 
 		case vExtract:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
 			vec := getOperand(regs, consts, v.a)
 			idx := int(sx(getOperand(regs, consts, v.b).Bits[0], v.idxSh))
 			if idx < 0 || idx >= len(vec.Bits) {
 				tr := &interp.Trap{Kind: interp.TrapBadIndex,
 					Msg: fmt.Sprintf("extractelement lane %d of %d", idx, len(vec.Bits))}
-				return interp.Value{}, it.LocateTrap(tr, v.in), true
+				return interp.Value{}, it.LocateTrap(tr, v.in)
 			}
 			r := regs[v.dst]
 			r.Bits[0] = vec.Bits[idx]
@@ -295,7 +291,7 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 
 		case vInsert:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
 			vec := getOperand(regs, consts, v.a)
 			elem := getOperand(regs, consts, v.b)
@@ -303,7 +299,7 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 			if idx < 0 || idx >= len(vec.Bits) {
 				tr := &interp.Trap{Kind: interp.TrapBadIndex,
 					Msg: fmt.Sprintf("insertelement lane %d of %d", idx, len(vec.Bits))}
-				return interp.Value{}, it.LocateTrap(tr, v.in), true
+				return interp.Value{}, it.LocateTrap(tr, v.in)
 			}
 			r := regs[v.dst]
 			copy(r.Bits, vec.Bits)
@@ -313,7 +309,7 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 
 		case vShuffle:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
 			a := getOperand(regs, consts, v.a)
 			b := getOperand(regs, consts, v.b)
@@ -334,7 +330,7 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 
 		case vCall:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
 			// The frame's argv is reused without clearing: externs consume
 			// their arguments at once and callees copy the vector on entry.
@@ -361,7 +357,7 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 				m.borrow = false
 			}
 			if tr != nil {
-				return interp.Value{}, it.LocateTrap(tr, v.in), true
+				return interp.Value{}, it.LocateTrap(tr, v.in)
 			}
 			if v.dst >= 0 {
 				// Copy, never share: injectFault* returns its argument on
@@ -379,14 +375,14 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 
 		case vBr:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
 			runMoves(v.m0)
 			pc = v.t0
 
 		case vCondBr:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
 			if getOperand(regs, consts, v.a).Bool() {
 				runMoves(v.m0)
@@ -398,7 +394,7 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 
 		case vRet:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
 			r := getOperand(regs, consts, v.a)
 			if !borrow {
@@ -408,21 +404,21 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 				// not be able to write.
 				r = r.Clone()
 			}
-			return r, nil, true
+			return r, nil
 
 		case vRetVoid:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
-			return interp.Value{}, nil, true
+			return interp.Value{}, nil
 
 		case vUnreachable:
 			if tr := step(v.in, v.vec); tr != nil {
-				return interp.Value{}, tr, true
+				return interp.Value{}, tr
 			}
 			tr := &interp.Trap{Kind: interp.TrapHalt,
 				Msg: fmt.Sprintf("reached unreachable in @%s", code.fn.Nam)}
-			return interp.Value{}, it.LocateTrap(tr, v.in), true
+			return interp.Value{}, it.LocateTrap(tr, v.in)
 
 		case vGEPLoad:
 			// Fused lane-address + load. The address computation cannot
@@ -431,18 +427,18 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 				uint64(sx(getOperand(regs, consts, v.b).Bits[0], v.idxSh))*v.elem
 			if !fuse(v) {
 				if tr := step(v.in, v.vec); tr != nil {
-					return interp.Value{}, tr, true
+					return interp.Value{}, tr
 				}
 				if obs != nil {
 					obs.Retire(v.in, it.DynInstrs, interp.PtrValue(v.in.Ty, addr))
 				}
 				if tr := step(v.in2, v.vec2); tr != nil {
-					return interp.Value{}, tr, true
+					return interp.Value{}, tr
 				}
 			}
 			r := regs[v.dst]
 			if tr := it.Mem.LoadInto(r, addr); tr != nil {
-				return interp.Value{}, it.LocateTrap(tr, v.in2), true
+				return interp.Value{}, it.LocateTrap(tr, v.in2)
 			}
 			retire(v.in2, r)
 			pc++
@@ -452,17 +448,17 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 				uint64(sx(getOperand(regs, consts, v.b).Bits[0], v.idxSh))*v.elem
 			if !fuse(v) {
 				if tr := step(v.in, v.vec); tr != nil {
-					return interp.Value{}, tr, true
+					return interp.Value{}, tr
 				}
 				if obs != nil {
 					obs.Retire(v.in, it.DynInstrs, interp.PtrValue(v.in.Ty, addr))
 				}
 				if tr := step(v.in2, v.vec2); tr != nil {
-					return interp.Value{}, tr, true
+					return interp.Value{}, tr
 				}
 			}
 			if tr := it.Mem.Store(getOperand(regs, consts, v.c), addr); tr != nil {
-				return interp.Value{}, it.LocateTrap(tr, v.in2), true
+				return interp.Value{}, it.LocateTrap(tr, v.in2)
 			}
 			retire(v.in2, interp.Value{})
 			pc++
@@ -475,11 +471,11 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 				getOperand(regs, consts, v.a), getOperand(regs, consts, v.b))
 			if !fuse(v) {
 				if tr := step(v.in, v.vec); tr != nil {
-					return interp.Value{}, tr, true
+					return interp.Value{}, tr
 				}
 				retire(v.in, cond)
 				if tr := step(v.in2, v.vec2); tr != nil {
-					return interp.Value{}, tr, true
+					return interp.Value{}, tr
 				}
 			}
 			if cond.Bool() {
@@ -534,9 +530,7 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 			pc++
 
 		default:
-			// Unknown opcode: compiler bug. Decline defensively so the
-			// tree-walker provides the authoritative behavior.
-			return interp.Value{}, nil, false
+			panic(fmt.Sprintf("vm: @%s: opcode %d at pc %d", code.fn.Nam, v.op, pc))
 		}
 	}
 }

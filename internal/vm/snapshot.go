@@ -200,8 +200,7 @@ func (m *Machine) Resume(it *interp.Interp, s *Snapshot) (interp.Value, *interp.
 	}
 	res, tr := it.Resumed(func() (interp.Value, *interp.Trap) {
 		// Parameters are only read, so the frame may alias s's clones.
-		res, tr, _ := m.run(it, code, fr, s.params, false, s.pc)
-		return res, tr
+		return m.run(it, code, fr, s.params, false, s.pc)
 	})
 	m.putFrame(code, fr)
 	return res, tr

@@ -31,8 +31,11 @@
 // broadcast pair follows the fused-pair rule (no observer, clear of a
 // budget boundary) and then writes the scalar into every lane of the
 // shuffle's register; otherwise the insert and the shuffle run as
-// lowered. A function the compiler cannot lower is simply declined at
-// call time and tree-walked instead.
+// lowered.
+//
+// The compiler's input is a module ir.Verify accepts, and it lowers
+// every function of it: while a Machine is attached, the interpreter
+// tree-walks nothing, so a vm run executes bytecode only.
 //
 // The speedup comes from dispatch, not semantics: register frames that
 // own their words replace the tree-walker's freshly allocated result
@@ -63,12 +66,14 @@ import (
 )
 
 // Program is an immutable compiled module: one bytecode body per
-// lowerable defined function. A Program is safe for concurrent use by
-// any number of Machines (campaign cells compile once and share the
-// program across their worker instances).
+// defined function. A Program is safe for concurrent use by any number
+// of Machines (campaign cells compile once and share the program across
+// their worker instances).
 type Program struct {
+	// mod is the module compiled; Attach accepts only its interpreters.
+	mod *ir.Module
 	// fns holds each function's body by ir.Func.Num, nil for a
-	// declaration and for a function the compiler could not lower.
+	// declaration.
 	fns []*fnCode
 
 	// fused counts emitted superinstructions per kind (compile-time
@@ -76,49 +81,23 @@ type Program struct {
 	fused map[string]int
 }
 
-// Compile lowers every defined function of mod that the backend
-// supports. Functions it cannot lower (malformed blocks that only the
-// tree-walker's runtime traps can describe) are skipped and fall back
-// to tree-walking at call time, so Compile never fails.
+// Compile lowers every defined function of mod, a module ir.Verify
+// accepts. It does not verify mod again: codegen.Compile and a
+// passes.Manager with Verify set check every module they hand on. A
+// shape Compile cannot lower is a programming error, and it panics
+// naming the function.
 func Compile(mod *ir.Module) *Program {
 	p := &Program{
+		mod:   mod,
 		fns:   make([]*fnCode, len(mod.Funcs)),
 		fused: map[string]int{},
 	}
 	for i, f := range mod.Funcs {
-		if f.IsDecl {
-			continue
-		}
-		if code, ok := compileFunc(f, p.fused); ok {
-			p.fns[i] = code
+		if !f.IsDecl {
+			p.fns[i] = compileFunc(f, p.fused)
 		}
 	}
 	return p
-}
-
-// code returns f's compiled body, or nil when f was not lowered or is
-// not a function of the compiled module.
-func (p *Program) code(f *ir.Func) *fnCode {
-	if n := f.Num(); n >= 0 && n < len(p.fns) {
-		if code := p.fns[n]; code != nil && code.fn == f {
-			return code
-		}
-	}
-	return nil
-}
-
-// Compiled reports whether f was lowered to bytecode.
-func (p *Program) Compiled(f *ir.Func) bool { return p.code(f) != nil }
-
-// NumCompiled returns the number of lowered functions.
-func (p *Program) NumCompiled() int {
-	n := 0
-	for _, code := range p.fns {
-		if code != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // Fused returns the number of fused superinstructions emitted for the
@@ -174,11 +153,13 @@ func newFrame(code *fnCode) *frame {
 	return fr
 }
 
-// NewMachine returns a Machine executing prog.
-func NewMachine(prog *Program) *Machine {
-	return &Machine{prog: prog, free: make([][]*frame, len(prog.fns))}
+// Attach attaches a fresh Machine over prog to it, an interpreter of
+// the module prog was compiled from: the machine finds a callee's body
+// by its function number. A program of another module is a programming
+// error, and Attach panics.
+func Attach(it *interp.Interp, prog *Program) {
+	if it.Mod != prog.mod {
+		panic("vm: Attach: program compiled from another module")
+	}
+	it.SetEngine(&Machine{prog: prog, free: make([][]*frame, len(prog.fns))})
 }
-
-// Attach compiles-and-wires in one step for callers outside the
-// campaign layer: it attaches a fresh Machine over prog to it.
-func Attach(it *interp.Interp, prog *Program) { it.SetEngine(NewMachine(prog)) }

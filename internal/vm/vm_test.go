@@ -25,11 +25,10 @@ func execute(t *testing.T, mod *ir.Module, opts interp.Options, compiled bool,
 		t.Fatalf("interp.New: %v", err)
 	}
 	if compiled {
-		prog := Compile(mod)
-		if !prog.Compiled(mod.Func(fn)) {
-			t.Fatalf("function @%s did not compile", fn)
+		if err := mod.Verify(); err != nil {
+			t.Fatalf("verify: %v", err)
 		}
-		Attach(it, prog)
+		Attach(it, Compile(mod))
 	}
 	if hook != nil {
 		hook(it)
@@ -51,13 +50,6 @@ func execute(t *testing.T, mod *ir.Module, opts interp.Options, compiled bool,
 func differential(t *testing.T, mod *ir.Module, opts interp.Options,
 	fn string, args ...interp.Value) runOutcome {
 	t.Helper()
-	for _, f := range mod.Funcs {
-		if !f.IsDecl {
-			if err := f.Verify(); err != nil {
-				t.Fatalf("verify @%s: %v", f.Nam, err)
-			}
-		}
-	}
 	tree := execute(t, mod, opts, false, nil, fn, args...)
 	comp := execute(t, mod, opts, true, nil, fn, args...)
 	assertSameOutcome(t, tree, comp)
@@ -467,10 +459,11 @@ func TestRecorderAndTracerStreams(t *testing.T) {
 	}
 }
 
-// TestDeclineFallsBackToTree: a block without a terminator is refused by
-// the compiler, and the tree-walker's runtime diagnostic must surface
-// unchanged through the attached (declining) engine.
-func TestDeclineFallsBackToTree(t *testing.T) {
+// TestCompileRejectsUnverifiedModule: a block without a terminator fails
+// ir.Verify. The tree-walker, which runs modules nobody verified, traps
+// where the block falls through; Compile refuses the module, naming the
+// function and the block, since a vm run never tree-walks.
+func TestCompileRejectsUnverifiedModule(t *testing.T) {
 	mod := ir.NewModule("fallthrough")
 	f := ir.NewFunc("main", ir.Void, nil, nil)
 	mod.AddFunc(f)
@@ -478,27 +471,26 @@ func TestDeclineFallsBackToTree(t *testing.T) {
 	b.Add(ir.ConstInt(ir.I32, 1), ir.ConstInt(ir.I32, 2), "x")
 	// no terminator
 
-	prog := Compile(mod)
-	if prog.Compiled(mod.Func("main")) {
-		t.Fatal("unterminated function should not compile")
-	}
-
 	it, err := interp.New(mod, interp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	Attach(it, prog)
 	_, tr := it.Run("main")
 	if tr == nil || tr.Kind != interp.TrapHalt || tr.Msg != "block entry fell through" {
 		t.Fatalf("want fell-through trap, got %v", tr)
 	}
+	defer func() {
+		if r, want := recover(), "vm: @main: block entry is not terminated"; r != want {
+			t.Fatalf("Compile panicked with %v, want %q", r, want)
+		}
+	}()
+	Compile(mod)
 }
 
-// TestForeignProgramDeclines: a Program holds its bodies by function
-// number, so a machine attached to an interpreter of another module
-// declines that module's functions instead of running its own bodies
-// of the same numbers.
-func TestForeignProgramDeclines(t *testing.T) {
+// TestAttachRejectsForeignProgram: a Program holds its bodies by
+// function number, so Attach refuses an interpreter of another module,
+// whose functions of the same numbers are not the program's.
+func TestAttachRejectsForeignProgram(t *testing.T) {
 	mods := make([]*ir.Module, 2)
 	for i := range mods {
 		mods[i] = ir.NewModule("m")
@@ -510,10 +502,15 @@ func TestForeignProgramDeclines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer func() {
+		if r := recover(); r != "vm: Attach: program compiled from another module" {
+			t.Fatalf("Attach panicked with %v", r)
+		}
+		if it.Engine() != nil {
+			t.Fatal("the foreign program's machine is attached")
+		}
+	}()
 	Attach(it, Compile(mods[0]))
-	if v, tr := it.Run("main"); tr != nil || v.Int() != 1 {
-		t.Fatalf("@main of the second module returned %v, %v; want 1", v, tr)
-	}
 }
 
 // TestEngineSurvivesReset: campaign pools Reset-and-reuse instances; the
