@@ -133,6 +133,9 @@ func main() {
 		case *tel.Events != "" || *tel.HTTP != "":
 			fail(cliutil.MutuallyExclusive("events/-http", "remote",
 				"the study runs on the daemon: -timeline FILE writes its spans to FILE.jsonl in the -events format (fleet-merged for sharded jobs), and the daemon serves its own /metrics"))
+		case *csvOut:
+			fail(cliutil.MutuallyExclusive("csv", "remote",
+				"a daemon's result prints as text or, with -json, as the study JSON; run locally for the CSV row"))
 		}
 	}
 	if *shards > 0 && *remote == "" {

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"time"
 
@@ -113,7 +115,7 @@ func runRemote(ctx context.Context, addr string, spec server.Spec,
 				profileOut, profileOut)
 		}
 	}
-	return printRemoteResult(final, jsonOut)
+	return printRemoteResult(os.Stdout, final, jsonOut)
 }
 
 // fetchProfile pulls the finished job's execution profile from the
@@ -176,7 +178,10 @@ type remoteStudy struct {
 	Campaigns   int     `json:"campaigns"`
 }
 
-func printRemoteResult(st *server.Status, jsonOut bool) error {
+// printRemoteResult writes a finished job's study to w: the study JSON
+// with jsonOut, otherwise the text summary WriteStudy prints for a
+// local run.
+func printRemoteResult(w io.Writer, st *server.Status, jsonOut bool) error {
 	switch st.State {
 	case server.StateCancelled:
 		return fmt.Errorf("job %s was cancelled after %d/%d experiments",
@@ -189,12 +194,16 @@ func printRemoteResult(st *server.Status, jsonOut bool) error {
 		if err := json.Indent(&indented, st.Result, "", "  "); err != nil {
 			return err
 		}
-		fmt.Println(indented.String())
+		fmt.Fprintln(w, indented.String())
 		return nil
 	}
 	var sr remoteStudy
 	if err := json.Unmarshal(st.Result, &sr); err != nil {
 		return fmt.Errorf("job %s: bad result payload: %w", st.ID, err)
+	}
+	if sr.MoE < 0 {
+		// The JSON's sentinel for a non-finite margin (one campaign).
+		sr.MoE = math.Inf(1)
 	}
 	total := float64(sr.SDC + sr.Benign + sr.Crash)
 	pct := func(n int) float64 {
@@ -203,16 +212,16 @@ func printRemoteResult(st *server.Status, jsonOut bool) error {
 		}
 		return 100 * float64(n) / total
 	}
-	fmt.Printf("job %s: done (%d campaigns x %d experiments)\n",
+	fmt.Fprintf(w, "job %s: done (%d campaigns x %d experiments)\n",
 		st.ID, sr.Campaigns, sr.Experiments)
-	fmt.Printf("static sites: %d (%d lane sites)\n", sr.StaticSites, sr.LaneSites)
-	fmt.Printf("mean golden dynamic instructions: %.0f\n", sr.MeanDyn)
-	fmt.Printf("SDC    %6.2f%%  (±%.2f%% at 95%%, near-normal=%v)\n",
+	fmt.Fprintf(w, "static sites: %d (%d lane sites)\n", sr.StaticSites, sr.LaneSites)
+	fmt.Fprintf(w, "mean golden dynamic instructions: %.0f\n", sr.MeanDyn)
+	fmt.Fprintf(w, "SDC    %6.2f%%  (±%.2f%% at 95%%, near-normal=%v)\n",
 		100*sr.MeanSDC, 100*sr.MoE, sr.NearNormal)
-	fmt.Printf("Benign %6.2f%%\n", pct(sr.Benign))
-	fmt.Printf("Crash  %6.2f%%  (%d hangs)\n", pct(sr.Crash), sr.Hang)
+	fmt.Fprintf(w, "Benign %6.2f%%\n", pct(sr.Benign))
+	fmt.Fprintf(w, "Crash  %6.2f%%  (%d hangs)\n", pct(sr.Crash), sr.Hang)
 	if sr.Detected > 0 && sr.SDC > 0 {
-		fmt.Printf("detector fired in %d experiments; SDC detection rate %.2f%%\n",
+		fmt.Fprintf(w, "detector fired in %d experiments; SDC detection rate %.2f%%\n",
 			sr.Detected, 100*float64(sr.SDCDetected)/float64(sr.SDC))
 	}
 	return nil

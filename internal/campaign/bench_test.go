@@ -137,13 +137,10 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkPrepareSweep measures Prepare over the Figure 11 sweep's 54
-// cells (the 9 study benchmarks × AVX/SSE × 3 categories, default
-// scale, vm backend): compile, instrumentation and vm compile, the
-// per-round set-up cost of a Figure-11-shaped run.
-//
-//	go test -run '^$' -bench PrepareSweep -benchmem ./internal/campaign/
-func BenchmarkPrepareSweep(b *testing.B) {
+// fig11Cells returns the Figure 11 sweep's 54 cells (the 9 study
+// benchmarks × AVX/SSE × 3 categories, default scale, vm backend) as
+// the bench's fig11-sweep workload configures them.
+func fig11Cells() []Config {
 	var cfgs []Config
 	for _, bm := range benchmarks.Study() {
 		for _, t := range []*isa.ISA{isa.AVX, isa.SSE} {
@@ -155,6 +152,16 @@ func BenchmarkPrepareSweep(b *testing.B) {
 			}
 		}
 	}
+	return cfgs
+}
+
+// BenchmarkPrepareSweep measures Prepare over the Figure 11 sweep's 54
+// cells: compile, instrumentation and vm compile, the per-round set-up
+// cost of a Figure-11-shaped run.
+//
+//	go test -run '^$' -bench PrepareSweep -benchmem ./internal/campaign/
+func BenchmarkPrepareSweep(b *testing.B) {
+	cfgs := fig11Cells()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range cfgs {
@@ -163,4 +170,37 @@ func BenchmarkPrepareSweep(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkSweepStudies measures the study phase of the Figure 11
+// sweep, which BenchmarkPrepareSweep leaves out: each iteration runs
+// RunStudy on the 54 cells, prepared once up front, under a seed no
+// other iteration uses, so every experiment draws a fresh input and
+// its golden run counts its fault sites. It reports experiments per
+// second.
+//
+//	go test -run '^$' -bench SweepStudies ./internal/campaign/
+func BenchmarkSweepStudies(b *testing.B) {
+	var cells []*Prepared
+	for _, cfg := range fig11Cells() {
+		p, err := Prepare(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells = append(cells, p)
+	}
+	total := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, p := range cells {
+			p.Cfg.Seed = int64(i*len(cells) + j + 1)
+			sr, err := p.RunStudy(context.Background())
+			if err != nil {
+				b.Fatal(err)
+			}
+			total += sr.Totals.Experiments
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "exp/s")
 }

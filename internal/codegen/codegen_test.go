@@ -358,7 +358,7 @@ func TestUserFunctionCallWithMask(t *testing.T) {
 	}
 	got, _ := x.ReadF32(a, len(in))
 	for i, v := range in {
-		want := v*v + 1
+		want := float32(v*v) + 1
 		if got[i] != want {
 			t.Fatalf("a[%d] = %v, want %v", i, got[i], want)
 		}

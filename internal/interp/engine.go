@@ -19,11 +19,15 @@ import "vulfi/internal/ir"
 // Observer event streams. The differential tests in internal/vm and
 // internal/campaign pin this contract. So an engine may replace extern
 // calls by one BulkCounter call only where no observer is attached and
-// no budget check falls among the instructions it skips. An engine that
-// dispatches extern calls itself reads the callee's entry in the
-// interpreter's extern table (see Interp.Extern) at every call, as Call
-// does, so a re-registered extern, or the bulk counter it drops, takes
-// effect on the next call.
+// every budget check that falls among the instructions it skips would
+// pass, and it runs each of those checks itself, at its own count (see
+// OverBudget), so the pulse sees the tree-walker's schedule. An engine
+// that dispatches extern calls itself reads the callee's entry in the
+// interpreter's extern table at every call, as Call does, so a
+// re-registered extern, or the bulk counter it drops, takes effect on
+// the next call; it may read the entry by function number (see
+// ExternAt) where ir.Verify and the engine's own attach check have
+// shown the callee to be the module's.
 //
 // Like registered externs, the engine survives Reset: campaign instance
 // pools reset-and-reuse interpreters without re-attaching their
@@ -42,8 +46,8 @@ func (it *Interp) Engine() Engine { return it.engine }
 // replicate the tree-walker's observable contract without duplicating
 // its semantics: budget checks, trap provenance and the scalar/vector
 // operation kernels (the observer is read through Observer, externs and
-// bulk counters through Extern). Engines must use these rather than
-// re-implement them, so the two backends cannot drift.
+// bulk counters through Extern and ExternAt). Engines must use these
+// rather than re-implement them, so the two backends cannot drift.
 
 // CheckBudget reports a TrapBudget when the executed-instruction count
 // has exceeded the configured budget, with the tree-walker's exact
@@ -51,6 +55,12 @@ func (it *Interp) Engine() Engine { return it.engine }
 // after every phi block, and after accounting a non-phi instruction
 // whenever DynInstrs is a multiple of 1024.
 func (it *Interp) CheckBudget() *Trap { return it.checkBudget() }
+
+// OverBudget reports whether CheckBudget would trap with DynInstrs at
+// n. An engine that accounts several instructions in one step asks it
+// for a 1024 boundary among them before it takes the step, and, when
+// the check would pass, runs it with DynInstrs at the boundary.
+func (it *Interp) OverBudget(n uint64) bool { return n > it.budget }
 
 // LocateTrap stamps tr with the provenance of in (innermost frame
 // wins), exactly as the tree-walker does before unwinding a trap.

@@ -164,6 +164,18 @@ func (it *Interp) Extern(f *ir.Func) (Extern, bool) {
 	return Extern{}, false
 }
 
+// ExternAt returns the extern table's entry for function number n, and
+// the zero entry when the table has none. Unlike Extern it does not
+// check that the module's function n is the callee: a caller that has
+// shown that already (an engine running a verified module's program)
+// reads the table by number.
+func (it *Interp) ExternAt(n int) Extern {
+	if n < len(it.externs) {
+		return it.externs[n]
+	}
+	return Extern{}
+}
+
 // RegisterExtern installs (or replaces) the implementation of the
 // module's declaration called name. It drops any bulk counter
 // registered beside the old one. A name the module does not declare

@@ -22,7 +22,9 @@ func Mean(xs []float64) float64 {
 	for _, x := range xs {
 		s += x
 	}
-	return s / float64(len(xs))
+	// Rounded: inlined at a constant power-of-two length, the division
+	// becomes a product that a caller's x - Mean(xs) could fuse.
+	return float64(s / float64(len(xs)))
 }
 
 // Variance returns the unbiased sample variance (n-1 denominator).
@@ -156,7 +158,8 @@ const Z95 = 1.959963984540054
 
 // NormalCDF returns Φ(z), the standard normal cumulative distribution.
 func NormalCDF(z float64) float64 {
-	return 0.5 * (1 + math.Erf(z/math.Sqrt2))
+	// Rounded, so an inlined 1 - NormalCDF(z) cannot fuse the product.
+	return float64(0.5 * (1 + math.Erf(z/math.Sqrt2)))
 }
 
 // WilsonInterval returns the Wilson score confidence interval for a

@@ -73,10 +73,10 @@ func TestPaperMarginRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	xs := make([]float64, 20)
 	for i := range xs {
-		xs[i] = 0.5 + rng.NormFloat64()*0.02
+		xs[i] = 0.5 + float64(rng.NormFloat64()*0.02)
 	}
 	moe := MarginOfError95(xs)
-	want := 2.093 * StdErr(xs)
+	want := float64(2.093 * StdErr(xs))
 	if !almost(moe, want, 1e-12) {
 		t.Errorf("moe = %v, want %v", moe, want)
 	}

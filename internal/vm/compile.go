@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"vulfi/internal/interp"
 	"vulfi/internal/ir"
@@ -111,6 +112,9 @@ type vinstr struct {
 
 	callee *ir.Func
 	args   []int32
+	// decl marks a call of one of the module's declarations, which reads
+	// the callee's extern table entry by number.
+	decl bool
 
 	mask []int
 
@@ -175,12 +179,16 @@ type compiler struct {
 	// register, -1 for a void instruction or a hole.
 	regOf   []int32
 	scratch int32
-	// constIx interns single-lane constants by type and word, so the
-	// many equal lane indices and active flags core.Instrument emits
-	// share one pool entry; vecIx holds the vector constants.
+	// sites holds f's fault-site chains in block order, matched once by
+	// layout; lowerBlock lowers sites[next] when it reaches its first
+	// instruction.
+	sites []siteMatch
+	next  int
+	// tab is the storage Compile lends (see tables). Its small table,
+	// constIx and vecIx intern the constant pool (see intern).
+	tab     *tables
 	constIx map[constKey]int32
 	vecIx   map[*ir.Const]int32
-	globIx  map[*ir.Global]int32
 	starts  map[*ir.Block]int32
 	fixups  []fixup
 	fused   map[string]int
@@ -192,6 +200,26 @@ type constKey struct {
 	w  uint64
 }
 
+// tables is storage one Compile lends each of its function compiles in
+// turn, pooled across Compiles (see tablePool) so a compile allocates
+// neither table again.
+//
+// small interns the single-lane i32 constants below maxSmall, the words
+// core.Instrument emits by the thousand (lane indices, active flags,
+// lane-site IDs): small[w] is w's constant pool index plus one, 0 while
+// the function being compiled has none. sites backs compiler.sites.
+// Each compileFunc zeroes the small entries it set and hands sites back
+// emptied, so the pool holds zeroed tables and no IR.
+type tables struct {
+	small []int32
+	sites []siteMatch
+}
+
+var tablePool = sync.Pool{New: func() any { return new(tables) }}
+
+// maxSmall bounds tables.small; a larger word goes to a map.
+const maxSmall = 1 << 16
+
 // fixup patches a branch target once every block's start pc is known.
 type fixup struct {
 	pc     int
@@ -200,44 +228,22 @@ type fixup struct {
 }
 
 // compileFunc lowers f, a function of a module ir.Verify accepts (see
-// Compile).
-func compileFunc(f *ir.Func, fused map[string]int) *fnCode {
+// Compile), in storage borrowed from t.
+func compileFunc(f *ir.Func, fused map[string]int, t *tables) *fnCode {
 	c := &compiler{
-		f:       f,
-		regOf:   make([]int32, f.NumSlots()),
-		constIx: map[constKey]int32{},
-		vecIx:   map[*ir.Const]int32{},
-		globIx:  map[*ir.Global]int32{},
-		starts:  map[*ir.Block]int32{},
-		fused:   fused,
+		f:      f,
+		regOf:  make([]int32, f.NumSlots()),
+		sites:  t.sites[:0],
+		tab:    t,
+		starts: map[*ir.Block]int32{},
+		fused:  fused,
 	}
 	c.code.fn = f
 	if len(f.Blocks) == 0 {
 		panic(c.bug("no blocks"))
 	}
 
-	// Register layout: parameters first (slot == Param.Index), then one
-	// slot per value-producing instruction, then the move scratch sized
-	// to the widest phi, then any globals the body references. The
-	// instruction slots bound the instruction registers.
-	c.code.regs = make([]regSlot, len(f.Params), len(f.Params)+len(c.regOf)+1)
-	for i := range c.regOf {
-		c.regOf[i] = -1
-	}
-	var widest *ir.Type
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpPhi && (widest == nil || in.Ty.Lanes() > widest.Lanes()) {
-				widest = in.Ty
-			}
-			if !in.Ty.IsVoid() {
-				c.regOf[in.Slot()] = c.newReg(in.Ty)
-			}
-		}
-	}
-	c.scratch = c.newReg(widest)
-
-	c.code.code = make([]vinstr, 0, codeBound(f))
+	c.code.code = make([]vinstr, 0, c.layout())
 	for _, b := range f.Blocks {
 		c.starts[b] = int32(len(c.code.code))
 		c.lowerBlock(b)
@@ -253,9 +259,16 @@ func compileFunc(f *ir.Func, fused map[string]int) *fnCode {
 			c.code.code[fx.pc].t0 = target
 		}
 	}
-	if widest != nil {
+	if c.code.regs[c.scratch].ty != nil { // f has phis
 		c.code.live = c.liveAtPhis()
 	}
+	for _, k := range c.code.consts {
+		if k.Ty == ir.I32 && k.Bits[0] < uint64(len(t.small)) {
+			t.small[k.Bits[0]] = 0
+		}
+	}
+	clear(c.sites)
+	t.sites = c.sites[:0]
 	return &c.code
 }
 
@@ -265,25 +278,67 @@ func (c *compiler) bug(format string, args ...any) string {
 	return fmt.Sprintf("vm: @%s: ", c.f.Nam) + fmt.Sprintf(format, args...)
 }
 
-// codeBound bounds the number of vinstrs compileFunc emits for f, so
-// fnCode.code is allocated once. Each instruction lowers to at most one
-// vinstr (a block's phis share one vPhiGroup, a fused pair one opcode),
-// and the guards come on top: one per fault site, matched as lowerBlock
-// matches them, and at most one per insert into lane 0 of undef, the
-// first half of a broadcast pair.
-func codeBound(f *ir.Func) int {
+// layout lays out f's registers and bounds its code in one pass,
+// matching each fault site's chain as it goes and keeping the matches
+// for lowerBlock.
+//
+// Registers: parameters first (slot == Param.Index), then one per
+// value-producing instruction, then the move scratch sized to the
+// widest phi, then (added by ref) any globals the body references. A
+// chain's result takes its value's register instead of one of its own
+// where the value is an instruction (a phi included) of the chain's own
+// block and the chain is its only reader: every run of the block then
+// defines the value again before the chain reads it, so what the chain
+// writes there can reach no other read. A value defined before a loop
+// and stored inside it fails the first test, and sharing would carry a
+// flip into the next iteration's read.
+//
+// It returns a bound on the vinstrs lowerBlock emits, so fnCode.code is
+// allocated once: each instruction lowers to at most one vinstr (a
+// block's phis share one vPhiGroup, a fused pair one opcode), and the
+// guards come on top: one per chain, and at most one per insert into
+// lane 0 of undef, the first half of a broadcast pair.
+func (c *compiler) layout() int {
+	f := c.f
+	c.code.regs = make([]regSlot, len(f.Params), len(f.Params)+len(c.regOf)+1)
+	for i := range c.regOf {
+		c.regOf[i] = -1
+	}
 	n := 0
+	var widest *ir.Type
 	for _, b := range f.Blocks {
 		n += len(b.Instrs)
 		for i := 0; i < len(b.Instrs); i++ {
+			in := b.Instrs[i]
 			if m := matchSite(b.Instrs[i:]); m.n > 0 {
+				chain := b.Instrs[i : i+m.n]
+				for _, x := range chain[:m.n-1] {
+					c.regOf[x.Slot()] = c.newReg(x.Ty)
+				}
+				res := chain[m.n-1]
+				if x, ok := m.val.(*ir.Instr); ok && x.Parent == b && x.NumUses() == m.reads() {
+					c.regOf[res.Slot()] = c.regOf[x.Slot()]
+				} else {
+					c.regOf[res.Slot()] = c.newReg(res.Ty)
+				}
+				m.at = in
+				c.sites = append(c.sites, m)
 				n++
 				i += m.n - 1
-			} else if in := b.Instrs[i]; in.Op == ir.OpInsertElement && bcastInit(in) {
+				continue
+			}
+			if in.Op == ir.OpPhi && (widest == nil || in.Ty.Lanes() > widest.Lanes()) {
+				widest = in.Ty
+			}
+			if !in.Ty.IsVoid() {
+				c.regOf[in.Slot()] = c.newReg(in.Ty)
+			}
+			if in.Op == ir.OpInsertElement && bcastInit(in) {
 				n++
 			}
 		}
 	}
+	c.scratch = c.newReg(widest)
 	return n
 }
 
@@ -429,33 +484,61 @@ func (c *compiler) regFor(x *ir.Instr) int32 {
 func (c *compiler) ref(v ir.Value) int32 {
 	switch x := v.(type) {
 	case *ir.Const:
-		var ix int32
-		var ok bool
-		if len(x.Bits) == 1 {
-			key := constKey{x.Ty, x.Bits[0]}
-			if ix, ok = c.constIx[key]; !ok {
-				ix = c.addConst(x)
-				c.constIx[key] = ix
-			}
-		} else if ix, ok = c.vecIx[x]; !ok {
-			ix = c.addConst(x)
-			c.vecIx[x] = ix
-		}
-		return ^ix
+		return ^c.intern(x)
 	case *ir.Param:
 		return int32(x.Index)
 	case *ir.Instr:
 		return c.regFor(x)
 	case *ir.Global:
-		r, ok := c.globIx[x]
-		if !ok {
-			r = c.newReg(x.Type())
-			c.globIx[x] = r
-			c.code.globals = append(c.code.globals, globalSlot{reg: r, g: x})
+		for _, gs := range c.code.globals {
+			if gs.g == x {
+				return gs.reg
+			}
 		}
+		r := c.newReg(x.Type())
+		c.code.globals = append(c.code.globals, globalSlot{reg: r, g: x})
 		return r
 	}
 	panic(c.bug("cannot lower operand %T", v))
+}
+
+// intern returns x's index in the constant pool, adding x's value
+// unless an equal one is there: single-lane constants are equal by type
+// and word (so the many equal lane indices and active flags share one
+// entry), vector constants by identity.
+func (c *compiler) intern(x *ir.Const) int32 {
+	if len(x.Bits) > 1 {
+		ix, ok := c.vecIx[x]
+		if !ok {
+			if c.vecIx == nil {
+				c.vecIx = map[*ir.Const]int32{}
+			}
+			ix = c.addConst(x)
+			c.vecIx[x] = ix
+		}
+		return ix
+	}
+	w := x.Bits[0]
+	if x.Ty == ir.I32 && w < maxSmall {
+		t := c.tab
+		if n := int(w) + 1; n > len(t.small) {
+			t.small = slices.Grow(t.small, n-len(t.small))[:n]
+		}
+		if t.small[w] == 0 {
+			t.small[w] = c.addConst(x) + 1
+		}
+		return t.small[w] - 1
+	}
+	key := constKey{x.Ty, w}
+	ix, ok := c.constIx[key]
+	if !ok {
+		if c.constIx == nil {
+			c.constIx = map[constKey]int32{}
+		}
+		ix = c.addConst(x)
+		c.constIx[key] = ix
+	}
+	return ix
 }
 
 // addConst appends x's value to the constant pool.
@@ -599,6 +682,7 @@ func (c *compiler) lowerPlain(v *vinstr, in *ir.Instr) {
 	case ir.OpCall:
 		v.op = vCall
 		v.callee = in.Callee
+		v.decl = in.Callee.IsDecl && c.f.Module.Has(in.Callee)
 		v.args = make([]int32, in.NumOperands())
 		c.code.maxArgs = max(c.code.maxArgs, len(v.args))
 		for i := range v.args {
@@ -615,16 +699,17 @@ func (c *compiler) lowerPlain(v *vinstr, in *ir.Instr) {
 	}
 }
 
-// lowerSite lowers the fault site whose instrumentation starts body, if
-// one does: a vSite guard, then the chain's instructions one by one,
-// unfused, so the guard's fall-through runs exactly the code an
-// unguarded chain would. It returns the chain's length, 0 when no site
+// lowerSite lowers the fault site whose chain starts body, if one does
+// (layout matched it): a vSite guard, then the chain's instructions one
+// by one, unfused, so the guard's fall-through runs exactly the code an
+// unguarded chain would. It returns the chain's length, 0 when no chain
 // starts here.
 func (c *compiler) lowerSite(body []*ir.Instr) int {
-	m := matchSite(body)
-	if m.n == 0 {
+	if c.next == len(c.sites) || c.sites[c.next].at != body[0] {
 		return 0
 	}
+	m := &c.sites[c.next]
+	c.next++
 	site := &siteChain{n: uint64(m.n), lanes: uint64(m.lanes)}
 	for _, in := range body[:m.n] {
 		if in.IsVectorInstr() {
@@ -650,11 +735,22 @@ func (c *compiler) lowerSite(body []*ir.Instr) int {
 
 // siteMatch is one fault site's instrumentation found by matchSite.
 type siteMatch struct {
-	n      int      // instructions in the chain; 0 when none matched
-	val    ir.Value // the site's value, which the chain returns unflipped
-	mask   ir.Value // the execution mask; nil when every lane is live
-	callee *ir.Func // the injection extern every call of the chain calls
+	at     *ir.Instr // the chain's first instruction (set by layout)
+	n      int       // instructions in the chain; 0 when none matched
+	val    ir.Value  // the site's value, which the chain returns unflipped
+	mask   ir.Value  // the execution mask; nil when every lane is live
+	callee *ir.Func  // the injection extern every call of the chain calls
 	lanes  int
+}
+
+// reads returns how many uses of its value the chain makes: a scalar
+// site's call reads it once, a vector chain's lane 0 extract and insert
+// read it twice.
+func (m *siteMatch) reads() int {
+	if m.n == 1 {
+		return 1
+	}
+	return 2
 }
 
 // matchSite matches the instrumentation core.Instrument emits for one

@@ -342,11 +342,11 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 			}
 			var r interp.Value
 			var tr *interp.Trap
-			if v.callee.IsDecl {
-				// Declaration callee: call its extern table entry directly.
-				// A callee without one falls back to Call for its
+			if v.decl {
+				// A declaration of the module: call its extern table entry
+				// directly. A callee without one falls back to Call for its
 				// diagnostic trap.
-				if e, _ := it.Extern(v.callee); e.Fn != nil {
+				if e := it.ExternAt(v.callee.Num()); e.Fn != nil {
 					r, tr = e.Fn(it, argv)
 				} else {
 					r, tr = it.Call(v.callee, argv)
@@ -488,14 +488,17 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 
 		case vSite:
 			// A fault site's whole chain in one step, where nothing could
-			// tell: no observer watches its instructions, no budget check
-			// falls among them, and the injection runtime's bulk counter
-			// agrees that each live lane's call would return its value and
-			// only count it. Otherwise fall through: the chain lowered
-			// after the guard runs call by call.
+			// tell: no observer watches its instructions, a budget check
+			// that falls among them would pass (the guard runs it, at its
+			// own count), and the injection runtime's bulk counter agrees
+			// that each live lane's call would return its value and only
+			// count it. Otherwise fall through: the chain lowered after
+			// the guard runs call by call. A chain whose result shares its
+			// value's register (see layout) has nothing to copy.
 			s := v.site
-			if obs == nil && it.DynInstrs&1023+s.n < 1024 {
-				if e, _ := it.Extern(v.callee); e.Bulk != nil {
+			from, to := it.DynInstrs, it.DynInstrs+s.n
+			if last := to &^ 1023; obs == nil && (last <= from || !it.OverBudget(last)) {
+				if e := it.ExternAt(v.callee.Num()); e.Bulk != nil {
 					live := s.lanes
 					if s.masked {
 						live = 0
@@ -504,8 +507,14 @@ func (m *Machine) run(it *interp.Interp, code *fnCode, fr *frame, args []interp.
 						}
 					}
 					if e.Bulk(live) {
-						copy(regs[v.dst].Bits, getOperand(regs, consts, v.a).Bits)
-						it.DynInstrs += s.n
+						if v.dst != v.a {
+							copy(regs[v.dst].Bits, getOperand(regs, consts, v.a).Bits)
+						}
+						for b := from&^1023 + 1024; b <= to; b += 1024 {
+							it.DynInstrs = b
+							it.CheckBudget() // passes: last is not over budget
+						}
+						it.DynInstrs = to
 						it.DynVector += s.nvec
 						pc = v.t0
 						continue

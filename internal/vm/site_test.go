@@ -142,8 +142,10 @@ func blendImpl(_ *interp.Interp, args []interp.Value) (interp.Value, *interp.Tra
 
 // chainRun is everything observable about one run of a chain kernel:
 // the run itself, the plan after it, the pulse schedule and observer
-// stream, and (vm only) how many chains the bulk path counted, in the
-// run and in the run before it on the same instance, if any.
+// stream, and how many chains the bulk path counted (none on the tree),
+// in the run and in the run before it on the same instance, if any;
+// calls lists the lane-site IDs of the run's calls of the plan's
+// injectFault* externs with a live lane.
 type chainRun struct {
 	runOutcome
 	sites    uint64
@@ -154,6 +156,7 @@ type chainRun struct {
 	events   []string
 	bulk     int
 	warm     int
+	calls    []int64
 }
 
 // chainCase configures one run: the plan to attach, interpreter
@@ -194,10 +197,16 @@ func runChains(t *testing.T, mod *ir.Module, prog *Program, c chainCase, n, pre 
 		plan.Visits = make([]uint64, len(plan.Visits))
 	}
 	core.AttachRuntime(it, &plan)
-	// Count the chains the bulk path takes, through the plan's own
-	// counter.
+	// Record the plan's extern calls and count the chains the bulk path
+	// takes, through the plan's own extern and counter.
 	for _, f := range mod.Funcs {
 		if orig, _ := it.Extern(f); orig.Bulk != nil {
+			it.RegisterExtern(f.Nam, func(it *interp.Interp, args []interp.Value) (interp.Value, *interp.Trap) {
+				if args[1].Int() != 0 {
+					r.calls = append(r.calls, args[2].Int())
+				}
+				return orig.Fn(it, args)
+			})
 			it.RegisterBulkCounter(f.Nam, func(n uint64) bool {
 				ok := orig.Bulk(n)
 				if ok {
@@ -214,7 +223,7 @@ func runChains(t *testing.T, mod *ir.Module, prog *Program, c chainCase, n, pre 
 		if tr := it.Reset(opts); tr != nil {
 			t.Fatal(tr)
 		}
-		r.warm, r.bulk, r.pulses, rec.events = r.bulk, 0, nil, nil
+		r.warm, r.bulk, r.pulses, r.calls, rec.events = r.bulk, 0, nil, nil, nil
 	}
 	if c.after != nil {
 		c.after(it)
@@ -303,14 +312,17 @@ func TestSiteChainTargets(t *testing.T) {
 // which traps at the boundary at 1,024. Every chain instruction, and
 // the insert and the shuffle of every broadcast pair, must be where
 // some of those traps fired, so the boundary fell at every position of
-// every chain and every pair.
+// every chain and every pair. Where the budget does not trap, the vm
+// must call the injection runtime only in the chain visit that holds
+// the target, wherever the boundary falls: the guard runs a boundary's
+// budget check itself.
 func TestSiteChainBudgetBoundaries(t *testing.T) {
 	const n = 3
 	var chain map[*ir.Instr]bool
 	var bcasts []*ir.Instr
 	trapped := map[string]bool{}
 	for pad := 0; pad < 4; pad++ {
-		mod, _, ch := chainKernel(t, pad)
+		mod, inst, ch := chainKernel(t, pad)
 		chain, bcasts = ch, broadcastPairs(mod)
 		prog := Compile(mod)
 		for pre := int64(0); pre < 256; pre++ {
@@ -320,10 +332,13 @@ func TestSiteChainBudgetBoundaries(t *testing.T) {
 				{plan: core.Plan{Mode: core.CountOnly}, budget: 1023},
 			} {
 				what := fmt.Sprintf("pad %d pre %d target %d budget %d", pad, pre, c.plan.TargetDyn, c.budget)
-				tree := runChains(t, mod, nil, c, n, pre)
-				sameChainRun(t, what, tree, runChains(t, mod, prog, c, n, pre))
+				tree, vm := runChains(t, mod, nil, c, n, pre), runChains(t, mod, prog, c, n, pre)
+				sameChainRun(t, what, tree, vm)
 				if tree.trap != nil {
 					trapped[tree.trap.Instr] = true
+				} else if !onTarget(inst, vm) {
+					t.Fatalf("%s: the vm called the injection runtime outside the target's chain: lane sites %v",
+						what, vm.calls)
 				}
 			}
 		}
@@ -343,6 +358,29 @@ func TestSiteChainBudgetBoundaries(t *testing.T) {
 			t.Errorf("no budget trap fired at %s", in)
 		}
 	}
+}
+
+// onTarget reports whether r called the injection runtime only in the
+// chain visit that holds its target: no call in a run that injected
+// nothing, and otherwise calls of the target site's lanes only, no more
+// of them than the site has.
+func onTarget(inst *core.Instrumentation, r chainRun) bool {
+	if !r.injected {
+		return len(r.calls) == 0
+	}
+	site := inst.LaneSites[r.record.LaneSiteID].Site
+	lanes := 0
+	for _, ls := range inst.LaneSites {
+		if ls.Site == site {
+			lanes++
+		}
+	}
+	for _, id := range r.calls {
+		if inst.LaneSites[id].Site != site {
+			return false
+		}
+	}
+	return len(r.calls) <= lanes
 }
 
 // TestSiteChainFallsThrough covers the runs the bulk path must leave to
@@ -400,6 +438,172 @@ func TestSiteChainFallsThrough(t *testing.T) {
 			t.Errorf("%s: the re-registered extern was never called", tc.name)
 		}
 	}
+}
+
+// storeKernel builds main(n, pre), which stores a <4 x i32> value and
+// an i32 value into a buffer in a loop and prints the buffers when the
+// loop is done; a store site on each store puts its chain in the loop,
+// reading a value defined outside it.
+//
+// With hoisted, the values are defined in the entry block, before a
+// loop of four iterations. Otherwise they are phis of an outer loop's
+// header, stored by an inner loop of three iterations in each of the
+// outer loop's two, and each store chain's result is the phi's incoming
+// on the outer back edge; the header also has a phi site whose chain
+// result feeds the back edge of its own phi, and which main prints at
+// the end.
+func storeKernel(t *testing.T, hoisted bool) (*ir.Module, *core.Instrumentation) {
+	t.Helper()
+	i32x4 := ir.Vec(ir.I32, 4)
+	mod := ir.NewModule("stores")
+	outV := ir.NewDecl("vulfi.out.v4i32", ir.Void, i32x4)
+	outS := ir.NewDecl("vulfi.out.i32", ir.Void, ir.I32)
+	mod.AddFunc(outV)
+	mod.AddFunc(outS)
+	f := ir.NewFunc("main", ir.I32, []*ir.Type{ir.I32, ir.I32}, []string{"n", "pre"})
+	mod.AddFunc(f)
+	pre := f.Params[1]
+	entry := f.NewBlock("entry")
+	be := ir.NewBuilder(entry)
+	const slots = 6
+	buf := be.Alloca(i32x4, slots, "buf")
+	bufs := be.Alloca(ir.I32, slots, "bufs")
+	k1234 := ir.ConstVec(i32x4, []uint64{1, 2, 3, 4})
+	one := ir.ConstInt(ir.I32, 1)
+
+	// store stores v and vs at index k of the buffers, and returns the
+	// two stores.
+	store := func(b *ir.Builder, v, vs, k ir.Value) (*ir.Instr, *ir.Instr) {
+		return b.Store(v, b.GEP(buf, k, "p")), b.Store(vs, b.GEP(bufs, k, "ps"))
+	}
+	var sites []*core.Site
+	var stores []*ir.Instr
+	var phis []*ir.Instr
+	exit := f.NewBlock("exit")
+	bx := ir.NewBuilder(exit)
+	if hoisted {
+		v := be.Mul(be.Broadcast(be.Add(pre, one, "p1"), 4, "bp"), k1234, "v")
+		vs := be.Add(pre, ir.ConstInt(ir.I32, 7), "vs")
+		loop := f.NewBlock("loop")
+		be.Br(loop)
+		bl := ir.NewBuilder(loop)
+		i := bl.Phi(ir.I32, "i")
+		st, sts := store(bl, v, vs, i)
+		stores = append(stores, st, sts)
+		in := bl.Add(i, one, "in")
+		bl.CondBr(bl.ICmp(ir.IntSLT, in, ir.ConstInt(ir.I32, 4), "c"), loop, exit)
+		ir.AddIncoming(i, ir.ConstInt(ir.I32, 0), entry)
+		ir.AddIncoming(i, in, loop)
+	} else {
+		outer, inner, latch := f.NewBlock("outer"), f.NewBlock("inner"), f.NewBlock("latch")
+		be.Br(outer)
+		bo := ir.NewBuilder(outer)
+		x := bo.Phi(i32x4, "x")
+		xs := bo.Phi(ir.I32, "xs")
+		y := bo.Phi(i32x4, "y")
+		o := bo.Phi(ir.I32, "o")
+		bo.Br(inner)
+		bi := ir.NewBuilder(inner)
+		j := bi.Phi(ir.I32, "j")
+		st, sts := store(bi, x, xs, bi.Add(bi.Mul(o, ir.ConstInt(ir.I32, 3), "o3"), j, "k"))
+		stores = append(stores, st, sts)
+		jn := bi.Add(j, one, "jn")
+		bi.CondBr(bi.ICmp(ir.IntSLT, jn, ir.ConstInt(ir.I32, 3), "cj"), inner, latch)
+		bl := ir.NewBuilder(latch)
+		on := bl.Add(o, one, "on")
+		bl.CondBr(bl.ICmp(ir.IntSLT, on, ir.ConstInt(ir.I32, 2), "co"), outer, exit)
+		ir.AddIncoming(x, k1234, entry)
+		ir.AddIncoming(x, ir.ConstZero(i32x4), latch) // the store chain's result, below
+		ir.AddIncoming(xs, pre, entry)
+		ir.AddIncoming(xs, ir.ConstInt(ir.I32, 0), latch) // likewise
+		ir.AddIncoming(y, ir.ConstVec(i32x4, []uint64{5, 6, 7, 8}), entry)
+		ir.AddIncoming(y, y, latch)
+		ir.AddIncoming(o, ir.ConstInt(ir.I32, 0), entry)
+		ir.AddIncoming(o, on, latch)
+		ir.AddIncoming(j, ir.ConstInt(ir.I32, 0), outer)
+		ir.AddIncoming(j, jn, inner)
+		bx.Call(outV, "", y)
+		sites = append(sites, &core.Site{Instr: y, ValueOperand: -1, MaskOperand: -1})
+		phis = []*ir.Instr{x, xs}
+	}
+	for k := 0; k < slots; k++ {
+		idx := ir.ConstInt(ir.I32, int64(k))
+		bx.Call(outV, "", bx.Load(bx.GEP(buf, idx, "q"), "l"))
+		bx.Call(outS, "", bx.Load(bx.GEP(bufs, idx, "qs"), "ls"))
+	}
+	bx.Ret(ir.ConstInt(ir.I32, 0))
+
+	for _, st := range stores {
+		sites = append(sites, &core.Site{Instr: st, ValueOperand: 0, MaskOperand: -1})
+	}
+	for i, s := range sites { // in block order, as core.Instrument takes them
+		s.ID = i
+	}
+	inst, err := core.Instrument(mod, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, phi := range phis {
+		phi.SetOperand(1, stores[i].Operand(0))
+	}
+	if err := mod.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	return mod, inst
+}
+
+// TestSiteChainSharedRegister flips every dynamic site of both
+// storeKernels in turn, the first iteration's included, and requires
+// both backends to agree on the whole run, stored values and printed
+// buffers included. A store chain reading a value defined outside its
+// loop must keep its own result register, or a flip in one iteration
+// would reach the next iteration's store; the header's phi site must
+// share its phi's register, as must every site of chainKernel.
+func TestSiteChainSharedRegister(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		hoisted bool
+	}{{"defined before the loop", true}, {"outer phi", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			mod, inst := storeKernel(t, tc.hoisted)
+			prog := Compile(mod)
+			if got := prog.Fused("site"); got != len(inst.Sites) {
+				t.Fatalf("%d fused sites, want %d", got, len(inst.Sites))
+			}
+			golden := chainCase{plan: core.Plan{Mode: core.CountOnly}}
+			tree := runChains(t, mod, nil, golden, 0, 3)
+			sameChainRun(t, "golden", tree, runChains(t, mod, prog, golden, 0, 3))
+			for target := uint64(1); target <= tree.sites; target++ {
+				c := chainCase{plan: core.Plan{Mode: core.InjectOnce, TargetDyn: target, BitSeed: 5}}
+				what := fmt.Sprintf("target %d", target)
+				sameChainRun(t, what, runChains(t, mod, nil, c, 0, 3), runChains(t, mod, prog, c, 0, 3))
+			}
+			if got, want := sharedSites(prog), len(inst.Sites)-2; got != want {
+				t.Errorf("%d chains share their value's register, want %d", got, want)
+			}
+		})
+	}
+	mod, inst, _ := chainKernel(t, 0)
+	if got := sharedSites(Compile(mod)); got != len(inst.Sites) {
+		t.Errorf("chainKernel: %d chains share their value's register, want all %d", got, len(inst.Sites))
+	}
+}
+
+// sharedSites counts prog's site guards whose chain result shares the
+// register of the site's value.
+func sharedSites(prog *Program) int {
+	n := 0
+	for _, code := range prog.fns {
+		if code == nil {
+			continue
+		}
+		for _, v := range code.code {
+			if v.op == vSite && v.dst == v.a {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // eachCell compiles and instruments every benchmark × ISA × category
@@ -488,8 +692,27 @@ func TestEverySiteFuses(t *testing.T) {
 	}
 }
 
+// codeBound bounds the vinstrs compileFunc emits for f as layout does,
+// from matchSite alone: one per instruction, one per fault-site chain,
+// and one per insert into lane 0 of undef outside a chain.
+func codeBound(f *ir.Func) int {
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Instrs)
+		for i := 0; i < len(b.Instrs); i++ {
+			if m := matchSite(b.Instrs[i:]); m.n > 0 {
+				n++
+				i += m.n - 1
+			} else if in := b.Instrs[i]; in.Op == ir.OpInsertElement && bcastInit(in) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // TestCodeSizedOnce requires every compiled function's code to fit the
-// capacity codeBound gave it, in every default cell: an append past it
+// capacity codeBound gives it, in every default cell: an append past it
 // would have reallocated the slice (and grown its capacity).
 func TestCodeSizedOnce(t *testing.T) {
 	eachCell(t, func(cell string, mod *ir.Module, _ *core.Instrumentation) {

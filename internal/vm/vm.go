@@ -22,12 +22,13 @@
 // reads it, so LaneSiteID attribution, dynamic site counting and bit
 // flips behave byte-identically, and a registration takes effect on
 // the next call. The one shortcut is the vSite guard the compiler puts
-// in front of each fault site's chain: where no observer watches, no
-// budget check falls inside the chain, and the bulk counter registered
-// beside the extern (see interp.BulkCounter) agrees that every live
-// lane's call would only count, the guard counts the live lanes in one
-// step, accounts the chain's instructions and jumps past it; otherwise
-// the chain runs call by call. The vBcast guard in front of each
+// in front of each fault site's chain: where no observer watches, every
+// budget check that falls inside the chain would pass, and the bulk
+// counter registered beside the extern (see interp.BulkCounter) agrees
+// that every live lane's call would only count, the guard counts the
+// live lanes in one step, runs those budget checks at their own counts,
+// accounts the chain's instructions and jumps past it; otherwise the
+// chain runs call by call. The vBcast guard in front of each
 // broadcast pair follows the fused-pair rule (no observer, clear of a
 // budget boundary) and then writes the scalar into every lane of the
 // shuffle's register; otherwise the insert and the shuffle run as
@@ -52,7 +53,11 @@
 // when its defining instruction executes again, or, for a phi, when its
 // incoming edge is taken again; anything that must outlive that copies
 // the words (edge moves, call results, Memory.Store, the returned value,
-// and observers under the interp.Observer contract).
+// and observers under the interp.Observer contract). One register can
+// define two values: a fault-site chain whose value is an instruction
+// or phi of the chain's own block, and read by the chain alone, gets
+// that value's register for its result, so the chain also writes that
+// register's words, and the guard's bulk path leaves them as they are.
 //
 // A Machine can also take snapshots of a run at the block heads with
 // phis of the export function's own frame (see Recorder), resume a run
@@ -92,11 +97,13 @@ func Compile(mod *ir.Module) *Program {
 		fns:   make([]*fnCode, len(mod.Funcs)),
 		fused: map[string]int{},
 	}
+	t := tablePool.Get().(*tables)
 	for i, f := range mod.Funcs {
 		if !f.IsDecl {
-			p.fns[i] = compileFunc(f, p.fused)
+			p.fns[i] = compileFunc(f, p.fused, t)
 		}
 	}
+	tablePool.Put(t) // a panicking compile drops it instead
 	return p
 }
 

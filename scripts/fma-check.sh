@@ -10,10 +10,15 @@
 # (float32(x*y), float64(x*y)) forces the rounding and stops the
 # fusion; math.FMA is the way to ask for a fused operation on purpose.
 #
-# The script cross-compiles ./cmd/... for each of those targets (the
+# The script cross-compiles ./cmd/... and the test binary of every
+# package of the root module (go test -c, one package at a time; the
+# bench/ module is not scanned) for each of those targets (the
 # toolchain needs no download for it), disassembles the binaries with
 # `go tool objdump`, and lists every vulfi/ function holding a fused
-# multiply-add instruction. It exits 1 when it finds any.
+# multiply-add instruction. A test that computes an expected value with
+# a fused product and compares it exactly with the program's twice-
+# rounded one would fail on those hosts, so test code is held to the
+# same rule. It exits 1 when it finds any.
 #
 #   scripts/fma-check.sh     (binaries go to a temporary directory)
 set -euo pipefail
@@ -30,9 +35,13 @@ found=0
 for arch in arm64 ppc64le s390x riscv64; do
   mkdir -p "$outdir/$arch"
   GOOS=linux GOARCH=$arch go build -o "$outdir/$arch/" ./cmd/...
+  for pkg in $(go list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{end}}' ./...); do
+    GOOS=linux GOARCH=$arch go test -c -o "$outdir/$arch/${pkg//\//_}.test" "$pkg"
+  done
   hits=$(for bin in "$outdir/$arch"/*; do go tool objdump "$bin"; done | awk -v re="$fused" '
     /^TEXT / { fn = $2 }
     fn ~ /^vulfi\// && $0 ~ re { print fn "  " $1 }' | sort -u)
+  rm -rf "${outdir:?}/$arch"
   if [ -n "$hits" ]; then
     found=1
     echo "$arch:"
